@@ -110,15 +110,14 @@ def group_exponent(group: AbelianGroupPresentation) -> int | None:
 def det_multiplier(cone: Cone) -> int:
     """Unsigned ray-matrix determinant of a simplicial full cone.
 
-    This equals the class group order; the equality is asserted rather
-    than assumed.
+    This equals the class group order; the equality is checked rather
+    than assumed, and a mismatch raises RuntimeError.
     """
     if not (cone.is_simplicial and cone.is_full):
         raise UnsupportedConeError("determinant multiplier needs a simplicial full cone")
     d = abs(determinant(cone.ray_matrix()))
-    assert d == group_order(class_group_of(cone)), (
-        "parallelotope volume disagrees with the class group order"
-    )
+    if d != group_order(class_group_of(cone)):
+        raise RuntimeError("parallelotope volume disagrees with the class group order")
     return d
 
 

@@ -18,6 +18,7 @@ from typing import Sequence
 from .class_group import class_group_of, det_multiplier, group_exponent, group_order
 from .cones import Cone, dual_cone, hilbert_basis, make_cone
 from .duval import cross_check_an, lookup
+from .exact_linalg import determinant
 from .ideals import PureHeightOneIdeal, find_sharpness_witness, verify_containment
 
 __all__ = ["main"]
@@ -99,11 +100,12 @@ def _parse_cone_json(text: str) -> tuple[int, list[tuple[int, ...]]]:
     if not isinstance(payload, dict) or "dim" not in payload or "rays" not in payload:
         raise CliError("JSON cone needs 'dim' and 'rays' keys")
     dim = payload["dim"]
-    if not isinstance(dim, int):
+    # exact type test: JSON true/false load as bool, a subclass of int
+    if type(dim) is not int:
         raise CliError(f"JSON 'dim' must be an integer, got {dim!r}")
     rays = []
     for k, ray in enumerate(payload["rays"]):
-        if not isinstance(ray, list) or not all(isinstance(x, int) for x in ray):
+        if not isinstance(ray, list) or not all(type(x) is int for x in ray):
             raise CliError(f"ray {k} is not a list of integers")
         rays.append(tuple(ray))
     return dim, rays
@@ -157,8 +159,6 @@ def _cmd_cone(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
         lines.append(f"simplicial: {'true' if cone.is_simplicial else 'false'}")
         lines.append(f"full: {'true' if cone.is_full else 'false'}")
         if len(cone.rays) == cone.ambient_dim:
-            from .exact_linalg import determinant
-
             lines.append(f"det: {abs(determinant(cone.ray_matrix()))}")
     elif ns.action == "dual":
         lines += _cone_block(dual_cone(cone))

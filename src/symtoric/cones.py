@@ -10,7 +10,7 @@ decompositions over the Hilbert basis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -179,13 +179,47 @@ class SemigroupData:
     """Dual semigroup of a simplicial full cone, ready for monomial work.
 
     ``pairing_table[i][j]`` is the pairing of Hilbert basis element i with
-    cone ray j; both lists are lex-sorted.
+    cone ray j; both lists are lex-sorted.  ``parallelotope`` holds one
+    (pairing vector, point) pair per lattice point of the half-open
+    parallelotope of the dual rays, the origin included: every semigroup
+    element is exactly one of those points plus a nonnegative integer
+    combination of the dual rays.
     """
 
     cone: Cone
     dual_rays: tuple[Vector, ...]
     hilbert_basis: tuple[Vector, ...]
     pairing_table: tuple[tuple[int, ...], ...]
+    parallelotope: tuple[tuple[tuple[int, ...], Vector], ...] = field(compare=False, repr=False)
+
+
+def _parallelotope(
+    duals: Sequence[Vector], rays: Sequence[Vector]
+) -> tuple[tuple[tuple[int, ...], Vector], ...]:
+    """(pairing vector, point) for each lattice point of the half-open
+    parallelotope {W t : 0 <= t_j < 1} spanned by the dual rays.
+
+    With W the matrix whose columns are the dual rays and U W V = S its
+    Smith form, the points are one per coset of W Z^n, and Z^n / W Z^n is
+    the sum of the Z/s_i.  So k running over the box prod [0, s_i) gives
+    the coset representatives U^-1 k, whose coordinates in W are
+    t = frac(V S^-1 k).  Scaled by the largest invariant factor s_n these
+    are integers reduced mod s_n, and W t is the point: |det W| of them.
+    """
+    n = len(duals)
+    dec = smith_normal_form(
+        IntegerMatrix.from_rows([[w[i] for w in duals] for i in range(n)])
+    )
+    factors = dec.invariant_factors
+    top = factors[-1]
+    v = dec.V.to_rows()
+    points = []
+    for k in itertools.product(*(range(s) for s in factors)):
+        scaled = [kj * (top // s) for kj, s in zip(k, factors)]
+        t = [sum(a * b for a, b in zip(row, scaled)) % top for row in v]
+        point = tuple(sum(w[i] * tj for w, tj in zip(duals, t)) // top for i in range(n))
+        points.append((tuple(dot(point, ray) for ray in rays), point))
+    return tuple(points)
 
 
 def hilbert_basis(cone: Cone) -> SemigroupData:
@@ -194,35 +228,13 @@ def hilbert_basis(cone: Cone) -> SemigroupData:
     Every semigroup element is a dual-ray translate of a lattice point of
     the half-open fundamental parallelotope of the dual rays, so the
     irreducible elements all sit among those points and the dual rays
-    themselves.  Candidates are enumerated over the integer bounding box
-    of the parallelotope and filtered down to the irreducible ones.
+    themselves.  The points come from ``_parallelotope``; a candidate is
+    dropped when subtracting another candidate leaves a semigroup element.
     """
     dual = dual_cone(cone)
-    n = cone.ambient_dim
-    w = dual.rays
-    # columns of wmat are the dual rays
-    wmat = IntegerMatrix.from_rows([[w[j][i] for j in range(n)] for i in range(n)])
-    det = determinant(wmat)
-    adj = adjugate(wmat)
-    sign = 1 if det > 0 else -1
-    absdet = abs(det)
-    lo = [0] * n
-    hi = [0] * n
-    for subset in itertools.product((0, 1), repeat=n):
-        vertex = [sum(subset[j] * w[j][i] for j in range(n)) for i in range(n)]
-        lo = [min(a, b) for a, b in zip(lo, vertex)]
-        hi = [max(a, b) for a, b in zip(hi, vertex)]
-    candidates: set[Vector] = set(w)
-    for point in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(n))):
-        if not any(point):
-            continue
-        coords = [
-            sign * sum(adj.at(i, k) * point[k] for k in range(n)) for i in range(n)
-        ]
-        # 0 <= t_i < 1 in the parallelotope coordinates, scaled by |det|
-        if all(0 <= c < absdet for c in coords):
-            candidates.add(point)
     rays = cone.rays
+    par = _parallelotope(dual.rays, rays)
+    candidates: set[Vector] = set(dual.rays) | {p for _, p in par if any(p)}
 
     def reducible(h: Vector) -> bool:
         for g in candidates:
@@ -235,7 +247,7 @@ def hilbert_basis(cone: Cone) -> SemigroupData:
 
     basis = tuple(h for h in sorted(candidates) if not reducible(h))
     table = tuple(tuple(dot(h, ray) for ray in rays) for h in basis)
-    return SemigroupData(cone, dual.rays, basis, table)
+    return SemigroupData(cone, dual.rays, basis, table, par)
 
 
 def in_semigroup(point: Sequence[int], data: SemigroupData) -> bool:

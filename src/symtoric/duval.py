@@ -35,7 +35,8 @@ class DuValRecord:
     def d_min(self) -> int:
         """Optimal uniform multiplier: the exponent of the class group."""
         exponent = group_exponent(self.group)
-        assert exponent is not None  # catalog groups are finite
+        if exponent is None:
+            raise RuntimeError(f"{self.family}_{self.index} has an infinite class group")
         return exponent
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cones import SemigroupData, Vector, dot, in_semigroup
 from .exact_linalg import DimensionError
@@ -83,67 +83,51 @@ def _pairings(point: Vector, data: SemigroupData) -> tuple[int, ...]:
     return tuple(dot(point, ray) for ray in data.cone.rays)
 
 
-def _minimalize(points: Sequence[Vector], data: SemigroupData) -> tuple[Vector, ...]:
-    """Drop every point that is a semigroup translate of another one.
+def _minimalize(candidates: Iterable[tuple[tuple[int, ...], Vector]]) -> tuple[Vector, ...]:
+    """Lex-sorted points of the (pairing vector, point) candidates that are
+    no semigroup translate of another candidate.
 
     Translation by a semigroup element only raises ray pairings, so p is
-    redundant exactly when some other candidate q has pairings dominated
-    by p's componentwise.
+    redundant exactly when some other candidate's pairings are dominated
+    by p's componentwise.  Distinct points have distinct pairing vectors,
+    so a dominating candidate has a strictly smaller pairing sum.  Taken in
+    order of that sum, each candidate is tested only against those already
+    kept (the degree-sorted reduction of Bruns and Ichim): a dropped one is
+    dominated by a kept one, and domination is transitive.
     """
-    unique = sorted(set(points))
-    pairs = {p: _pairings(p, data) for p in unique}
-    kept = []
-    for p in unique:
-        pp = pairs[p]
-        if not any(
-            q != p and all(a >= b for a, b in zip(pp, pairs[q])) for q in unique
-        ):
-            kept.append(p)
-    return tuple(kept)
+    kept: list[tuple[tuple[int, ...], Vector]] = []
+    for pairs, point in sorted(set(candidates), key=lambda c: sum(c[0])):
+        if not any(all(a >= b for a, b in zip(pairs, low)) for low, _ in kept):
+            kept.append((pairs, point))
+    return tuple(sorted(point for _, point in kept))
 
 
 def _minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:
     """Minimal generators of {m in the semigroup : <m, ray_i> >= bounds[i]}.
 
-    Search bound: a minimal generator stays strictly below bound + C on
-    every ray, where C is the largest pairing of any Hilbert basis element
-    with that ray (bound = 0 on unconstrained rays).  If a member met that
-    cap on some ray, subtracting the dual ray generator supported on that
-    ray alone would keep all other pairings, stay in the semigroup, and
-    leave a smaller member, contradicting minimality.  Closure over sums
-    of positively paired Hilbert basis elements inside the cap box
-    therefore visits every minimal generator.
+    Every semigroup element is a parallelotope point plus a nonnegative
+    combination of the dual rays, and adding the dual ray of ray i raises
+    the pairing with ray i alone, by c_i = <dual ray, ray_i>.  So a member
+    of the ideal is a semigroup translate of its parallelotope point y
+    shifted along the dual ray of each bounded ray i by the least
+    k_i = max(0, ceil((b_i - y_i) / c_i)) that meets the bound b_i, and the
+    minimal generators are the minimal ones among those |det W| shifts.
     """
-    rays = data.cone.rays
-    caps = tuple(
-        bounds.get(i, 0) + max(row[i] for row in data.pairing_table)
-        for i in range(len(rays))
-    )
-    active = [
-        (h, row)
-        for h, row in zip(data.hilbert_basis, data.pairing_table)
-        if any(row[i] > 0 for i in bounds)
-    ]
-    zero = (0,) * data.cone.ambient_dim
-    seen = {zero}
-    frontier: list[tuple[Vector, tuple[int, ...]]] = [(zero, (0,) * len(rays))]
-    members = []
-    while frontier:
-        point, pairs = frontier.pop()
-        if all(pairs[i] >= b for i, b in bounds.items()):
-            # in the ideal; any further sum is a translate of this member
-            members.append(point)
-            continue
-        for h, row in active:
-            extended = tuple(a + b for a, b in zip(point, h))
-            if extended in seen:
-                continue
-            pairing = tuple(a + b for a, b in zip(pairs, row))
-            if any(p >= cap for p, cap in zip(pairing, caps)):
-                continue
-            seen.add(extended)
-            frontier.append((extended, pairing))
-    return _minimalize(members, data)
+    shifts = []
+    for w in data.dual_rays:
+        pairs = _pairings(w, data)
+        i = next(j for j, c in enumerate(pairs) if c)
+        if i in bounds:
+            shifts.append((i, bounds[i], w, pairs[i]))
+    candidates = []
+    for pairs, point in data.parallelotope:
+        for i, bound, w, c in shifts:
+            k = -((pairs[i] - bound) // c)
+            if k > 0:
+                pairs = pairs[:i] + (pairs[i] + k * c,) + pairs[i + 1 :]
+                point = tuple(a + k * b for a, b in zip(point, w))
+        candidates.append((pairs, point))
+    return _minimalize(candidates)
 
 
 def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
@@ -153,11 +137,11 @@ def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
             f"ray index {ray_index} out of range for {len(data.cone.rays)} rays"
         )
     gens = [
-        h
+        (row, h)
         for h, row in zip(data.hilbert_basis, data.pairing_table)
         if row[ray_index] >= 1
     ]
-    return MonomialIdeal(data, _minimalize(gens, data), ((ray_index, 1),))
+    return MonomialIdeal(data, _minimalize(gens), ((ray_index, 1),))
 
 
 def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
@@ -178,7 +162,8 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
         tuple(sum(coords) for coords in zip(*combo))
         for combo in combinations_with_replacement(ideal.generators, power)
     }
-    return MonomialIdeal(ideal.context, _minimalize(sums, ideal.context))
+    data = ideal.context
+    return MonomialIdeal(data, _minimalize((_pairings(m, data), m) for m in sums))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
@@ -250,27 +235,30 @@ class ContainmentReport:
         return all(check.passed for check in self.levels)
 
 
-def verify_containment(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> ContainmentReport:
-    """Check symbolic_power(q, D*a) inside ordinary_power(q, a) for a = 1..max_level.
+def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Iterator[LevelCheck]:
+    """Verdicts for symbolic_power(q, D*a) inside ordinary_power(q, a), a = 1..max_level.
 
     Generator containment suffices: every other member is a semigroup
     translate of a generator and ordinary powers absorb translation.  The
-    first symbolic generator failing membership is reported as a witness.
+    first symbolic generator failing membership is the level's witness.
     """
-    if multiplier < 1:
-        raise ValueError(f"multiplier must be >= 1, got {multiplier}")
-    if max_level < 1:
-        raise ValueError(f"max level must be >= 1, got {max_level}")
     base = symbolic_power(q, 1)
-    levels = []
     for a in range(1, max_level + 1):
         sym = symbolic_power(q, multiplier * a)
         ordinary = ordinary_power(base, a)
         witness = next(
             (g for g in sym.generators if not ideal_member(g, ordinary)), None
         )
-        levels.append(LevelCheck(a, witness is None, witness))
-    return ContainmentReport(multiplier, tuple(levels))
+        yield LevelCheck(a, witness is None, witness)
+
+
+def verify_containment(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> ContainmentReport:
+    """Check symbolic_power(q, D*a) inside ordinary_power(q, a) for a = 1..max_level."""
+    if multiplier < 1:
+        raise ValueError(f"multiplier must be >= 1, got {multiplier}")
+    if max_level < 1:
+        raise ValueError(f"max level must be >= 1, got {max_level}")
+    return ContainmentReport(multiplier, tuple(_level_checks(q, multiplier, max_level)))
 
 
 def find_sharpness_witness(
@@ -282,11 +270,6 @@ def find_sharpness_witness(
         raise ValueError(f"candidate multiplier must be >= 1, got {candidate}")
     if max_level < 1:
         raise ValueError(f"max level must be >= 1, got {max_level}")
-    base = symbolic_power(q, 1)
-    for a in range(1, max_level + 1):
-        sym = symbolic_power(q, candidate * a)
-        ordinary = ordinary_power(base, a)
-        for g in sym.generators:
-            if not ideal_member(g, ordinary):
-                return a, g
-    return None
+    failures = (c for c in _level_checks(q, candidate, max_level) if not c.passed)
+    first = next(failures, None)
+    return None if first is None else (first.level, first.witness)

@@ -1,0 +1,147 @@
+"""Earlier lattice searches of the library, kept as independent oracles.
+
+The library now builds Hilbert basis candidates and valuation-ideal
+generators from one enumeration of the dual parallelotope and minimalizes
+in order of pairing sum.  The algorithms it replaced search differently,
+so agreeing with them is evidence rather than a restatement:
+
+* ``box_scan_hilbert_basis`` scans the integer bounding box of the dual
+  parallelotope and keeps the points whose parallelotope coordinates lie
+  in [0, 1);
+* ``closure_minimal_generators`` closes over sums of Hilbert basis
+  elements inside a capped box of pairings;
+* ``quadratic_minimalize`` tests every candidate against every other.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Sequence
+
+from symtoric.cones import Cone, SemigroupData, Vector, dot, dual_cone
+from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant
+
+
+def box_scan_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
+    """Hilbert basis of the dual semigroup of a simplicial full cone.
+
+    Every semigroup element is a dual-ray translate of a lattice point of
+    the half-open fundamental parallelotope of the dual rays, so the
+    irreducible elements all sit among those points and the dual rays
+    themselves.  Candidates are enumerated over the integer bounding box
+    of the parallelotope and filtered down to the irreducible ones.
+    """
+    dual = dual_cone(cone)
+    n = cone.ambient_dim
+    w = dual.rays
+    # columns of wmat are the dual rays
+    wmat = IntegerMatrix.from_rows([[w[j][i] for j in range(n)] for i in range(n)])
+    det = determinant(wmat)
+    adj = adjugate(wmat)
+    sign = 1 if det > 0 else -1
+    absdet = abs(det)
+    lo = [0] * n
+    hi = [0] * n
+    for subset in itertools.product((0, 1), repeat=n):
+        vertex = [sum(subset[j] * w[j][i] for j in range(n)) for i in range(n)]
+        lo = [min(a, b) for a, b in zip(lo, vertex)]
+        hi = [max(a, b) for a, b in zip(hi, vertex)]
+    candidates: set[Vector] = set(w)
+    for point in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(n))):
+        if not any(point):
+            continue
+        coords = [
+            sign * sum(adj.at(i, k) * point[k] for k in range(n)) for i in range(n)
+        ]
+        # 0 <= t_i < 1 in the parallelotope coordinates, scaled by |det|
+        if all(0 <= c < absdet for c in coords):
+            candidates.add(point)
+    rays = cone.rays
+
+    def reducible(h: Vector) -> bool:
+        for g in candidates:
+            if g == h:
+                continue
+            diff = tuple(a - b for a, b in zip(h, g))
+            if all(dot(diff, ray) >= 0 for ray in rays):
+                return True
+        return False
+
+    return tuple(h for h in sorted(candidates) if not reducible(h))
+
+
+def box_scan_size(cone: Cone) -> int:
+    """Integer points of the bounding box ``box_scan_hilbert_basis`` scans."""
+    w = dual_cone(cone).rays
+    size = 1
+    for i in range(cone.ambient_dim):
+        coords = [
+            sum(v[i] for v in subset)
+            for r in range(len(w) + 1)
+            for subset in itertools.combinations(w, r)
+        ]
+        size *= max(coords) - min(coords) + 1
+    return size
+
+
+def quadratic_minimalize(points: Sequence[Vector], data: SemigroupData) -> tuple[Vector, ...]:
+    """Drop every point that is a semigroup translate of another one.
+
+    Translation by a semigroup element only raises ray pairings, so p is
+    redundant exactly when some other candidate q has pairings dominated
+    by p's componentwise.
+    """
+    unique = sorted(set(points))
+    pairs = {p: tuple(dot(p, ray) for ray in data.cone.rays) for p in unique}
+    kept = []
+    for p in unique:
+        pp = pairs[p]
+        if not any(
+            q != p and all(a >= b for a, b in zip(pp, pairs[q])) for q in unique
+        ):
+            kept.append(p)
+    return tuple(kept)
+
+
+def closure_minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:
+    """Minimal generators of {m in the semigroup : <m, ray_i> >= bounds[i]}.
+
+    Search bound: a minimal generator stays strictly below bound + C on
+    every ray, where C is the largest pairing of any Hilbert basis element
+    with that ray (bound = 0 on unconstrained rays).  If a member met that
+    cap on some ray, subtracting the dual ray generator supported on that
+    ray alone would keep all other pairings, stay in the semigroup, and
+    leave a smaller member, contradicting minimality.  Closure over sums
+    of positively paired Hilbert basis elements inside the cap box
+    therefore visits every minimal generator.
+    """
+    rays = data.cone.rays
+    caps = tuple(
+        bounds.get(i, 0) + max(row[i] for row in data.pairing_table)
+        for i in range(len(rays))
+    )
+    active = [
+        (h, row)
+        for h, row in zip(data.hilbert_basis, data.pairing_table)
+        if any(row[i] > 0 for i in bounds)
+    ]
+    zero = (0,) * data.cone.ambient_dim
+    seen = {zero}
+    frontier: list[tuple[Vector, tuple[int, ...]]] = [(zero, (0,) * len(rays))]
+    members = []
+    while frontier:
+        point, pairs = frontier.pop()
+        if all(pairs[i] >= b for i, b in bounds.items()):
+            # in the ideal; any further sum is a translate of this member
+            members.append(point)
+            continue
+        for h, row in active:
+            extended = tuple(a + b for a, b in zip(point, h))
+            if extended in seen:
+                continue
+            pairing = tuple(a + b for a, b in zip(pairs, row))
+            if any(p >= cap for p, cap in zip(pairing, caps)):
+                continue
+            seen.add(extended)
+            frontier.append((extended, pairing))
+    return quadratic_minimalize(members, data)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone_zoo import EXPECTED_DET, an_cone, build_cone
+from symtoric import class_group
 from symtoric.class_group import (
     AbelianGroupPresentation,
     class_group_of,
@@ -108,6 +109,12 @@ class TestDetMultiplier:
 
     def test_unimodular_cone(self):
         assert det_multiplier(make_cone([(1, 0), (0, 1)], 2)) == 1
+
+    def test_order_mismatch_raises(self, monkeypatch):
+        # the check must survive python -O, so it cannot be an assert
+        monkeypatch.setattr(class_group, "group_order", lambda group: 3)
+        with pytest.raises(RuntimeError, match="class group order"):
+            det_multiplier(make_cone([(1, 0), (1, 2)], 2))
 
 
 class TestClassOf:

@@ -271,6 +271,19 @@ class TestErrorPaths:
         err = self.check_error(capsys, "classgroup", str(path), "--json")
         assert "JSON" in err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"dim":2,"rays":[[true,0],[1,2]]}', "ray 0"),
+            ('{"dim":true,"rays":[[3]]}', "'dim'"),
+        ],
+    )
+    def test_json_booleans_rejected(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "bool.json"
+        path.write_text(payload)
+        err = self.check_error(capsys, "cone", "info", str(path), "--json")
+        assert message in err
+
     def test_duval_out_of_catalog(self, capsys):
         err = self.check_error(capsys, "duval", "B", "9")
         assert "B_9" in err

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from symtoric.class_group import group_exponent, group_order
+from symtoric.class_group import AbelianGroupPresentation, group_exponent, group_order
 from symtoric.duval import DuValRecord, OutOfCatalogError, cross_check_an, lookup
 
 
@@ -56,6 +56,11 @@ class TestLookup:
             else:
                 assert record.d_min == 4 and order == 4
                 assert record.group.is_cyclic
+
+    def test_d_min_needs_finite_group(self):
+        record = DuValRecord("A", 1, "xz - y^2", AbelianGroupPresentation((), 1))
+        with pytest.raises(RuntimeError, match="infinite"):
+            record.d_min
 
     def test_out_of_catalog(self):
         for family, n in (("A", 0), ("A", -3), ("D", 3), ("E", 5), ("E", 9), ("B", 2)):

@@ -1,0 +1,72 @@
+"""Differential tests: the dual-parallelotope code against the searches it replaced."""
+
+from __future__ import annotations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from reference import (
+    box_scan_hilbert_basis,
+    box_scan_size,
+    closure_minimal_generators,
+    quadratic_minimalize,
+)
+from symtoric.cones import dot, dual_cone, hilbert_basis, make_cone
+from symtoric.exact_linalg import IntegerMatrix, determinant
+from symtoric.ideals import _minimal_generators, _minimalize, _pairings
+
+# entry range per dimension, wide enough to reach |det| = 30 yet small
+# enough that most draws are simplicial with a small parallelotope
+ENTRY_SPAN = {2: (-6, 6), 3: (-2, 3), 4: (-1, 2)}
+
+
+@st.composite
+def small_cones(draw):
+    """Simplicial full 2D-4D cones with |det| <= 30 for the ray matrix and
+    for the dual-ray matrix, whose box scan stays cheap."""
+    n = draw(st.integers(2, 4))
+    entries = st.integers(*ENTRY_SPAN[n])
+    rays = draw(st.lists(st.tuples(*[entries] * n), min_size=n, max_size=n))
+    assume(determinant(IntegerMatrix.from_rows(rays)) != 0)
+    cone = make_cone(rays, n)
+    assume(abs(determinant(cone.ray_matrix())) <= 30)
+    assume(abs(determinant(IntegerMatrix.from_rows(dual_cone(cone).rays))) <= 30)
+    assume(box_scan_size(cone) <= 20000)
+    return hilbert_basis(cone)
+
+
+@settings(deadline=None)
+@given(small_cones())
+def test_hilbert_basis_matches_box_scan(data):
+    cone = data.cone
+    assert data.hilbert_basis == box_scan_hilbert_basis(cone)
+    dual = IntegerMatrix.from_rows(data.dual_rays)
+    points = [p for _, p in data.parallelotope]
+    assert len(set(points)) == len(points) == abs(determinant(dual))
+    for pairs, point in data.parallelotope:
+        assert pairs == tuple(dot(point, ray) for ray in cone.rays)
+        # half-open: below the dual ray's own pairing on every ray
+        caps = [max(dot(w, ray) for w in data.dual_rays) for ray in cone.rays]
+        assert all(0 <= y < c for y, c in zip(pairs, caps))
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_minimal_generators_match_closure(data, draw):
+    nrays = len(data.cone.rays)
+    rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
+    bounds = {ray: draw.draw(st.integers(1, 12)) for ray in rays}
+    assert _minimal_generators(data, bounds) == closure_minimal_generators(data, bounds)
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_minimalize_matches_quadratic(data, draw):
+    basis = data.hilbert_basis
+    combos = st.lists(st.integers(0, 3), min_size=len(basis), max_size=len(basis))
+    points = [
+        tuple(sum(c * h[i] for c, h in zip(coeffs, basis)) for i in range(len(basis[0])))
+        for coeffs in draw.draw(st.lists(combos, min_size=1, max_size=12))
+    ]
+    candidates = [(_pairings(p, data), p) for p in points]
+    assert _minimalize(candidates) == quadratic_minimalize(points, data)
