@@ -13,7 +13,7 @@ of the cone, indexed in the cone's stored (lex-sorted) ray order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .cones import Cone, UnsupportedConeError
@@ -155,18 +155,10 @@ def class_of(divisor: Sequence[int], group: AbelianGroupPresentation) -> tuple[i
 def order_of_class(divisor: Sequence[int], group: AbelianGroupPresentation) -> int | None:
     """Order of a class in the group; None means infinite.
 
-    Found by iterating multiples up to the torsion exponent and checking
-    each against the identity.
+    A torsion class with residues r_i modulo the invariant factors d_i
+    has order lcm(d_i / gcd(r_i, d_i)), which is 1 for the identity.
     """
     residues, frees = _canonical_parts(divisor, group)
     if any(frees):
         return None
-    if not any(residues):
-        return 1
-    bound = group.invariant_factors[-1] if group.invariant_factors else 1
-    for k in range(2, bound + 1):
-        scaled = tuple(k * x for x in divisor)
-        res, _ = _canonical_parts(scaled, group)
-        if not any(res):
-            return k
-    raise RuntimeError("order search exceeded the group exponent")
+    return lcm(*(d // gcd(r, d) for r, d in zip(residues, group.invariant_factors)))

@@ -103,6 +103,8 @@ def _parse_cone_json(text: str) -> tuple[int, list[tuple[int, ...]]]:
     # exact type test: JSON true/false load as bool, a subclass of int
     if type(dim) is not int:
         raise CliError(f"JSON 'dim' must be an integer, got {dim!r}")
+    if not isinstance(payload["rays"], list):
+        raise CliError(f"JSON 'rays' must be a list, got {payload['rays']!r}")
     rays = []
     for k, ray in enumerate(payload["rays"]):
         if not isinstance(ray, list) or not all(type(x) is int for x in ray):
@@ -205,9 +207,14 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
             raise CliError(f"--b lists {len(mults)} multiplicities for {len(rays)} rays")
     data = hilbert_basis(cone)
     try:
-        return PureHeightOneIdeal(data, tuple(zip(rays, mults)))
+        q = PureHeightOneIdeal(data, tuple(zip(rays, mults)))
     except (IndexError, ValueError) as exc:
         raise CliError(str(exc)) from None
+    if ns.multiplier < 1:
+        raise CliError(f"--D must be >= 1, got {ns.multiplier}")
+    if ns.amax < 1:
+        raise CliError(f"--amax must be >= 1, got {ns.amax}")
+    return q
 
 
 def _fmt_components(q: PureHeightOneIdeal) -> str:
@@ -217,10 +224,6 @@ def _fmt_components(q: PureHeightOneIdeal) -> str:
 def _cmd_verify(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
     cone = _load_cone(ns.file, ns.as_json)
     q = _build_ideal(ns, cone)
-    if ns.multiplier < 1:
-        raise CliError(f"--D must be >= 1, got {ns.multiplier}")
-    if ns.amax < 1:
-        raise CliError(f"--amax must be >= 1, got {ns.amax}")
     report = verify_containment(q, ns.multiplier, ns.amax)
     lines = _header(argv, cone)
     lines.append(f"ideal: {_fmt_components(q)}")
@@ -238,10 +241,6 @@ def _cmd_verify(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
 def _cmd_sharpness(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
     cone = _load_cone(ns.file, ns.as_json)
     q = _build_ideal(ns, cone)
-    if ns.multiplier < 1:
-        raise CliError(f"--D must be >= 1, got {ns.multiplier}")
-    if ns.amax < 1:
-        raise CliError(f"--amax must be >= 1, got {ns.amax}")
     found = find_sharpness_witness(q, ns.multiplier, ns.amax)
     lines = _header(argv, cone)
     lines.append(f"ideal: {_fmt_components(q)}")

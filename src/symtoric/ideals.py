@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from .cones import SemigroupData, Vector, dot, in_semigroup
+from .cones import SemigroupData, Vector, dot
 from .exact_linalg import DimensionError
 
 __all__ = [
@@ -167,18 +167,16 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
-    """Membership: the point minus some generator lies in the semigroup."""
+    """Membership: the point's ray pairings dominate some generator's componentwise."""
     data = ideal.context
     if len(point) != data.cone.ambient_dim:
         raise DimensionError(
             f"point length {len(point)} != ambient dimension {data.cone.ambient_dim}"
         )
-    vec = tuple(point)
-    for g in ideal.generators:
-        diff = tuple(a - b for a, b in zip(vec, g))
-        if in_semigroup(diff, data):
-            return True
-    return False
+    pairs = _pairings(point, data)
+    return any(
+        all(a >= b for a, b in zip(pairs, _pairings(g, data))) for g in ideal.generators
+    )
 
 
 def is_principal(ideal: MonomialIdeal) -> bool:

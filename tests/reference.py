@@ -10,14 +10,24 @@ so agreeing with them is evidence rather than a restatement:
   in [0, 1);
 * ``closure_minimal_generators`` closes over sums of Hilbert basis
   elements inside a capped box of pairings;
-* ``quadratic_minimalize`` tests every candidate against every other.
+* ``quadratic_minimalize`` tests every candidate against every other;
+* ``search_order_of_class`` multiplies a divisor by k = 2, 3, ... up to
+  the group exponent and projects each multiple, where the library reads
+  the order off the residues as lcm(d_i / gcd(r_i, d_i)).
+
+``hull_hilbert_basis`` was never library code: it is the 2D description
+of the Hilbert basis as the lattice points on the bounded edges of the
+convex hull of the dual cone's nonzero lattice points (Cox, Little and
+Schenck, *Toric Varieties*, section 10.2), with its own dual rays.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from typing import Sequence
 
+from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
 from symtoric.cones import Cone, SemigroupData, Vector, dot, dual_cone
 from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant
 
@@ -145,3 +155,73 @@ def closure_minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> t
             seen.add(extended)
             frontier.append((extended, pairing))
     return quadratic_minimalize(members, data)
+
+
+def search_order_of_class(divisor: Sequence[int], group: AbelianGroupPresentation) -> int | None:
+    """Order of a class in the group; None means infinite.
+
+    Found by iterating multiples up to the torsion exponent and checking
+    each against the identity.
+    """
+    residues, frees = _canonical_parts(divisor, group)
+    if any(frees):
+        return None
+    if not any(residues):
+        return 1
+    bound = group.invariant_factors[-1] if group.invariant_factors else 1
+    for k in range(2, bound + 1):
+        scaled = tuple(k * x for x in divisor)
+        res, _ = _canonical_parts(scaled, group)
+        if not any(res):
+            return k
+    raise RuntimeError("order search exceeded the group exponent")
+
+
+def _cross(a: Sequence[int], b: Sequence[int]) -> int:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def hull_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
+    """Hilbert basis of the dual semigroup of a full 2D cone.
+
+    The dual rays are the normals of the two rays, each turned to pair
+    positively with the other ray.  The bounded edges of the hull run from
+    one dual ray to the other inside the closed parallelogram they span,
+    so gift wrapping over that parallelogram's nonzero lattice points,
+    always turning as far towards the origin as the points allow, walks
+    them vertex by vertex; every lattice point on an edge is kept.
+    """
+    v1, v2 = cone.rays
+    duals = []
+    for v, other in ((v1, v2), (v2, v1)):
+        normal = (-v[1], v[0])
+        duals.append(normal if dot(normal, other) > 0 else (v[1], -v[0]))
+    w1, w2 = duals
+    det = _cross(w1, w2)
+    sign = 1 if det > 0 else -1
+    corners = (w1, w2, (w1[0] + w2[0], w1[1] + w2[1]))
+    lo = [min(0, *(c[i] for c in corners)) for i in range(2)]
+    hi = [max(0, *(c[i] for c in corners)) for i in range(2)]
+    points = [
+        p
+        for p in itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1))
+        if any(p)
+        and 0 <= sign * _cross(p, w2) <= abs(det)
+        and 0 <= sign * _cross(w1, p) <= abs(det)
+    ]
+    basis = [w1]
+    vertex = w1
+    while vertex != w2:
+        nxt = w2
+        for p in points:
+            edge = (nxt[0] - vertex[0], nxt[1] - vertex[1])
+            step = (p[0] - vertex[0], p[1] - vertex[1])
+            turn = sign * _cross(edge, step)
+            # the origin lies on the positive side of every bounded edge
+            if turn > 0 or (turn == 0 and dot(step, step) > dot(edge, edge) and dot(step, edge) > 0):
+                nxt = p
+        dx, dy = nxt[0] - vertex[0], nxt[1] - vertex[1]
+        g = gcd(dx, dy)
+        basis += [(vertex[0] + k * dx // g, vertex[1] + k * dy // g) for k in range(1, g + 1)]
+        vertex = nxt
+    return tuple(sorted(basis))

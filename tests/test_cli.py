@@ -284,6 +284,13 @@ class TestErrorPaths:
         err = self.check_error(capsys, "cone", "info", str(path), "--json")
         assert message in err
 
+    @pytest.mark.parametrize("payload", ['{"dim": 2, "rays": null}', '{"dim": 2, "rays": 5}'])
+    def test_json_rays_not_a_list(self, capsys, tmp_path, payload):
+        path = tmp_path / "rays.json"
+        path.write_text(payload)
+        err = self.check_error(capsys, "cone", "info", str(path), "--json")
+        assert "'rays'" in err
+
     def test_duval_out_of_catalog(self, capsys):
         err = self.check_error(capsys, "duval", "B", "9")
         assert "B_9" in err

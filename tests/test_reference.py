@@ -1,6 +1,9 @@
-"""Differential tests: the dual-parallelotope code against the searches it replaced."""
+"""Differential tests: the library against the searches it replaced and
+against independent descriptions of its answers."""
 
 from __future__ import annotations
+
+import itertools
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,8 +12,11 @@ from reference import (
     box_scan_hilbert_basis,
     box_scan_size,
     closure_minimal_generators,
+    hull_hilbert_basis,
     quadratic_minimalize,
+    search_order_of_class,
 )
+from symtoric.class_group import class_group_of, order_of_class
 from symtoric.cones import dot, dual_cone, hilbert_basis, make_cone
 from symtoric.exact_linalg import IntegerMatrix, determinant
 from symtoric.ideals import _minimal_generators, _minimalize, _pairings
@@ -70,3 +76,50 @@ def test_minimalize_matches_quadratic(data, draw):
     ]
     candidates = [(_pairings(p, data), p) for p in points]
     assert _minimalize(candidates) == quadratic_minimalize(points, data)
+
+
+@st.composite
+def simplicial_cones(draw, min_dim, max_dim, span):
+    n = draw(st.integers(min_dim, max_dim))
+    entries = st.integers(-span, span)
+    rays = draw(st.lists(st.tuples(*[entries] * n), min_size=n, max_size=n))
+    assume(determinant(IntegerMatrix.from_rows(rays)) != 0)
+    return make_cone(rays, n)
+
+
+@settings(deadline=None)
+@given(simplicial_cones(2, 5, 3), st.data())
+def test_order_of_class_matches_search(cone, draw):
+    group = class_group_of(cone)
+    n = cone.ambient_dim
+    divisor = draw.draw(st.tuples(*[st.integers(-5, 5)] * n))
+    assert order_of_class(divisor, group) == search_order_of_class(divisor, group)
+
+
+def test_order_of_class_on_non_cyclic_group():
+    cone = make_cone([(1, 0, 0), (1, 2, 0), (1, 0, 2)], 3)
+    group = class_group_of(cone)
+    assert group.invariant_factors == (2, 2)
+    for divisor in itertools.product(range(3), repeat=3):
+        order = order_of_class(divisor, group)
+        assert order == search_order_of_class(divisor, group)
+        # (1, 1, 1) is the divisor of the first coordinate character
+        assert order == (1 if len({x % 2 for x in divisor}) == 1 else 2)
+
+
+def test_order_of_class_on_non_simplicial_cone():
+    cone = make_cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
+    group = class_group_of(cone)
+    assert group.free_rank == 1
+    orders = set()
+    for divisor in itertools.product(range(-1, 2), repeat=4):
+        order = order_of_class(divisor, group)
+        assert order == search_order_of_class(divisor, group)
+        orders.add(order)
+    assert orders == {None, 1}
+
+
+@settings(deadline=None)
+@given(simplicial_cones(2, 2, 8))
+def test_hilbert_basis_matches_hull_2d(cone):
+    assert hilbert_basis(cone).hilbert_basis == hull_hilbert_basis(cone)
