@@ -107,16 +107,19 @@ def group_exponent(group: AbelianGroupPresentation) -> int | None:
     return group.invariant_factors[-1] if group.invariant_factors else 1
 
 
-def det_multiplier(cone: Cone) -> int:
+def det_multiplier(cone: Cone, group: AbelianGroupPresentation | None = None) -> int:
     """Unsigned ray-matrix determinant of a simplicial full cone.
 
     This equals the class group order; the equality is checked rather
-    than assumed, and a mismatch raises RuntimeError.
+    than assumed, and a mismatch raises RuntimeError.  A caller that
+    already holds the cone's class group passes it as ``group``.
     """
     if not (cone.is_simplicial and cone.is_full):
         raise UnsupportedConeError("determinant multiplier needs a simplicial full cone")
     d = abs(determinant(cone.ray_matrix()))
-    if d != group_order(class_group_of(cone)):
+    if group is None:
+        group = class_group_of(cone)
+    if d != group_order(group):
         raise RuntimeError("parallelotope volume disagrees with the class group order")
     return d
 

@@ -184,8 +184,10 @@ def _cmd_classgroup(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, i
 
 def _cmd_multiplier(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
     cone = _load_cone(ns.file, ns.as_json)
-    d = det_multiplier(cone)
-    d_min = group_exponent(class_group_of(cone))
+    # a cone that is not full gets det_multiplier's error, not class_group_of's
+    group = class_group_of(cone) if cone.is_full else None
+    d = det_multiplier(cone, group)
+    d_min = group_exponent(group)
     lines = _header(argv, cone)
     lines.append(f"D (determinant): {d}")
     lines.append(f"D_min (exponent): {d_min}")

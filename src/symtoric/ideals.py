@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from .cones import SemigroupData, Vector, dot
@@ -97,7 +98,7 @@ def _minimalize(candidates: Iterable[tuple[tuple[int, ...], Vector]]) -> tuple[V
     """
     kept: list[tuple[tuple[int, ...], Vector]] = []
     for pairs, point in sorted(set(candidates), key=lambda c: sum(c[0])):
-        if not any(all(a >= b for a, b in zip(pairs, low)) for low, _ in kept):
+        if not any(all(map(ge, pairs, low)) for low, _ in kept):
             kept.append((pairs, point))
     return tuple(sorted(point for _, point in kept))
 
@@ -155,15 +156,50 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
-    """a-th ordinary power: minimalized a-fold sums of the generators."""
+    """a-th ordinary power: minimalized a-fold sums of the generators.
+
+    The sums are compared through packed keys.  A generator's pairing
+    vector, nonnegative in the dual semigroup, becomes one integer with a
+    field of ``width`` bits per ray (room for ``power`` times the largest
+    pairing, plus a guard bit on top) and its pairing sum in a last field
+    above them.  Pairings are linear, so the key of a sum of generators is
+    the sum of their keys, and sorted keys are sums in order of pairing
+    sum, the order ``_minimalize`` reduces in.  A key has every ray field
+    at least that of ``low`` exactly when
+    ``((key | guard) - low) & guard == guard``: with every guard bit set
+    first, no field borrows from the next, and a field keeps its guard bit
+    exactly when it did not go below zero.  Points are summed only for the
+    minimal sums.  A generator with a negative pairing lies outside the
+    dual semigroup and raises ValueError.
+    """
     if power < 1:
         raise ValueError(f"ordinary power must be >= 1, got {power}")
-    sums = {
-        tuple(sum(coords) for coords in zip(*combo))
-        for combo in combinations_with_replacement(ideal.generators, power)
-    }
     data = ideal.context
-    return MonomialIdeal(data, _minimalize((_pairings(m, data), m) for m in sums))
+    rows = [_pairings(g, data) for g in ideal.generators]
+    if any(p < 0 for row in rows for p in row):
+        raise ValueError("ordinary power needs generators in the dual semigroup")
+    top = power * max((p for row in rows for p in row), default=0)
+    width = top.bit_length() + 1
+    fields = range(0, width * len(data.cone.rays), width)
+    keys = [
+        sum(p << shift for p, shift in zip(row, fields)) + (sum(row) << len(fields) * width)
+        for row in rows
+    ]
+    guard = sum(1 << (shift + width - 1) for shift in fields)
+    # equal keys are equal pairing vectors, hence equal points
+    combos = dict(
+        zip(
+            map(sum, combinations_with_replacement(keys, power)),
+            combinations_with_replacement(ideal.generators, power),
+        )
+    )
+    kept: list[int] = []
+    for key in sorted(combos):
+        high = key | guard
+        if not any((high - low) & guard == guard for low in kept):
+            kept.append(key)
+    gens = sorted(tuple(map(sum, zip(*combos[key]))) for key in kept)
+    return MonomialIdeal(data, tuple(gens))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
@@ -174,9 +210,7 @@ def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
             f"point length {len(point)} != ambient dimension {data.cone.ambient_dim}"
         )
     pairs = _pairings(point, data)
-    return any(
-        all(a >= b for a, b in zip(pairs, _pairings(g, data))) for g in ideal.generators
-    )
+    return any(all(map(ge, pairs, _pairings(g, data))) for g in ideal.generators)
 
 
 def is_principal(ideal: MonomialIdeal) -> bool:

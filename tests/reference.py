@@ -11,6 +11,9 @@ so agreeing with them is evidence rather than a restatement:
 * ``closure_minimal_generators`` closes over sums of Hilbert basis
   elements inside a capped box of pairings;
 * ``quadratic_minimalize`` tests every candidate against every other;
+* ``combination_ordinary_power`` sums every combination of generators as
+  points and minimalizes those, where the library sums packed pairing
+  keys and forms points only for the minimal sums;
 * ``search_order_of_class`` multiplies a divisor by k = 2, 3, ... up to
   the group exponent and projects each multiple, where the library reads
   the order off the residues as lcm(d_i / gcd(r_i, d_i)).
@@ -30,6 +33,7 @@ from typing import Sequence
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
 from symtoric.cones import Cone, SemigroupData, Vector, dot, dual_cone
 from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant
+from symtoric.ideals import MonomialIdeal, _minimalize, _pairings
 
 
 def box_scan_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
@@ -111,6 +115,16 @@ def quadratic_minimalize(points: Sequence[Vector], data: SemigroupData) -> tuple
         ):
             kept.append(p)
     return tuple(kept)
+
+
+def combination_ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
+    """a-th ordinary power: minimalized a-fold sums of the generators."""
+    sums = {
+        tuple(sum(coords) for coords in zip(*combo))
+        for combo in itertools.combinations_with_replacement(ideal.generators, power)
+    }
+    data = ideal.context
+    return MonomialIdeal(data, _minimalize((_pairings(m, data), m) for m in sums))
 
 
 def closure_minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:

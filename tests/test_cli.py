@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from symtoric import class_group
 from symtoric.cli import main
 
 A1_TEXT = "dim 2\n1 0\n1 2\n"
@@ -136,6 +137,28 @@ class TestMultiplierReport:
             "D_min (exponent): 2\n"
             "note: D_min is smaller than D (class group is not cyclic)\n"
         )
+
+    def test_klein4_one_smith_form(self, capsys, klein4_file, monkeypatch):
+        # make_cone takes a Smith form of its own for the rank; this
+        # counts the ones taken for the class group
+        expected = run_cli(capsys, "multiplier", klein4_file)
+        original = class_group.smith_normal_form
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(class_group, "smith_normal_form", counting)
+        assert run_cli(capsys, "multiplier", klein4_file) == expected
+        assert len(calls) == 1
+
+    def test_cone_not_full(self, capsys, tmp_path):
+        path = tmp_path / "flat.cone"
+        path.write_text("dim 3\n1 0 0\n0 1 0\n")
+        code, out, err = run_cli(capsys, "multiplier", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: determinant multiplier needs a simplicial full cone\n"
 
 
 class TestVerifyCommand:

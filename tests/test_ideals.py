@@ -210,6 +210,12 @@ class TestOrdinaryPower:
         with pytest.raises(ValueError):
             ordinary_power(ray_prime(a1_data, 0), 0)
 
+    def test_rejects_generator_outside_semigroup(self, a1_data):
+        # (0, -1) pairs to -2 with the ray (1, 2)
+        for gens in (((0, -1),), ((1, 0), (0, -1))):
+            with pytest.raises(ValueError, match="dual semigroup"):
+                ordinary_power(MonomialIdeal(a1_data, gens), 2)
+
     def test_no_valuation_bounds_recorded(self, a1_data):
         assert ordinary_power(ray_prime(a1_data, 0), 2).valuation_bounds is None
 

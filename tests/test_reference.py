@@ -4,7 +4,9 @@ against independent descriptions of its answers."""
 from __future__ import annotations
 
 import itertools
+from math import comb
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from reference import (
     box_scan_hilbert_basis,
     box_scan_size,
     closure_minimal_generators,
+    combination_ordinary_power,
     hull_hilbert_basis,
     quadratic_minimalize,
     search_order_of_class,
@@ -19,7 +22,15 @@ from reference import (
 from symtoric.class_group import class_group_of, order_of_class
 from symtoric.cones import dot, dual_cone, hilbert_basis, make_cone
 from symtoric.exact_linalg import IntegerMatrix, determinant
-from symtoric.ideals import _minimal_generators, _minimalize, _pairings
+from symtoric.ideals import (
+    MonomialIdeal,
+    PureHeightOneIdeal,
+    _minimal_generators,
+    _minimalize,
+    _pairings,
+    ordinary_power,
+    symbolic_power,
+)
 
 # entry range per dimension, wide enough to reach |det| = 30 yet small
 # enough that most draws are simplicial with a small parallelotope
@@ -76,6 +87,37 @@ def test_minimalize_matches_quadratic(data, draw):
     ]
     candidates = [(_pairings(p, data), p) for p in points]
     assert _minimalize(candidates) == quadratic_minimalize(points, data)
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_ordinary_power_matches_combinations(data, draw):
+    nrays = len(data.cone.rays)
+    rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
+    q = PureHeightOneIdeal(data, tuple((ray, draw.draw(st.integers(1, 3))) for ray in rays))
+    ideal = symbolic_power(q, draw.draw(st.integers(1, 2)))
+    power = draw.draw(st.integers(1, 4))
+    assume(comb(len(ideal.generators) + power - 1, power) <= 5000)
+    assert ordinary_power(ideal, power) == combination_ordinary_power(ideal, power)
+
+
+@pytest.mark.parametrize("value, power", [(1, 1), (7, 1), (5, 3), (21, 3)])
+def test_ordinary_power_guard_bits(value, power):
+    """Sum fields of 0 and of 2^(w-1) - 1, the largest value the field
+    holds below its guard bit, in the same ray field of different sums."""
+    top = power * value
+    assert top == 2 ** top.bit_length() - 1
+    # on the positive orthant the ray pairings are the coordinates
+    data = hilbert_basis(make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
+    gens = tuple(p for p in itertools.product((0, value), repeat=3) if any(p))
+    ideal = MonomialIdeal(data, gens)
+    expected = tuple(
+        tuple(value * c for c in exps)
+        for exps in itertools.product(range(power + 1), repeat=3)
+        if sum(exps) == power
+    )
+    assert ordinary_power(ideal, power).generators == expected
+    assert ordinary_power(ideal, power) == combination_ordinary_power(ideal, power)
 
 
 @st.composite

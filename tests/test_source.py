@@ -3,18 +3,44 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import symtoric
 
 
+def _source_nodes():
+    """(file name, AST node) for every node of every package module."""
+    package = Path(symtoric.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_no_assert_statements():
     """Invariants are checked with exceptions: ``python -O`` strips asserts."""
-    package = Path(symtoric.__file__).parent
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes()
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_imports_are_relative_or_stdlib():
+    """The package stays stdlib-only: every absolute import names a
+    standard-library module."""
+    found = []
+    for name, node in _source_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{name}:{node.lineno} {module}"
+            for module in modules
+            if module.split(".")[0] not in sys.stdlib_module_names
+        ]
     assert found == []
