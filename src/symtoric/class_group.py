@@ -17,7 +17,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .cones import Cone, UnsupportedConeError
-from .exact_linalg import DimensionError, IntegerMatrix, determinant, smith_normal_form
+from .exact_linalg import DimensionError, IntegerMatrix, determinant
 
 __all__ = [
     "DivisorClass",
@@ -84,9 +84,9 @@ def presentation_matrix(cone: Cone) -> IntegerMatrix:
 
 
 def class_group_of(cone: Cone) -> AbelianGroupPresentation:
-    """Class group as the cokernel of the ray pairing map."""
+    """Class group as the cokernel of the ray pairing map (the cone's Smith form)."""
     mat = presentation_matrix(cone)
-    dec = smith_normal_form(mat)
+    dec = cone.smith
     moduli = tuple(dec.invariant_factors) + (0,) * (mat.rows - len(dec.invariant_factors))
     factors = tuple(d for d in moduli if d >= 2)
     free_rank = sum(1 for d in moduli if d == 0)

@@ -13,12 +13,12 @@ import argparse
 import hashlib
 import json
 import sys
+from math import prod
 from typing import Sequence
 
 from .class_group import class_group_of, det_multiplier, group_exponent, group_order
 from .cones import Cone, dual_cone, hilbert_basis, make_cone
 from .duval import cross_check_an, lookup
-from .exact_linalg import determinant
 from .ideals import PureHeightOneIdeal, find_sharpness_witness, verify_containment
 
 __all__ = ["main"]
@@ -161,7 +161,7 @@ def _cmd_cone(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
         lines.append(f"simplicial: {'true' if cone.is_simplicial else 'false'}")
         lines.append(f"full: {'true' if cone.is_full else 'false'}")
         if len(cone.rays) == cone.ambient_dim:
-            lines.append(f"det: {abs(determinant(cone.ray_matrix()))}")
+            lines.append(f"det: {prod(cone.smith.invariant_factors)}")
     elif ns.action == "dual":
         lines += _cone_block(dual_cone(cone))
     else:  # hilbert
@@ -207,16 +207,16 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
             raise CliError(f"--b {ns.b!r} is not a comma separated integer list") from None
         if len(mults) != len(rays):
             raise CliError(f"--b lists {len(mults)} multiplicities for {len(rays)} rays")
-    data = hilbert_basis(cone)
-    try:
-        q = PureHeightOneIdeal(data, tuple(zip(rays, mults)))
-    except (IndexError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    # checked before the Hilbert basis, whose cost grows with |det|
     if ns.multiplier < 1:
         raise CliError(f"--D must be >= 1, got {ns.multiplier}")
     if ns.amax < 1:
         raise CliError(f"--amax must be >= 1, got {ns.amax}")
-    return q
+    data = hilbert_basis(cone)
+    try:
+        return PureHeightOneIdeal(data, tuple(zip(rays, mults)))
+    except (IndexError, ValueError) as exc:
+        raise CliError(str(exc)) from None
 
 
 def _fmt_components(q: PureHeightOneIdeal) -> str:

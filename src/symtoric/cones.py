@@ -17,8 +17,7 @@ from typing import Iterable, Sequence
 from .exact_linalg import (
     DimensionError,
     IntegerMatrix,
-    adjugate,
-    determinant,
+    SmithDecomposition,
     smith_normal_form,
 )
 
@@ -69,6 +68,8 @@ class Cone:
     rays: tuple[Vector, ...]
     is_simplicial: bool
     is_full: bool
+    # Smith form of the ray matrix; rank, dual rays and class group read it
+    smith: SmithDecomposition = field(compare=False, repr=False)
 
     def ray_matrix(self) -> IntegerMatrix:
         """One row per ray, in stored order."""
@@ -97,11 +98,8 @@ def make_cone(rays: Iterable[Sequence[int]], ambient_dim: int) -> Cone:
             raise ValueError(f"ray {k} is the zero vector")
         prim.append(primitive(vec))
     unique = sorted(set(prim))
-    if unique:
-        snf = smith_normal_form(IntegerMatrix.from_rows(unique))
-        rank = sum(1 for f in snf.invariant_factors if f)
-    else:
-        rank = 0
+    snf = smith_normal_form(IntegerMatrix.from_rows(unique))
+    rank = sum(1 for f in snf.invariant_factors if f)
     simplicial = rank == len(unique)
     if not simplicial:
         # linearly independent rays always span a pointed cone; only the
@@ -112,7 +110,7 @@ def make_cone(rays: Iterable[Sequence[int]], ambient_dim: int) -> Cone:
                 raise NotStronglyConvexError(
                     f"cone contains the line through {ray}"
                 )
-    return Cone(ambient_dim, tuple(unique), simplicial, rank == ambient_dim)
+    return Cone(ambient_dim, tuple(unique), simplicial, rank == ambient_dim, snf)
 
 
 def _normalize_inequality(coeffs: tuple[int, ...], rhs: int) -> tuple[tuple[int, ...], int]:
@@ -157,21 +155,20 @@ def _cone_contains(rays: Sequence[Vector], target: Vector) -> bool:
 def dual_cone(cone: Cone) -> Cone:
     """Dual of a simplicial full cone.
 
-    With A the square ray matrix, the columns of its adjugate pair to
-    det(A) with the matching ray and to zero with every other ray, so
-    after fixing the overall sign they generate the dual cone.
+    With A the ray matrix and U A V = S, the integer matrix
+    s_n A^-1 = V diag(s_n / s_i) U pairs its column j to s_n with ray j
+    and to 0 with every other ray: its primitive columns are the dual rays.
     """
     if not (cone.is_simplicial and cone.is_full):
         raise UnsupportedConeError("dualization needs a simplicial full-dimensional cone")
-    mat = cone.ray_matrix()
-    det = determinant(mat)
-    adj = adjugate(mat)
-    sign = 1 if det > 0 else -1
+    dec = cone.smith
+    top = dec.invariant_factors[-1]
+    scaled_u = IntegerMatrix.from_rows(
+        [[top // s * x for x in dec.U.row(i)] for i, s in enumerate(dec.invariant_factors)]
+    )
+    inverse = dec.V @ scaled_u
     n = cone.ambient_dim
-    duals = [
-        primitive(tuple(sign * adj.at(i, j) for i in range(n))) for j in range(n)
-    ]
-    return make_cone(duals, n)
+    return make_cone([primitive(inverse.column(j)) for j in range(n)], n)
 
 
 @dataclass(frozen=True)
@@ -194,25 +191,23 @@ class SemigroupData:
 
 
 def _parallelotope(
-    duals: Sequence[Vector], rays: Sequence[Vector]
+    dual: Cone, rays: Sequence[Vector]
 ) -> tuple[tuple[tuple[int, ...], Vector], ...]:
     """(pairing vector, point) for each lattice point of the half-open
     parallelotope {W t : 0 <= t_j < 1} spanned by the dual rays.
 
-    With W the matrix whose columns are the dual rays and U W V = S its
-    Smith form, the points are one per coset of W Z^n, and Z^n / W Z^n is
-    the sum of the Z/s_i.  So k running over the box prod [0, s_i) gives
-    the coset representatives U^-1 k, whose coordinates in W are
-    t = frac(V S^-1 k).  Scaled by the largest invariant factor s_n these
-    are integers reduced mod s_n, and W t is the point: |det W| of them.
+    W, whose columns are the dual rays, is the transpose of the dual
+    cone's ray matrix, so that cone's Smith form U' W^T V' = S gives
+    U W V = S with V = U'^T.  The points are one per coset of W Z^n, and
+    Z^n / W Z^n is the sum of the Z/s_i: k over prod [0, s_i) gives the
+    representatives U^-1 k with W-coordinates t = frac(V S^-1 k), integers
+    mod s_n once scaled by s_n, and W t is the point: |det W| of them.
     """
+    duals = dual.rays
     n = len(duals)
-    dec = smith_normal_form(
-        IntegerMatrix.from_rows([[w[i] for w in duals] for i in range(n)])
-    )
-    factors = dec.invariant_factors
+    factors = dual.smith.invariant_factors
     top = factors[-1]
-    v = dec.V.to_rows()
+    v = dual.smith.U.transpose().to_rows()
     points = []
     for k in itertools.product(*(range(s) for s in factors)):
         scaled = [kj * (top // s) for kj, s in zip(k, factors)]
@@ -233,7 +228,7 @@ def hilbert_basis(cone: Cone) -> SemigroupData:
     """
     dual = dual_cone(cone)
     rays = cone.rays
-    par = _parallelotope(dual.rays, rays)
+    par = _parallelotope(dual, rays)
     candidates: set[Vector] = set(dual.rays) | {p for _, p in par if any(p)}
 
     def reducible(h: Vector) -> bool:

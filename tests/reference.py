@@ -14,6 +14,9 @@ so agreeing with them is evidence rather than a restatement:
 * ``combination_ordinary_power`` sums every combination of generators as
   points and minimalizes those, where the library sums packed pairing
   keys and forms points only for the minimal sums;
+* ``adjugate_dual_rays`` takes the dual rays as the sign-fixed columns
+  of the adjugate of the ray matrix, where the library reads them off the
+  Smith form the cone already stores;
 * ``search_order_of_class`` multiplies a divisor by k = 2, 3, ... up to
   the group exponent and projects each multiple, where the library reads
   the order off the residues as lcm(d_i / gcd(r_i, d_i)).
@@ -31,9 +34,23 @@ from math import gcd
 from typing import Sequence
 
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
-from symtoric.cones import Cone, SemigroupData, Vector, dot, dual_cone
+from symtoric.cones import Cone, SemigroupData, Vector, dot, primitive
 from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant
 from symtoric.ideals import MonomialIdeal, _minimalize, _pairings
+
+
+def adjugate_dual_rays(cone: Cone) -> tuple[Vector, ...]:
+    """Lex-sorted dual rays of a simplicial full cone.
+
+    With A the square ray matrix, the columns of its adjugate pair to
+    det(A) with the matching ray and to zero with every other ray, so
+    after fixing the overall sign they generate the dual cone.
+    """
+    mat = cone.ray_matrix()
+    sign = 1 if determinant(mat) > 0 else -1
+    adj = adjugate(mat)
+    n = cone.ambient_dim
+    return tuple(sorted(primitive([sign * x for x in adj.column(j)]) for j in range(n)))
 
 
 def box_scan_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
@@ -45,9 +62,8 @@ def box_scan_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     themselves.  Candidates are enumerated over the integer bounding box
     of the parallelotope and filtered down to the irreducible ones.
     """
-    dual = dual_cone(cone)
     n = cone.ambient_dim
-    w = dual.rays
+    w = adjugate_dual_rays(cone)
     # columns of wmat are the dual rays
     wmat = IntegerMatrix.from_rows([[w[j][i] for j in range(n)] for i in range(n)])
     det = determinant(wmat)
@@ -86,7 +102,7 @@ def box_scan_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
 
 def box_scan_size(cone: Cone) -> int:
     """Integer points of the bounding box ``box_scan_hilbert_basis`` scans."""
-    w = dual_cone(cone).rays
+    w = adjugate_dual_rays(cone)
     size = 1
     for i in range(cone.ambient_dim):
         coords = [

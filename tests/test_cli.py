@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from symtoric import class_group
+from symtoric import cli, exact_linalg
 from symtoric.cli import main
 
 A1_TEXT = "dim 2\n1 0\n1 2\n"
 A1_JSON = '{"dim": 2, "rays": [[1, 2], [1, 0]]}\n'
 KLEIN4_TEXT = "dim 3\n# three rays, two independent index-two quotients\n1 0 0\n1 2 0\n1 0 2\n"
 SQUARE_TEXT = "dim 3\n0 0 1\n1 0 1\n0 1 1\n1 1 1\n"
+DET11_TEXT = "dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 2 3 11\n"
 
 
 @pytest.fixture()
@@ -26,6 +30,33 @@ def klein4_file(tmp_path):
     path = tmp_path / "klein4.cone"
     path.write_text(KLEIN4_TEXT)
     return str(path)
+
+
+@pytest.fixture()
+def det11_file(tmp_path):
+    path = tmp_path / "det11.cone"
+    path.write_text(DET11_TEXT)
+    return str(path)
+
+
+def count_eliminations(monkeypatch):
+    """Count calls of the exact_linalg eliminations, wrapped wherever a
+    symtoric module binds them, so a cofactor inside ``adjugate`` counts
+    as a ``determinant`` call."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "symtoric"]
+    for name in ("smith_normal_form", "determinant", "adjugate"):
+        original = getattr(exact_linalg, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return counts
 
 
 def run_cli(capsys, *argv):
@@ -139,19 +170,12 @@ class TestMultiplierReport:
         )
 
     def test_klein4_one_smith_form(self, capsys, klein4_file, monkeypatch):
-        # make_cone takes a Smith form of its own for the rank; this
-        # counts the ones taken for the class group
+        # the class group reads make_cone's Smith form; det_multiplier's
+        # Bareiss determinant is the independent check of the group order
         expected = run_cli(capsys, "multiplier", klein4_file)
-        original = class_group.smith_normal_form
-        calls = []
-
-        def counting(m):
-            calls.append(m)
-            return original(m)
-
-        monkeypatch.setattr(class_group, "smith_normal_form", counting)
+        counts = count_eliminations(monkeypatch)
         assert run_cli(capsys, "multiplier", klein4_file) == expected
-        assert len(calls) == 1
+        assert counts == {"smith_normal_form": 1, "determinant": 1}
 
     def test_cone_not_full(self, capsys, tmp_path):
         path = tmp_path / "flat.cone"
@@ -159,6 +183,20 @@ class TestMultiplierReport:
         code, out, err = run_cli(capsys, "multiplier", str(path))
         assert code == 1 and out == ""
         assert err == "error: determinant multiplier needs a simplicial full cone\n"
+
+
+class TestEliminationCounts:
+    @pytest.mark.parametrize(
+        "argv, smith_forms",
+        [(("classgroup",), 1), (("cone", "info"), 1), (("cone", "dual"), 2), (("cone", "hilbert"), 2)],
+    )
+    def test_one_smith_form_per_cone(self, capsys, det11_file, monkeypatch, argv, smith_forms):
+        # one Smith form for the cone and, for its dual rays, one for the
+        # dual cone; no determinant or adjugate besides
+        expected = run_cli(capsys, *argv, det11_file)
+        counts = count_eliminations(monkeypatch)
+        assert run_cli(capsys, *argv, det11_file) == expected
+        assert counts == {"smith_normal_form": smith_forms}
 
 
 class TestVerifyCommand:
@@ -343,6 +381,19 @@ class TestErrorPaths:
         )
         assert "--D" in err
 
+    @pytest.mark.parametrize("multiplier, amax, option", [("0", "1", "--D"), ("1", "0", "--amax")])
+    def test_bad_multiplier_before_hilbert_basis(
+        self, capsys, a1_file, monkeypatch, multiplier, amax, option
+    ):
+        def unexpected(cone):
+            pytest.fail(f"the Hilbert basis was built before {option} was checked")
+
+        monkeypatch.setattr(cli, "hilbert_basis", unexpected)
+        err = self.check_error(
+            capsys, "verify", a1_file, "--ray", "0", "--D", multiplier, "--amax", amax
+        )
+        assert option in err
+
     def test_missing_required_option(self, capsys, a1_file):
         self.check_error(capsys, "verify", a1_file, "--D", "1", "--amax", "1")
 
@@ -356,6 +407,8 @@ class TestEntryPoint:
             [sys.executable, "-m", "symtoric", "duval", "A", "1"],
             capture_output=True,
             text=True,
+            # the package need not be installed: run it from this checkout
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
         )
         assert proc.returncode == 0
         assert "D_min: 2" in proc.stdout

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cone_zoo import all_cones
 from reference import (
+    adjugate_dual_rays,
     box_scan_hilbert_basis,
     box_scan_size,
     closure_minimal_generators,
@@ -50,6 +52,17 @@ def small_cones(draw):
     assume(abs(determinant(IntegerMatrix.from_rows(dual_cone(cone).rays))) <= 30)
     assume(box_scan_size(cone) <= 20000)
     return hilbert_basis(cone)
+
+
+@settings(deadline=None)
+@given(small_cones())
+def test_dual_cone_matches_adjugate(data):
+    assert dual_cone(data.cone).rays == adjugate_dual_rays(data.cone)
+
+
+@pytest.mark.parametrize("name, cone", all_cones())
+def test_dual_cone_matches_adjugate_on_zoo(name, cone):
+    assert dual_cone(cone).rays == adjugate_dual_rays(cone)
 
 
 @settings(deadline=None)
