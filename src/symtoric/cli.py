@@ -212,10 +212,14 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
         raise CliError(f"--D must be >= 1, got {ns.multiplier}")
     if ns.amax < 1:
         raise CliError(f"--amax must be >= 1, got {ns.amax}")
+    nrays = len(cone.rays)
+    for ray in sorted(rays):
+        if not 0 <= ray < nrays:
+            raise CliError(f"ray index {ray} out of range for {nrays} rays")
     data = hilbert_basis(cone)
     try:
         return PureHeightOneIdeal(data, tuple(zip(rays, mults)))
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from None
 
 

@@ -17,6 +17,7 @@ from itertools import combinations_with_replacement
 from operator import ge
 from typing import Iterable, Iterator, Sequence
 
+from .class_group import class_group_of, order_of_class
 from .cones import SemigroupData, Vector, dot
 from .exact_linalg import DimensionError
 
@@ -145,13 +146,52 @@ def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
     return MonomialIdeal(data, _minimalize(gens), ((ray_index, 1),))
 
 
+def _period(q: PureHeightOneIdeal) -> tuple[int, Vector]:
+    """Order m of q's divisor class b and the character u with
+    <u, v_j> = m * b_j on every ray v_j.
+
+    With the cone's Smith form U A V = S of the ray matrix A, the system
+    A u = m b reads S (V^-1 u) = m U b, so u = V (m y_i / s_i)_i with
+    y = U b; every s_i divides m y_i because m is the order of the class.
+    """
+    cone = q.context.cone
+    b = divisor_class(q)
+    m = order_of_class(b, class_group_of(cone))
+    if m is None:
+        raise RuntimeError("the class of a height one ideal has infinite order")
+    dec = cone.smith
+    scaled = [m * y for y in dec.U.apply(b)]
+    if any(x % s for x, s in zip(scaled, dec.invariant_factors)):
+        raise RuntimeError("the class order does not kill the class")
+    u = dec.V.apply(tuple(x // s for x, s in zip(scaled, dec.invariant_factors)))
+    if _pairings(u, q.context) != tuple(m * c for c in b):
+        raise RuntimeError("the period character does not pair to m times the divisor")
+    return m, u
+
+
 def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     """E-th symbolic power: pairing on each component ray at least E times
-    its multiplicity."""
+    its multiplicity.
+
+    Symbolic powers are periodic up to translation.  Once q^(m) = fR is
+    principal, q^(E+m) = f q^(E) for every E >= 0, with q^(0) = R: the
+    principal-power argument behind the uniform multiplier.  Here m is the
+    order of q's divisor class and f the monomial chi^u of ``_period``,
+    and adding u shifts the pairing on each ray by exactly m times its
+    multiplicity.  So q^(E) is q^(E mod m) translated by (E // m) u, a
+    single generator when m divides E; a translation keeps lex order.
+    """
     if power < 1:
         raise ValueError(f"symbolic power must be >= 1, got {power}")
     bounds = {ray: power * mult for ray, mult in q.components}
-    gens = _minimal_generators(q.context, bounds)
+    m, u = _period(q)
+    k, r = divmod(power, m)
+    if not r:
+        gens = (tuple(k * c for c in u),)
+    else:
+        gens = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
+        if k:  # below the period the built generators are returned, not copies
+            gens = tuple(tuple(a + k * c for a, c in zip(g, u)) for g in gens)
     return MonomialIdeal(q.context, gens, tuple(sorted(bounds.items())))
 
 

@@ -394,6 +394,17 @@ class TestErrorPaths:
         )
         assert option in err
 
+    @pytest.mark.parametrize("ray", ["9", "-1"])
+    def test_bad_ray_index_before_hilbert_basis(self, capsys, klein4_file, monkeypatch, ray):
+        def unexpected(cone):
+            pytest.fail("the Hilbert basis was built before the ray index was checked")
+
+        monkeypatch.setattr(cli, "hilbert_basis", unexpected)
+        err = self.check_error(
+            capsys, "verify", klein4_file, "--ray", ray, "--D", "1", "--amax", "1"
+        )
+        assert err == f"error: ray index {ray} out of range for 3 rays\n"
+
     def test_missing_required_option(self, capsys, a1_file):
         self.check_error(capsys, "verify", a1_file, "--D", "1", "--amax", "1")
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cone_zoo import all_cones
+from cone_zoo import all_cones, all_semigroups, build_cone
 from reference import (
     adjugate_dual_rays,
     box_scan_hilbert_basis,
@@ -30,6 +30,8 @@ from symtoric.ideals import (
     _minimal_generators,
     _minimalize,
     _pairings,
+    _period,
+    divisor_class,
     ordinary_power,
     symbolic_power,
 )
@@ -87,6 +89,69 @@ def test_minimal_generators_match_closure(data, draw):
     rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
     bounds = {ray: draw.draw(st.integers(1, 12)) for ray in rays}
     assert _minimal_generators(data, bounds) == closure_minimal_generators(data, bounds)
+
+
+def check_symbolic_powers_match_closure(q):
+    """q^(E) against the closure search for E = 1..2m+1, m the class order:
+    two whole periods and the first level of the third."""
+    m = order_of_class(divisor_class(q), class_group_of(q.context.cone))
+    for power in range(1, 2 * m + 2):
+        bounds = {ray: power * mult for ray, mult in q.components}
+        sym = symbolic_power(q, power)
+        assert sym.generators == closure_minimal_generators(q.context, bounds), power
+        assert sym.valuation_bounds == tuple(sorted(bounds.items()))
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_symbolic_power_matches_closure(data, draw):
+    nrays = len(data.cone.rays)
+    rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
+    check_symbolic_powers_match_closure(
+        PureHeightOneIdeal(data, tuple((ray, draw.draw(st.integers(1, 3))) for ray in rays))
+    )
+
+
+DOUBLE_HALF = hilbert_basis(build_cone("klein4"))
+DET11_4D = hilbert_basis(
+    make_cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)], 4)
+)
+
+
+@pytest.mark.parametrize(
+    "data, components",
+    [
+        (DOUBLE_HALF, ((0, 1),)),
+        (DOUBLE_HALF, ((1, 1),)),
+        (DOUBLE_HALF, ((2, 1),)),
+        (DOUBLE_HALF, ((0, 1), (2, 2))),
+        (DOUBLE_HALF, ((1, 3), (2, 1))),
+        (DET11_4D, ((0, 1),)),
+        (DET11_4D, ((3, 1),)),
+    ],
+    ids=["dh-P0", "dh-P1", "dh-P2", "dh-P0-P2^2", "dh-P1^3-P2", "det11-P0", "det11-P3"],
+)
+def test_symbolic_power_matches_closure_on_fixed_cones(data, components):
+    check_symbolic_powers_match_closure(PureHeightOneIdeal(data, components))
+
+
+def zoo_ideals():
+    """Every ray prime of every zoo cone, and one two-ray ideal each."""
+    for name, data in all_semigroups():
+        nrays = len(data.cone.rays)
+        for components in [((i, 1),) for i in range(nrays)] + [((0, 1), (nrays - 1, 2))]:
+            yield pytest.param(data, components, id=f"{name}-{components}")
+
+
+@pytest.mark.parametrize("data, components", zoo_ideals())
+def test_period_pairs_to_class_order(data, components):
+    q = PureHeightOneIdeal(data, components)
+    m, u = _period(q)
+    b = divisor_class(q)
+    assert m == search_order_of_class(b, class_group_of(data.cone))
+    # m * b_i on q's rays, 0 on the others
+    assert _pairings(u, data) == tuple(m * c for c in b)
+    assert symbolic_power(q, m).generators == (u,)
 
 
 @settings(deadline=None)

@@ -1,4 +1,5 @@
-"""Smoke tests: the experiment scripts run to completion on small inputs."""
+"""Smoke tests: the experiment scripts run to completion on small inputs,
+and the containment sweep's report stays byte-identical."""
 
 from __future__ import annotations
 
@@ -12,6 +13,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "name, args, last",
     [
@@ -20,12 +31,14 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(name, args, last):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        timeout=60,
-    )
+    proc = run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == last
+
+
+def test_containment_sweep_report_unchanged():
+    """The whole panel's verify and sharpness report at a_max = 3."""
+    proc = run_script("containment_sweep.py", "3")
+    assert proc.returncode == 0, proc.stderr
+    expected = (ROOT / "tests" / "data" / "containment_sweep_3.txt").read_text()
+    assert proc.stdout == expected

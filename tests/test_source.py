@@ -44,3 +44,19 @@ def test_imports_are_relative_or_stdlib():
             if module.split(".")[0] not in sys.stdlib_module_names
         ]
     assert found == []
+
+
+def test_no_cross_call_caches():
+    """No ``functools.cache`` or ``lru_cache``: a memoized function would
+    answer repeated calls without running the code they are meant to run."""
+    cached = {"cache", "lru_cache"}
+    found = []
+    for name, node in _source_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            hits = [alias.name for alias in node.names if alias.name in cached]
+        elif isinstance(node, ast.Attribute):
+            hits = [node.attr] if node.attr in cached else []
+        else:
+            continue
+        found += [f"{name}:{node.lineno} {hit}" for hit in hits]
+    assert found == []
