@@ -107,19 +107,16 @@ def group_exponent(group: AbelianGroupPresentation) -> int | None:
     return group.invariant_factors[-1] if group.invariant_factors else 1
 
 
-def det_multiplier(cone: Cone, group: AbelianGroupPresentation | None = None) -> int:
+def det_multiplier(cone: Cone) -> int:
     """Unsigned ray-matrix determinant of a simplicial full cone.
 
     This equals the class group order; the equality is checked rather
-    than assumed, and a mismatch raises RuntimeError.  A caller that
-    already holds the cone's class group passes it as ``group``.
+    than assumed, and a mismatch raises RuntimeError.
     """
     if not (cone.is_simplicial and cone.is_full):
         raise UnsupportedConeError("determinant multiplier needs a simplicial full cone")
     d = abs(determinant(cone.ray_matrix()))
-    if group is None:
-        group = class_group_of(cone)
-    if d != group_order(group):
+    if d != group_order(class_group_of(cone)):
         raise RuntimeError("parallelotope volume disagrees with the class group order")
     return d
 

@@ -24,7 +24,7 @@ from .ideals import PureHeightOneIdeal, find_sharpness_witness, verify_containme
 __all__ = ["main"]
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Input problem; reported on stderr with exit code 1."""
 
 
@@ -120,10 +120,7 @@ def _load_cone(path: str, as_json: bool) -> Cone:
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     dim, rays = _parse_cone_json(text) if as_json else _parse_cone_text(text)
-    try:
-        return make_cone(rays, dim)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return make_cone(rays, dim)
 
 
 def _cone_block(cone: Cone) -> list[str]:
@@ -152,48 +149,38 @@ def _fmt_group(factors: tuple[int, ...], free_rank: int) -> str:
     return " x ".join(parts) if parts else "trivial"
 
 
-def _cmd_cone(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
-    cone = _load_cone(ns.file, ns.as_json)
-    lines = _header(argv, cone)
-    if ns.action == "info":
-        lines += _cone_block(cone)
-        lines.append(f"rays: {len(cone.rays)}")
-        lines.append(f"simplicial: {'true' if cone.is_simplicial else 'false'}")
-        lines.append(f"full: {'true' if cone.is_full else 'false'}")
-        if len(cone.rays) == cone.ambient_dim:
-            lines.append(f"det: {prod(cone.smith.invariant_factors)}")
-    elif ns.action == "dual":
-        lines += _cone_block(dual_cone(cone))
-    else:  # hilbert
-        data = hilbert_basis(cone)
-        lines.append("hilbert basis:")
-        lines += [str(h) for h in data.hilbert_basis]
-    return "\n".join(lines) + "\n", 0
+def _cmd_cone(ns: argparse.Namespace, cone: Cone) -> tuple[list[str], int]:
+    if ns.action == "dual":
+        return _cone_block(dual_cone(cone)), 0
+    if ns.action == "hilbert":
+        return ["hilbert basis:"] + [str(h) for h in hilbert_basis(cone).hilbert_basis], 0
+    lines = _cone_block(cone)
+    lines.append(f"rays: {len(cone.rays)}")
+    lines.append(f"simplicial: {'true' if cone.is_simplicial else 'false'}")
+    lines.append(f"full: {'true' if cone.is_full else 'false'}")
+    if len(cone.rays) == cone.ambient_dim:
+        lines.append(f"det: {prod(cone.smith.invariant_factors)}")
+    return lines, 0
 
 
-def _cmd_classgroup(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
-    cone = _load_cone(ns.file, ns.as_json)
+def _cmd_classgroup(ns: argparse.Namespace, cone: Cone) -> tuple[list[str], int]:
     group = class_group_of(cone)
-    lines = _header(argv, cone)
-    lines.append(f"invariant factors: {list(group.invariant_factors)}")
-    lines.append(f"free rank: {group.free_rank}")
-    lines.append(f"order: {_fmt_infinite(group_order(group))}")
-    lines.append(f"exponent: {_fmt_infinite(group_exponent(group))}")
-    return "\n".join(lines) + "\n", 0
+    return [
+        f"invariant factors: {list(group.invariant_factors)}",
+        f"free rank: {group.free_rank}",
+        f"order: {_fmt_infinite(group_order(group))}",
+        f"exponent: {_fmt_infinite(group_exponent(group))}",
+    ], 0
 
 
-def _cmd_multiplier(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
-    cone = _load_cone(ns.file, ns.as_json)
-    # a cone that is not full gets det_multiplier's error, not class_group_of's
-    group = class_group_of(cone) if cone.is_full else None
-    d = det_multiplier(cone, group)
-    d_min = group_exponent(group)
-    lines = _header(argv, cone)
-    lines.append(f"D (determinant): {d}")
-    lines.append(f"D_min (exponent): {d_min}")
+def _cmd_multiplier(ns: argparse.Namespace, cone: Cone) -> tuple[list[str], int]:
+    # det_multiplier first: a cone that is not full gets its error, not class_group_of's
+    d = det_multiplier(cone)
+    d_min = group_exponent(class_group_of(cone))
+    lines = [f"D (determinant): {d}", f"D_min (exponent): {d_min}"]
     if d_min != d:
         lines.append("note: D_min is smaller than D (class group is not cyclic)")
-    return "\n".join(lines) + "\n", 0
+    return lines, 0
 
 
 def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
@@ -216,67 +203,53 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
     for ray in sorted(rays):
         if not 0 <= ray < nrays:
             raise CliError(f"ray index {ray} out of range for {nrays} rays")
-    data = hilbert_basis(cone)
-    try:
-        return PureHeightOneIdeal(data, tuple(zip(rays, mults)))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return PureHeightOneIdeal(hilbert_basis(cone), tuple(zip(rays, mults)))
 
 
 def _fmt_components(q: PureHeightOneIdeal) -> str:
     return " & ".join(f"P{ray}^({mult})" for ray, mult in q.components)
 
 
-def _cmd_verify(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
-    cone = _load_cone(ns.file, ns.as_json)
+def _cmd_verify(ns: argparse.Namespace, cone: Cone) -> tuple[list[str], int]:
     q = _build_ideal(ns, cone)
     report = verify_containment(q, ns.multiplier, ns.amax)
-    lines = _header(argv, cone)
-    lines.append(f"ideal: {_fmt_components(q)}")
-    lines.append(f"D: {ns.multiplier}")
-    lines.append(f"a_max: {ns.amax}")
+    lines = [f"ideal: {_fmt_components(q)}", f"D: {ns.multiplier}", f"a_max: {ns.amax}"]
     for check in report.levels:
         if check.passed:
             lines.append(f"a = {check.level}: PASS")
         else:
             lines.append(f"a = {check.level}: FAIL witness {check.witness}")
     lines.append(f"verdict: {'PASS' if report.passed else 'FAIL'}")
-    return "\n".join(lines) + "\n", 0 if report.passed else 2
+    return lines, 0 if report.passed else 2
 
 
-def _cmd_sharpness(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
-    cone = _load_cone(ns.file, ns.as_json)
+def _cmd_sharpness(ns: argparse.Namespace, cone: Cone) -> tuple[list[str], int]:
     q = _build_ideal(ns, cone)
     found = find_sharpness_witness(q, ns.multiplier, ns.amax)
-    lines = _header(argv, cone)
-    lines.append(f"ideal: {_fmt_components(q)}")
-    lines.append(f"D_candidate: {ns.multiplier}")
-    lines.append(f"a_max: {ns.amax}")
+    lines = [f"ideal: {_fmt_components(q)}", f"D_candidate: {ns.multiplier}", f"a_max: {ns.amax}"]
     if found is None:
         lines.append(f"witness: none (up to a = {ns.amax})")
     else:
         level, monomial = found
         lines.append(f"witness: a = {level}, monomial {monomial}")
-    return "\n".join(lines) + "\n", 0
+    return lines, 0
 
 
-def _cmd_duval(ns: argparse.Namespace, argv: Sequence[str]) -> tuple[str, int]:
-    lines = ["command: " + " ".join(argv)]
+def _cmd_duval(ns: argparse.Namespace, cone: None) -> tuple[list[str], int]:
     if ns.family == "check-an":
         if ns.n < 1:
             raise CliError(f"check-an needs a positive bound, got {ns.n}")
-        all_ok = True
-        for k in range(1, ns.n + 1):
-            ok = cross_check_an(k)
-            all_ok = all_ok and ok
-            lines.append(f"n = {k}: {'ok' if ok else 'MISMATCH'}")
-        lines.append(f"verdict: {'PASS' if all_ok else 'FAIL'}")
-        return "\n".join(lines) + "\n", 0 if all_ok else 2
+        results = [cross_check_an(k) for k in range(1, ns.n + 1)]
+        lines = [f"n = {k}: {'ok' if ok else 'MISMATCH'}" for k, ok in enumerate(results, 1)]
+        passed = all(results)
+        lines.append(f"verdict: {'PASS' if passed else 'FAIL'}")
+        return lines, 0 if passed else 2
     record = lookup(ns.family, ns.n)
-    lines.append(f"group: {_fmt_group(record.group.invariant_factors, record.group.free_rank)}")
-    lines.append(f"D_min: {record.d_min}")
-    lines.append(f"equation: {record.local_equation}")
-    return "\n".join(lines) + "\n", 0
+    return [
+        f"group: {_fmt_group(record.group.invariant_factors, record.group.free_rank)}",
+        f"D_min: {record.d_min}",
+        f"equation: {record.local_equation}",
+    ], 0
 
 
 _HANDLERS = {
@@ -290,18 +263,18 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one request: the only code here that writes stdout or stderr."""
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         ns = _build_parser().parse_args(args)
-        report, code = _HANDLERS[ns.command](ns, args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cone = None if ns.command == "duval" else _load_cone(ns.file, ns.as_json)
+        body, code = _HANDLERS[ns.command](ns, cone)
     except ValueError as exc:
-        # domain errors from the library (unsupported cone, bad catalog pair, ...)
+        # CliError for input problems, and the library's domain errors
+        # (unsupported cone, bad catalog pair, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(report)
+    sys.stdout.write("\n".join(_header(args, cone) + body) + "\n")
     return code
 
 

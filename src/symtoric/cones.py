@@ -260,31 +260,29 @@ def semigroup_member(point: Sequence[int], data: SemigroupData) -> tuple[int, ..
     Returns a coefficient tuple aligned with ``data.hilbert_basis`` such
     that the weighted sum reproduces the point, or None when the point is
     outside the semigroup.  Depth-first search over basis elements in
-    lexicographic order; pairings against every ray stay nonnegative at
-    each step, which bounds the search.
+    lexicographic order, each count tried from its largest value down;
+    pairings against every ray stay nonnegative at each step, which bounds
+    the search.  An explicit stack keeps deep bases off the call stack.
     """
     vec = tuple(point)
     if not in_semigroup(vec, data):
         return None
     table = data.pairing_table
-    target = tuple(dot(vec, ray) for ray in data.cone.rays)
-    counts = [0] * len(data.hilbert_basis)
-
-    def search(idx: int, remaining: tuple[int, ...]) -> bool:
-        if not any(remaining):
-            return True
-        if idx == len(table):
-            return False
-        pairings = table[idx]
-        cmax = min(rem // p for rem, p in zip(remaining, pairings) if p > 0)
-        for c in range(cmax, -1, -1):
-            counts[idx] = c
-            nxt = tuple(rem - c * p for rem, p in zip(remaining, pairings))
-            if search(idx + 1, nxt):
-                return True
-        counts[idx] = 0
-        return False
-
-    if search(0, target):
-        return tuple(counts)
-    raise RuntimeError("point passed the facet test but no decomposition was found")
+    counts = [0] * len(table)
+    # rests[i]: what is left to cover before basis element i is counted
+    rests = [tuple(dot(vec, ray) for ray in data.cone.rays)]
+    while any(rests[-1]):
+        idx = len(rests) - 1
+        if idx < len(table):
+            counts[idx] = min(r // p for r, p in zip(rests[idx], table[idx]) if p > 0)
+        else:
+            # dead end: lower the deepest count that is still positive
+            rests.pop()
+            while rests and not counts[len(rests) - 1]:
+                rests.pop()
+            if not rests:
+                raise RuntimeError("point passed the facet test but no decomposition was found")
+            idx = len(rests) - 1
+            counts[idx] -= 1
+        rests.append(tuple(r - counts[idx] * p for r, p in zip(rests[idx], table[idx])))
+    return tuple(counts)

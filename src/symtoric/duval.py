@@ -2,10 +2,13 @@
 
 Each record carries the local hypersurface equation, the divisor class
 group of the singularity, and the optimal uniform multiplier, which is
-the exponent of that group.  Groups are stored as presentations rather
-than strings so the multiplier is computed, never transcribed.  The A
-family doubles as a consistency check: its members are the cyclic
-quotient cones, so the catalog entry can be recomputed toric-side.
+the exponent of that group.  The invariant factors of each group are
+transcribed; the tests check them against Lipman's description of the
+group as the cokernel of the resolution graph's intersection matrix (the
+negated Cartan matrix of the Dynkin diagram).  The multiplier is read
+off the group.  The A family doubles as a consistency check: its members
+are the cyclic quotient cones, so the catalog entry can be recomputed
+toric-side.
 """
 
 from __future__ import annotations

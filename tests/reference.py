@@ -12,8 +12,9 @@ so agreeing with them is evidence rather than a restatement:
   elements inside a capped box of pairings;
 * ``quadratic_minimalize`` tests every candidate against every other;
 * ``combination_ordinary_power`` sums every combination of generators as
-  points and minimalizes those, where the library sums packed pairing
-  keys and forms points only for the minimal sums;
+  points and minimalizes those with ``quadratic_minimalize``, where the
+  library sums packed pairing keys and forms points only for the minimal
+  sums;
 * ``adjugate_dual_rays`` takes the dual rays as the sign-fixed columns
   of the adjugate of the ray matrix, where the library reads them off the
   Smith form the cone already stores;
@@ -36,7 +37,7 @@ from typing import Sequence
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
 from symtoric.cones import Cone, SemigroupData, Vector, dot, primitive
 from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant
-from symtoric.ideals import MonomialIdeal, _minimalize, _pairings
+from symtoric.ideals import MonomialIdeal
 
 
 def adjugate_dual_rays(cone: Cone) -> tuple[Vector, ...]:
@@ -139,8 +140,7 @@ def combination_ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdea
         tuple(sum(coords) for coords in zip(*combo))
         for combo in itertools.combinations_with_replacement(ideal.generators, power)
     }
-    data = ideal.context
-    return MonomialIdeal(data, _minimalize((_pairings(m, data), m) for m in sums))
+    return MonomialIdeal(ideal.context, quadratic_minimalize(sums, ideal.context))
 
 
 def closure_minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:

@@ -15,6 +15,7 @@ A1_TEXT = "dim 2\n1 0\n1 2\n"
 A1_JSON = '{"dim": 2, "rays": [[1, 2], [1, 0]]}\n'
 KLEIN4_TEXT = "dim 3\n# three rays, two independent index-two quotients\n1 0 0\n1 2 0\n1 0 2\n"
 SQUARE_TEXT = "dim 3\n0 0 1\n1 0 1\n0 1 1\n1 1 1\n"
+FLAT_TEXT = "dim 3\n1 0 0\n0 1 0\n"
 DET11_TEXT = "dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 2 3 11\n"
 
 
@@ -178,8 +179,9 @@ class TestMultiplierReport:
         assert counts == {"smith_normal_form": 1, "determinant": 1}
 
     def test_cone_not_full(self, capsys, tmp_path):
+        # det_multiplier's error, not class_group_of's
         path = tmp_path / "flat.cone"
-        path.write_text("dim 3\n1 0 0\n0 1 0\n")
+        path.write_text(FLAT_TEXT)
         code, out, err = run_cli(capsys, "multiplier", str(path))
         assert code == 1 and out == ""
         assert err == "error: determinant multiplier needs a simplicial full cone\n"
@@ -314,17 +316,36 @@ class TestErrorPaths:
     def test_zero_ray_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.cone"
         path.write_text("dim 2\n1 0\n0 0\n")
-        self.check_error(capsys, "classgroup", str(path))
+        err = self.check_error(capsys, "classgroup", str(path))
+        assert err == "error: ray 1 is the zero vector\n"
 
     def test_non_convex_cone_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.cone"
         path.write_text("dim 2\n1 1\n-1 -1\n")
-        self.check_error(capsys, "classgroup", str(path))
+        err = self.check_error(capsys, "classgroup", str(path))
+        assert err == "error: cone contains the line through (-1, -1)\n"
+
+    def test_classgroup_needs_full(self, capsys, tmp_path):
+        path = tmp_path / "flat.cone"
+        path.write_text(FLAT_TEXT)
+        err = self.check_error(capsys, "classgroup", str(path))
+        assert err == "error: class group presentation needs a full-dimensional cone\n"
 
     def test_hilbert_needs_simplicial_full(self, capsys, tmp_path):
         path = tmp_path / "square.cone"
         path.write_text(SQUARE_TEXT)
-        self.check_error(capsys, "cone", "hilbert", str(path))
+        err = self.check_error(capsys, "cone", "hilbert", str(path))
+        assert err == "error: dualization needs a simplicial full-dimensional cone\n"
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [(("cone", "hilbert"), ()), (("verify",), ("--ray", "0", "--D", "1", "--amax", "1"))],
+    )
+    def test_flat_cone_not_dualized(self, capsys, tmp_path, command, options):
+        path = tmp_path / "flat.cone"
+        path.write_text(FLAT_TEXT)
+        err = self.check_error(capsys, *command, str(path), *options)
+        assert err == "error: dualization needs a simplicial full-dimensional cone\n"
 
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -354,15 +375,34 @@ class TestErrorPaths:
 
     def test_duval_out_of_catalog(self, capsys):
         err = self.check_error(capsys, "duval", "B", "9")
-        assert "B_9" in err
+        assert err == "error: no du Val singularity of type B_9\n"
+        err = self.check_error(capsys, "duval", "B", "2")
+        assert err == "error: no du Val singularity of type B_2\n"
 
     def test_check_an_bad_bound(self, capsys):
-        self.check_error(capsys, "duval", "check-an", "0")
+        err = self.check_error(capsys, "duval", "check-an", "0")
+        assert err == "error: check-an needs a positive bound, got 0\n"
 
     def test_bad_b_list(self, capsys, a1_file):
-        self.check_error(
+        err = self.check_error(
+            capsys, "verify", a1_file, "--ray", "0", "--b", "x", "--D", "1", "--amax", "1"
+        )
+        assert err == "error: --b 'x' is not a comma separated integer list\n"
+        err = self.check_error(
             capsys, "verify", a1_file, "--ray", "0", "--b", "1,x", "--D", "1", "--amax", "1"
         )
+        assert err == "error: --b '1,x' is not a comma separated integer list\n"
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (("--ray", "0", "--ray", "0"), "ray index 0 appears twice"),
+            (("--ray", "0", "--b", "0"), "multiplicity 0 on ray 0 must be >= 1"),
+        ],
+    )
+    def test_bad_ideal(self, capsys, a1_file, options, message):
+        err = self.check_error(capsys, "verify", a1_file, *options, "--D", "1", "--amax", "1")
+        assert err == f"error: {message}\n"
 
     def test_b_length_mismatch(self, capsys, a1_file):
         err = self.check_error(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,20 @@ class TestSemigroupMember:
         data = hilbert_basis(make_cone([(1, 0), (1, 2)], 2))
         with pytest.raises(DimensionError):
             semigroup_member((1, 2, 3), data)
+
+    def test_long_basis_needs_no_recursion(self):
+        # the basis is (1, 0), (1, 1), ..., (1, 300) and 2 * (1, 300) is
+        # reached only at the last element, so a search that took one stack
+        # frame per basis element would need more than the limit set here
+        data = hilbert_basis(make_cone([(0, 1), (300, -1)], 2))
+        assert data.hilbert_basis == tuple((1, k) for k in range(301))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            counts = semigroup_member((2, 600), data)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert counts == (0,) * 300 + (2,)
 
 
 @settings(max_examples=60, deadline=None)

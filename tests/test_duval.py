@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 
-from symtoric.class_group import AbelianGroupPresentation, group_exponent, group_order
+from symtoric.class_group import (
+    AbelianGroupPresentation,
+    class_group_of,
+    group_exponent,
+    group_order,
+)
+from symtoric.cones import make_cone
 from symtoric.duval import DuValRecord, OutOfCatalogError, cross_check_an, lookup
+from symtoric.exact_linalg import IntegerMatrix, smith_normal_form
 
 
 class TestLookup:
@@ -80,3 +89,76 @@ class TestCrossCheck:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             cross_check_an(0)
+
+
+def cokernel(rows: list[list[int]]) -> AbelianGroupPresentation:
+    """Z^n modulo the row span of a square integer matrix."""
+    factors = smith_normal_form(IntegerMatrix.from_rows(rows)).invariant_factors
+    return AbelianGroupPresentation(
+        tuple(f for f in factors if f >= 2), sum(1 for f in factors if f == 0)
+    )
+
+
+def intersection_matrix(
+    self_intersections: list[int], edges: list[tuple[int, int]]
+) -> list[list[int]]:
+    """Intersection matrix of a resolution graph of rational curves that
+    meet transversally once along each edge."""
+    n = len(self_intersections)
+    rows = [[0] * n for _ in range(n)]
+    for i, e in enumerate(self_intersections):
+        rows[i][i] = e
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = 1
+    return rows
+
+
+def hirzebruch_jung(d: int, k: int) -> list[int]:
+    """[b_1, ..., b_r] with d/k = b_1 - 1/(b_2 - 1/(... - 1/b_r)), all b_i >= 2."""
+    fraction = []
+    while k:
+        b = -(-d // k)
+        fraction.append(b)
+        d, k = k, b * k - d
+    return fraction
+
+
+def dynkin_edges(family: str, n: int) -> list[tuple[int, int]]:
+    """Edges of the Dynkin diagram: a path of n nodes for A_n; for D_n and
+    E_n a path of n - 1 nodes with one more node on node n - 3 or node 2."""
+    if family == "A":
+        return [(i, i + 1) for i in range(n - 1)]
+    branch = n - 3 if family == "D" else 2
+    return [(i, i + 1) for i in range(n - 2)] + [(branch, n - 1)]
+
+
+class TestLipmanCokernel:
+    """Lipman (Publ. IHES 36, 1969, section 24): the class group of a 2D
+    rational singularity is the cokernel of the intersection matrix of its
+    minimal resolution.  This is a second route to every group the
+    library derives toric-side or transcribes in the du Val catalog."""
+
+    def test_cyclic_quotients_match_hirzebruch_jung_chain(self):
+        # the minimal resolution of the cone (0, 1), (d, -k) is a chain of
+        # curves with self-intersections -b_i (Cox, Little and Schenck,
+        # Toric Varieties, sections 10.1-10.2)
+        pairs = [(d, k) for d in range(2, 60) for k in range(1, d) if gcd(d, k) == 1]
+        assert len(pairs) == 1085
+        for d, k in pairs:
+            chain = hirzebruch_jung(d, k)
+            matrix = intersection_matrix(
+                [-b for b in chain], [(i, i + 1) for i in range(len(chain) - 1)]
+            )
+            assert class_group_of(make_cone([(0, 1), (d, -k)], 2)) == cokernel(matrix), (d, k)
+
+    def test_hirzebruch_jung_examples(self):
+        assert hirzebruch_jung(5, 1) == [5]
+        assert hirzebruch_jung(5, 4) == [2, 2, 2, 2]
+        assert hirzebruch_jung(7, 3) == [3, 2, 2]
+
+    def test_catalog_rows_match_negated_cartan_matrices(self):
+        rows = [("A", n) for n in range(1, 13)] + [("D", n) for n in range(4, 13)]
+        rows += [("E", n) for n in (6, 7, 8)]
+        for family, n in rows:
+            matrix = intersection_matrix([-2] * n, dynkin_edges(family, n))
+            assert lookup(family, n).group == cokernel(matrix), (family, n)

@@ -60,3 +60,22 @@ def test_no_cross_call_caches():
             continue
         found += [f"{name}:{node.lineno} {hit}" for hit in hits]
     assert found == []
+
+
+def test_only_cli_main_writes_output():
+    """One path from request to report: inside ``cli.py`` only ``main``
+    calls ``print`` or touches ``sys.stdout`` or ``sys.stderr``."""
+    tree = ast.parse((Path(symtoric.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    found = []
+    for statement in tree.body:
+        owner = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and node.id in ("print", "stdout", "stderr"):
+                hit = node.id
+            elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+                hit = node.attr
+            else:
+                continue
+            if owner != "main":
+                found.append(f"cli.py:{node.lineno} {hit} in {owner or 'module'}")
+    assert found == []
