@@ -1,10 +1,10 @@
 """Divisor class groups of full-dimensional affine toric charts.
 
 The group is presented as the cokernel of the pairing map sending a
-lattice character to its vector of valuations along the rays.  Smith
-normal form of the ray matrix yields the invariant factors, the free
-rank, and a projection taking any integer ray-coefficient vector to a
-canonical residue form, so orders of individual classes are computable.
+lattice character to its vector of valuations along the rays.  The
+cone's Smith form U A V = S of its ray matrix A yields the invariant
+factors, the free rank, and in U a map taking any integer ray-coefficient
+vector to a canonical residue form, so orders of classes are computable.
 
 A class is represented by its integer coefficient vector over the rays
 of the cone, indexed in the cone's stored (lex-sorted) ray order.
@@ -17,11 +17,10 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .cones import Cone, UnsupportedConeError
-from .exact_linalg import DimensionError, IntegerMatrix, determinant
+from .exact_linalg import DimensionError, IntegerMatrix, SmithDecomposition, determinant
 
 __all__ = [
     "DivisorClass",
-    "CokernelProjection",
     "AbelianGroupPresentation",
     "presentation_matrix",
     "class_group_of",
@@ -36,31 +35,18 @@ DivisorClass = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class CokernelProjection:
-    """Change of basis carrying ray-coefficient vectors to residue form.
-
-    ``transform`` is the unimodular U from the Smith decomposition of the
-    ray matrix; ``moduli`` gives, per transformed coordinate, the modulus
-    of that coordinate in the quotient (1 kills the coordinate, 0 leaves
-    it free).
-    """
-
-    transform: IntegerMatrix
-    moduli: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class AbelianGroupPresentation:
     """Finitely generated abelian group in invariant factor form.
 
     ``invariant_factors`` keeps only the factors >= 2, in divisibility
-    order.  Presentations built from a cone carry projection data; hand
-    built ones (catalog entries) may omit it.
+    order.  Presentations built from a cone carry the Smith form of its
+    ray matrix, whose U maps divisors to residue form; hand built ones
+    (catalog entries) may omit it.
     """
 
     invariant_factors: tuple[int, ...]
     free_rank: int
-    projection: CokernelProjection | None = field(default=None, compare=False, repr=False)
+    smith: SmithDecomposition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if any(f < 2 for f in self.invariant_factors):
@@ -84,13 +70,15 @@ def presentation_matrix(cone: Cone) -> IntegerMatrix:
 
 
 def class_group_of(cone: Cone) -> AbelianGroupPresentation:
-    """Class group as the cokernel of the ray pairing map (the cone's Smith form)."""
+    """Class group as the cokernel of the ray pairing map (the cone's Smith form).
+
+    The ray matrix of a full cone has rank n, so its n invariant factors
+    are nonzero and every ray past the n-th adds one free generator.
+    """
     mat = presentation_matrix(cone)
-    dec = cone.smith
-    moduli = tuple(dec.invariant_factors) + (0,) * (mat.rows - len(dec.invariant_factors))
-    factors = tuple(d for d in moduli if d >= 2)
-    free_rank = sum(1 for d in moduli if d == 0)
-    return AbelianGroupPresentation(factors, free_rank, CokernelProjection(dec.U, moduli))
+    factors = cone.smith.invariant_factors
+    free_rank = mat.rows - len(factors)
+    return AbelianGroupPresentation(tuple(d for d in factors if d >= 2), free_rank, cone.smith)
 
 
 def group_order(group: AbelianGroupPresentation) -> int | None:
@@ -121,24 +109,18 @@ def det_multiplier(cone: Cone) -> int:
     return d
 
 
-def _projection_of(group: AbelianGroupPresentation) -> CokernelProjection:
-    if group.projection is None:
-        raise ValueError("this presentation carries no projection data")
-    return group.projection
-
-
 def _canonical_parts(
     divisor: Sequence[int], group: AbelianGroupPresentation
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    proj = _projection_of(group)
-    if len(divisor) != proj.transform.cols:
-        raise DimensionError(
-            f"divisor has {len(divisor)} coefficients, expected {proj.transform.cols}"
-        )
-    image = proj.transform.apply(tuple(divisor))
-    residues = tuple(x % d for x, d in zip(image, proj.moduli) if d >= 2)
-    frees = tuple(x for x, d in zip(image, proj.moduli) if d == 0)
-    return residues, frees
+    if group.smith is None:
+        raise ValueError("this presentation carries no projection data")
+    transform = group.smith.U
+    if len(divisor) != transform.cols:
+        raise DimensionError(f"divisor has {len(divisor)} coefficients, expected {transform.cols}")
+    factors = group.smith.invariant_factors
+    image = transform.apply(tuple(divisor))
+    # a factor of 1 kills its coordinate; those past the factors are free
+    return tuple(x % d for x, d in zip(image, factors) if d >= 2), image[len(factors):]
 
 
 def class_of(divisor: Sequence[int], group: AbelianGroupPresentation) -> tuple[int, ...]:

@@ -19,7 +19,8 @@ from typing import Sequence
 from .class_group import class_group_of, det_multiplier, group_exponent, group_order
 from .cones import Cone, dual_cone, hilbert_basis, make_cone
 from .duval import cross_check_an, lookup
-from .ideals import PureHeightOneIdeal, find_sharpness_witness, verify_containment
+from .ideals import PureHeightOneIdeal, _checked_components
+from .ideals import find_sharpness_witness, verify_containment
 
 __all__ = ["main"]
 
@@ -203,7 +204,8 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
     for ray in sorted(rays):
         if not 0 <= ray < nrays:
             raise CliError(f"ray index {ray} out of range for {nrays} rays")
-    return PureHeightOneIdeal(hilbert_basis(cone), tuple(zip(rays, mults)))
+    components = _checked_components(zip(rays, mults), nrays)
+    return PureHeightOneIdeal(hilbert_basis(cone), components)
 
 
 def _fmt_components(q: PureHeightOneIdeal) -> str:

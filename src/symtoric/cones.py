@@ -152,23 +152,30 @@ def _cone_contains(rays: Sequence[Vector], target: Vector) -> bool:
     return all(rhs <= 0 for _, rhs in system)
 
 
+def _solve(cone: Cone, rhs: Sequence[int]) -> Vector | None:
+    """The x with <x, ray_i> = rhs_i on each ray of a simplicial full cone,
+    or None when it is not integral: the stored Smith form U A V = S turns
+    A x = rhs into S (V^-1 x) = U rhs, so x = V (y_i / s_i)_i, y = U rhs."""
+    dec = cone.smith
+    y = dec.U.apply(tuple(rhs))
+    if any(a % s for a, s in zip(y, dec.invariant_factors)):
+        return None
+    return dec.V.apply(tuple(a // s for a, s in zip(y, dec.invariant_factors)))
+
+
 def dual_cone(cone: Cone) -> Cone:
     """Dual of a simplicial full cone.
 
-    With A the ray matrix and U A V = S, the integer matrix
-    s_n A^-1 = V diag(s_n / s_i) U pairs its column j to s_n with ray j
-    and to 0 with every other ray: its primitive columns are the dual rays.
+    The last invariant factor s_n kills the class group, so the point
+    pairing to s_n with ray j and to 0 with every other ray is integral:
+    its primitive form is the dual ray of ray j.
     """
     if not (cone.is_simplicial and cone.is_full):
         raise UnsupportedConeError("dualization needs a simplicial full-dimensional cone")
-    dec = cone.smith
-    top = dec.invariant_factors[-1]
-    scaled_u = IntegerMatrix.from_rows(
-        [[top // s * x for x in dec.U.row(i)] for i, s in enumerate(dec.invariant_factors)]
-    )
-    inverse = dec.V @ scaled_u
     n = cone.ambient_dim
-    return make_cone([primitive(inverse.column(j)) for j in range(n)], n)
+    top = cone.smith.invariant_factors[-1]
+    columns = [_solve(cone, [top if i == j else 0 for i in range(n)]) for j in range(n)]
+    return make_cone([primitive(x) for x in columns], n)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from .class_group import class_group_of, order_of_class
-from .cones import SemigroupData, Vector, dot
+from .cones import SemigroupData, Vector, _solve, dot
 from .exact_linalg import DimensionError
 
 __all__ = [
@@ -65,20 +65,28 @@ class PureHeightOneIdeal:
     components: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(sorted(tuple(c) for c in self.components))
-        if not comps:
-            raise ValueError("at least one ray component is required")
-        nrays = len(self.context.cone.rays)
-        seen = set()
-        for ray_index, mult in comps:
-            if not 0 <= ray_index < nrays:
-                raise IndexError(f"ray index {ray_index} out of range for {nrays} rays")
-            if mult < 1:
-                raise ValueError(f"multiplicity {mult} on ray {ray_index} must be >= 1")
-            if ray_index in seen:
-                raise ValueError(f"ray index {ray_index} appears twice")
-            seen.add(ray_index)
+        comps = _checked_components(self.components, len(self.context.cone.rays))
         object.__setattr__(self, "components", comps)
+
+
+def _checked_components(
+    components: Iterable[tuple[int, int]], nrays: int
+) -> tuple[tuple[int, int], ...]:
+    """(ray index, multiplicity) pairs sorted by ray and checked against
+    nrays rays, with no semigroup: the CLI checks before it builds one."""
+    comps = tuple(sorted(tuple(c) for c in components))
+    if not comps:
+        raise ValueError("at least one ray component is required")
+    seen = set()
+    for ray_index, mult in comps:
+        if not 0 <= ray_index < nrays:
+            raise IndexError(f"ray index {ray_index} out of range for {nrays} rays")
+        if mult < 1:
+            raise ValueError(f"multiplicity {mult} on ray {ray_index} must be >= 1")
+        if ray_index in seen:
+            raise ValueError(f"ray index {ray_index} appears twice")
+        seen.add(ray_index)
+    return comps
 
 
 def _pairings(point: Vector, data: SemigroupData) -> tuple[int, ...]:
@@ -133,37 +141,25 @@ def _minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Ve
 
 
 def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
-    """Prime of the divisor on one ray: monomials with positive pairing there."""
-    if not 0 <= ray_index < len(data.cone.rays):
-        raise IndexError(
-            f"ray index {ray_index} out of range for {len(data.cone.rays)} rays"
-        )
-    gens = [
-        (row, h)
-        for h, row in zip(data.hilbert_basis, data.pairing_table)
-        if row[ray_index] >= 1
-    ]
-    return MonomialIdeal(data, _minimalize(gens), ((ray_index, 1),))
+    """Prime of the divisor on one ray: monomials with positive pairing
+    there, the first symbolic power of that ray's valuation ideal."""
+    return symbolic_power(PureHeightOneIdeal(data, ((ray_index, 1),)), 1)
 
 
 def _period(q: PureHeightOneIdeal) -> tuple[int, Vector]:
     """Order m of q's divisor class b and the character u with
     <u, v_j> = m * b_j on every ray v_j.
 
-    With the cone's Smith form U A V = S of the ray matrix A, the system
-    A u = m b reads S (V^-1 u) = m U b, so u = V (m y_i / s_i)_i with
-    y = U b; every s_i divides m y_i because m is the order of the class.
+    u is ``_solve``'s solution of A u = m b, integral since m kills the class.
     """
     cone = q.context.cone
     b = divisor_class(q)
     m = order_of_class(b, class_group_of(cone))
     if m is None:
         raise RuntimeError("the class of a height one ideal has infinite order")
-    dec = cone.smith
-    scaled = [m * y for y in dec.U.apply(b)]
-    if any(x % s for x, s in zip(scaled, dec.invariant_factors)):
+    u = _solve(cone, [m * c for c in b])
+    if u is None:
         raise RuntimeError("the class order does not kill the class")
-    u = dec.V.apply(tuple(x // s for x, s in zip(scaled, dec.invariant_factors)))
     if _pairings(u, q.context) != tuple(m * c for c in b):
         raise RuntimeError("the period character does not pair to m times the divisor")
     return m, u

@@ -16,8 +16,12 @@ so agreeing with them is evidence rather than a restatement:
   library sums packed pairing keys and forms points only for the minimal
   sums;
 * ``adjugate_dual_rays`` takes the dual rays as the sign-fixed columns
-  of the adjugate of the ray matrix, where the library reads them off the
-  Smith form the cone already stores;
+  of the adjugate of the ray matrix, where the library solves for them
+  with the Smith form the cone already stores;
+* ``basis_ray_prime`` keeps the Hilbert basis elements that pair
+  positively with one ray and minimalizes them with
+  ``quadratic_minimalize``, where the library takes the ray prime as the
+  first symbolic power of that ray's valuation ideal;
 * ``search_order_of_class`` multiplies a divisor by k = 2, 3, ... up to
   the group exponent and projects each multiple, where the library reads
   the order off the residues as lcm(d_i / gcd(r_i, d_i)).
@@ -132,6 +136,17 @@ def quadratic_minimalize(points: Sequence[Vector], data: SemigroupData) -> tuple
         ):
             kept.append(p)
     return tuple(kept)
+
+
+def basis_ray_prime(data: SemigroupData, ray_index: int) -> tuple[Vector, ...]:
+    """Minimal generators of the prime of the divisor on one ray.
+
+    A monomial pairing positively with the ray is a sum of Hilbert basis
+    elements, one of which pairs positively with it, so those elements
+    generate the prime.
+    """
+    gens = [h for h, row in zip(data.hilbert_basis, data.pairing_table) if row[ray_index] >= 1]
+    return quadratic_minimalize(gens, data)
 
 
 def combination_ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:

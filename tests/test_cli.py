@@ -190,11 +190,18 @@ class TestMultiplierReport:
 class TestEliminationCounts:
     @pytest.mark.parametrize(
         "argv, smith_forms",
-        [(("classgroup",), 1), (("cone", "info"), 1), (("cone", "dual"), 2), (("cone", "hilbert"), 2)],
+        [
+            (("classgroup",), 1),
+            (("cone", "info"), 1),
+            (("cone", "dual"), 2),
+            (("cone", "hilbert"), 2),
+            (("verify", "--ray", "0", "--D", "11", "--amax", "1"), 2),
+        ],
     )
     def test_one_smith_form_per_cone(self, capsys, det11_file, monkeypatch, argv, smith_forms):
         # one Smith form for the cone and, for its dual rays, one for the
-        # dual cone; no determinant or adjugate besides
+        # dual cone; no determinant or adjugate besides: the period
+        # character of ``verify`` reuses the cone's stored form
         expected = run_cli(capsys, *argv, det11_file)
         counts = count_eliminations(monkeypatch)
         assert run_cli(capsys, *argv, det11_file) == expected
@@ -400,7 +407,11 @@ class TestErrorPaths:
             (("--ray", "0", "--b", "0"), "multiplicity 0 on ray 0 must be >= 1"),
         ],
     )
-    def test_bad_ideal(self, capsys, a1_file, options, message):
+    def test_bad_ideal(self, capsys, a1_file, monkeypatch, options, message):
+        def unexpected(cone):
+            pytest.fail("the Hilbert basis was built before the ideal was checked")
+
+        monkeypatch.setattr(cli, "hilbert_basis", unexpected)
         err = self.check_error(capsys, "verify", a1_file, *options, "--D", "1", "--amax", "1")
         assert err == f"error: {message}\n"
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cone_zoo import all_cones, all_semigroups, build_cone
 from reference import (
     adjugate_dual_rays,
+    basis_ray_prime,
     box_scan_hilbert_basis,
     box_scan_size,
     closure_minimal_generators,
@@ -21,8 +22,8 @@ from reference import (
     quadratic_minimalize,
     search_order_of_class,
 )
-from symtoric.class_group import class_group_of, order_of_class
-from symtoric.cones import dot, dual_cone, hilbert_basis, make_cone
+from symtoric.class_group import class_group_of, class_of, order_of_class
+from symtoric.cones import _solve, dot, dual_cone, hilbert_basis, make_cone
 from symtoric.exact_linalg import IntegerMatrix, determinant
 from symtoric.ideals import (
     MonomialIdeal,
@@ -33,6 +34,7 @@ from symtoric.ideals import (
     _period,
     divisor_class,
     ordinary_power,
+    ray_prime,
     symbolic_power,
 )
 
@@ -65,6 +67,43 @@ def test_dual_cone_matches_adjugate(data):
 @pytest.mark.parametrize("name, cone", all_cones())
 def test_dual_cone_matches_adjugate_on_zoo(name, cone):
     assert dual_cone(cone).rays == adjugate_dual_rays(cone)
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_solve_inverts_the_pairings(data, draw):
+    cone = data.cone
+    x = draw.draw(st.tuples(*[st.integers(-20, 20)] * cone.ambient_dim))
+    assert _solve(cone, [dot(x, ray) for ray in cone.rays]) == x
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_solve_fails_exactly_off_the_trivial_class(data, draw):
+    """A x = rhs has an integer solution exactly when rhs lies in the
+    image of the pairing map, the trivial class of the cokernel."""
+    cone = data.cone
+    group = class_group_of(cone)
+    rhs = draw.draw(st.tuples(*[st.integers(-20, 20)] * len(cone.rays)))
+    assert (_solve(cone, rhs) is None) == any(class_of(rhs, group))
+    m = order_of_class(rhs, group)
+    assert _solve(cone, [m * c for c in rhs]) is not None
+
+
+def check_ray_primes_match_basis_filter(data):
+    for i in range(len(data.cone.rays)):
+        assert ray_prime(data, i).generators == basis_ray_prime(data, i), i
+
+
+@settings(deadline=None)
+@given(small_cones())
+def test_ray_prime_matches_basis_filter(data):
+    check_ray_primes_match_basis_filter(data)
+
+
+@pytest.mark.parametrize("name, data", all_semigroups())
+def test_ray_prime_matches_basis_filter_on_zoo(name, data):
+    check_ray_primes_match_basis_filter(data)
 
 
 @settings(deadline=None)

@@ -62,6 +62,20 @@ def test_no_cross_call_caches():
     assert found == []
 
 
+def test_smith_witnesses_stay_below_the_ideal_layer():
+    """A Smith form's witnesses U and V are read only in ``exact_linalg``,
+    ``cones`` and ``class_group``: the ideal layer, the CLI and the du Val
+    catalog solve through ``cones._solve`` and the class group."""
+    found = [
+        f"{name}:{node.lineno} {node.attr}"
+        for name, node in _source_nodes()
+        if name in ("ideals.py", "cli.py", "duval.py")
+        and isinstance(node, ast.Attribute)
+        and node.attr in ("U", "V")
+    ]
+    assert found == []
+
+
 def test_only_cli_main_writes_output():
     """One path from request to report: inside ``cli.py`` only ``main``
     calls ``print`` or touches ``sys.stdout`` or ``sys.stderr``."""
