@@ -113,7 +113,7 @@ def _canonical_parts(
     divisor: Sequence[int], group: AbelianGroupPresentation
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if group.smith is None:
-        raise ValueError("this presentation carries no projection data")
+        raise ValueError("this presentation carries no Smith form")
     transform = group.smith.U
     if len(divisor) != transform.cols:
         raise DimensionError(f"divisor has {len(divisor)} coefficients, expected {transform.cols}")

@@ -1,17 +1,17 @@
 """Strongly convex rational cones and their dual lattice semigroups.
 
 A cone is stored by its primitive ray generators, deduplicated and sorted,
-so equal cones compare equal regardless of input order.  For simplicial
-full-dimensional cones the module computes the dual cone, the Hilbert
-basis of the dual semigroup, and exact membership tests with explicit
-decompositions over the Hilbert basis.
+so equal cones compare equal regardless of input order.  For a simplicial
+full cone it computes a divisor's period (its class order m and the
+character pairing to m times it), the dual rays as the ray divisors'
+periods, and the dual semigroup's Hilbert basis with decompositions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact_linalg import (
@@ -152,30 +152,32 @@ def _cone_contains(rays: Sequence[Vector], target: Vector) -> bool:
     return all(rhs <= 0 for _, rhs in system)
 
 
-def _solve(cone: Cone, rhs: Sequence[int]) -> Vector | None:
-    """The x with <x, ray_i> = rhs_i on each ray of a simplicial full cone,
-    or None when it is not integral: the stored Smith form U A V = S turns
-    A x = rhs into S (V^-1 x) = U rhs, so x = V (y_i / s_i)_i, y = U rhs."""
+def _divisor_period(cone: Cone, divisor: Sequence[int]) -> tuple[int, Vector]:
+    """Order m of the class of a divisor b on a simplicial full cone, and
+    the character u with <u, ray_i> = m * b_i on each ray.
+
+    The stored Smith form U A V = S turns A u = m b into S (V^-1 u) = m y,
+    y = U b, integral exactly when each s_i divides m y_i: the least such m,
+    the class order, is lcm_i(s_i / gcd(y_i, s_i)), and u = V (m y_i / s_i)_i.
+    """
     dec = cone.smith
-    y = dec.U.apply(tuple(rhs))
-    if any(a % s for a, s in zip(y, dec.invariant_factors)):
-        return None
-    return dec.V.apply(tuple(a // s for a, s in zip(y, dec.invariant_factors)))
+    y = dec.U.apply(tuple(divisor))
+    m = lcm(*(s // gcd(a, s) for a, s in zip(y, dec.invariant_factors)))
+    return m, dec.V.apply(tuple(m * a // s for a, s in zip(y, dec.invariant_factors)))
 
 
 def dual_cone(cone: Cone) -> Cone:
     """Dual of a simplicial full cone.
 
-    The last invariant factor s_n kills the class group, so the point
-    pairing to s_n with ray j and to 0 with every other ray is integral:
-    its primitive form is the dual ray of ray j.
+    Dual ray j is the period character of ray j's divisor e_j: it pairs to
+    0 with every other ray and to the order of [e_j] with ray j, the least
+    positive pairing an integral such point can have, so it is primitive.
     """
     if not (cone.is_simplicial and cone.is_full):
         raise UnsupportedConeError("dualization needs a simplicial full-dimensional cone")
     n = cone.ambient_dim
-    top = cone.smith.invariant_factors[-1]
-    columns = [_solve(cone, [top if i == j else 0 for i in range(n)]) for j in range(n)]
-    return make_cone([primitive(x) for x in columns], n)
+    units = ([int(i == j) for i in range(n)] for j in range(n))
+    return make_cone([_divisor_period(cone, e)[1] for e in units], n)
 
 
 @dataclass(frozen=True)

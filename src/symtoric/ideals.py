@@ -1,13 +1,13 @@
 """Torus-invariant monomial ideals and symbolic power containment checks.
 
-A monomial ideal lives in the dual semigroup of a simplicial full cone
-and is stored by its minimal generating set of lattice points.  Symbolic
-powers of pure height one ideals are valuation ideals: a point belongs
-to the E-th symbolic power exactly when its pairing against each chosen
-ray reaches E times the assigned multiplicity.  Ordinary powers are
-generated by sums of generators.  Comparing the two detects whether a
-candidate multiplier D makes every D*a-th symbolic power land inside the
-a-th ordinary power.
+A monomial ideal lives in the dual semigroup of a simplicial full cone,
+stored by its minimal lattice-point generators.  Symbolic powers of pure
+height one ideals are valuation ideals: a point is in the E-th one exactly
+when its pairing with each chosen ray reaches E times its multiplicity.
+They repeat with the period of the divisor class: the (E+m)-th is the E-th
+translated by the period character.  Ordinary powers are generated by
+sums of generators; comparing the two detects whether a multiplier D puts
+every D*a-th symbolic power inside the a-th ordinary power.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from itertools import combinations_with_replacement
 from operator import ge
 from typing import Iterable, Iterator, Sequence
 
-from .class_group import class_group_of, order_of_class
-from .cones import SemigroupData, Vector, _solve, dot
+from .cones import SemigroupData, Vector, _divisor_period, dot
 from .exact_linalg import DimensionError
 
 __all__ = [
@@ -115,23 +114,21 @@ def _minimalize(candidates: Iterable[tuple[tuple[int, ...], Vector]]) -> tuple[V
 def _minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:
     """Minimal generators of {m in the semigroup : <m, ray_i> >= bounds[i]}.
 
-    Every semigroup element is a parallelotope point plus a nonnegative
-    combination of the dual rays, and adding the dual ray of ray i raises
-    the pairing with ray i alone, by c_i = <dual ray, ray_i>.  So a member
-    of the ideal is a semigroup translate of its parallelotope point y
-    shifted along the dual ray of each bounded ray i by the least
-    k_i = max(0, ceil((b_i - y_i) / c_i)) that meets the bound b_i, and the
-    minimal generators are the minimal ones among those |det W| shifts.
+    Every semigroup element is a parallelotope point y plus a nonnegative
+    combination of the dual rays, and dual ray w_i, the period character of
+    ray i's divisor, raises the pairing with ray i alone, by that class's
+    order c_i.  So the minimal generators are the minimal ones among the
+    |det W| points y shifted along w_i for each bounded ray i by the least
+    k_i = max(0, ceil((b_i - y_i) / c_i)) that meets the bound b_i.
     """
-    shifts = []
-    for w in data.dual_rays:
-        pairs = _pairings(w, data)
-        i = next(j for j, c in enumerate(pairs) if c)
-        if i in bounds:
-            shifts.append((i, bounds[i], w, pairs[i]))
+    n = len(data.cone.rays)
+    shifts = [
+        (i, bound, *_divisor_period(data.cone, [int(j == i) for j in range(n)]))
+        for i, bound in bounds.items()
+    ]
     candidates = []
     for pairs, point in data.parallelotope:
-        for i, bound, w, c in shifts:
+        for i, bound, c, w in shifts:
             k = -((pairs[i] - bound) // c)
             if k > 0:
                 pairs = pairs[:i] + (pairs[i] + k * c,) + pairs[i + 1 :]
@@ -148,18 +145,9 @@ def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
 
 def _period(q: PureHeightOneIdeal) -> tuple[int, Vector]:
     """Order m of q's divisor class b and the character u with
-    <u, v_j> = m * b_j on every ray v_j.
-
-    u is ``_solve``'s solution of A u = m b, integral since m kills the class.
-    """
-    cone = q.context.cone
+    <u, v_j> = m * b_j on every ray v_j, from ``_divisor_period``."""
     b = divisor_class(q)
-    m = order_of_class(b, class_group_of(cone))
-    if m is None:
-        raise RuntimeError("the class of a height one ideal has infinite order")
-    u = _solve(cone, [m * c for c in b])
-    if u is None:
-        raise RuntimeError("the class order does not kill the class")
+    m, u = _divisor_period(q.context.cone, b)
     if _pairings(u, q.context) != tuple(m * c for c in b):
         raise RuntimeError("the period character does not pair to m times the divisor")
     return m, u

@@ -138,7 +138,7 @@ class TestClassOf:
 
     def test_needs_projection_data(self):
         group = AbelianGroupPresentation((2,), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="carries no Smith form"):
             class_of((1, 0), group)
 
     def test_dimension_check(self):

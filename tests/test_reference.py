@@ -23,7 +23,7 @@ from reference import (
     search_order_of_class,
 )
 from symtoric.class_group import class_group_of, class_of, order_of_class
-from symtoric.cones import _solve, dot, dual_cone, hilbert_basis, make_cone
+from symtoric.cones import _divisor_period, dot, dual_cone, hilbert_basis, make_cone
 from symtoric.exact_linalg import IntegerMatrix, determinant
 from symtoric.ideals import (
     MonomialIdeal,
@@ -71,23 +71,29 @@ def test_dual_cone_matches_adjugate_on_zoo(name, cone):
 
 @settings(deadline=None)
 @given(small_cones(), st.data())
-def test_solve_inverts_the_pairings(data, draw):
+def test_divisor_period_inverts_the_pairings(data, draw):
     cone = data.cone
     x = draw.draw(st.tuples(*[st.integers(-20, 20)] * cone.ambient_dim))
-    assert _solve(cone, [dot(x, ray) for ray in cone.rays]) == x
+    assert _divisor_period(cone, [dot(x, ray) for ray in cone.rays]) == (1, x)
 
 
 @settings(deadline=None)
 @given(small_cones(), st.data())
-def test_solve_fails_exactly_off_the_trivial_class(data, draw):
-    """A x = rhs has an integer solution exactly when rhs lies in the
-    image of the pairing map, the trivial class of the cokernel."""
+def test_divisor_period_is_the_class_order_and_its_character(data, draw):
+    """m is the order of the divisor's class in the cokernel of the pairing
+    map, 1 exactly on the trivial class, and u pairs to m times the
+    divisor; for the divisor e_j of ray j, u is the dual ray of ray j."""
     cone = data.cone
     group = class_group_of(cone)
-    rhs = draw.draw(st.tuples(*[st.integers(-20, 20)] * len(cone.rays)))
-    assert (_solve(cone, rhs) is None) == any(class_of(rhs, group))
-    m = order_of_class(rhs, group)
-    assert _solve(cone, [m * c for c in rhs]) is not None
+    n = len(cone.rays)
+    j = draw.draw(st.integers(0, n - 1))
+    unit = tuple(int(i == j) for i in range(n))
+    for b in (draw.draw(st.tuples(*[st.integers(-20, 20)] * n)), unit):
+        m, u = _divisor_period(cone, b)
+        assert m == order_of_class(b, group)
+        assert (m == 1) == (not any(class_of(b, group)))
+        assert [dot(u, ray) for ray in cone.rays] == [m * c for c in b]
+    assert u == next(w for w in adjugate_dual_rays(cone) if dot(w, cone.rays[j]) > 0)
 
 
 def check_ray_primes_match_basis_filter(data):

@@ -65,7 +65,7 @@ def test_no_cross_call_caches():
 def test_smith_witnesses_stay_below_the_ideal_layer():
     """A Smith form's witnesses U and V are read only in ``exact_linalg``,
     ``cones`` and ``class_group``: the ideal layer, the CLI and the du Val
-    catalog solve through ``cones._solve`` and the class group."""
+    catalog read periods through ``cones._divisor_period`` and the class group."""
     found = [
         f"{name}:{node.lineno} {node.attr}"
         for name, node in _source_nodes()
@@ -73,6 +73,18 @@ def test_smith_witnesses_stay_below_the_ideal_layer():
         and isinstance(node, ast.Attribute)
         and node.attr in ("U", "V")
     ]
+    assert found == []
+
+
+def test_ideals_import_nothing_from_class_group():
+    """The ideal layer reads a divisor's period from ``cones``, not from a
+    class-group presentation."""
+    found = []
+    for name, node in _source_nodes():
+        if name != "ideals.py" or not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        modules = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+        found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[-1] == "class_group"]
     assert found == []
 
 
