@@ -81,9 +81,9 @@ def make_cone(rays: Iterable[Sequence[int]], ambient_dim: int) -> Cone:
 
     Rays pointing in the same direction collapse to one.  A cone that
     contains a line through the origin is rejected: that happens exactly
-    when the negation of one of its rays is again a nonnegative rational
-    combination of the rays, which is decided by exact Fourier-Motzkin
-    elimination.
+    when the negation of one of its rays lies in the cone, which
+    ``_lineality_rays`` decides from the Smith forms of the (rank + 1)-ray
+    subsets; the error names the least such ray.
     """
     if ambient_dim < 1:
         raise ValueError("ambient dimension must be at least 1")
@@ -103,53 +103,29 @@ def make_cone(rays: Iterable[Sequence[int]], ambient_dim: int) -> Cone:
     simplicial = rank == len(unique)
     if not simplicial:
         # linearly independent rays always span a pointed cone; only the
-        # dependent case needs the feasibility check
-        for ray in unique:
-            negated = tuple(-x for x in ray)
-            if _cone_contains(unique, negated):
-                raise NotStronglyConvexError(
-                    f"cone contains the line through {ray}"
-                )
+        # dependent case can hold a line
+        lines = _lineality_rays(unique, rank)
+        if lines:
+            raise NotStronglyConvexError(f"cone contains the line through {min(lines)}")
     return Cone(ambient_dim, tuple(unique), simplicial, rank == ambient_dim, snf)
 
 
-def _normalize_inequality(coeffs: tuple[int, ...], rhs: int) -> tuple[tuple[int, ...], int]:
-    g = gcd(*(abs(c) for c in coeffs), abs(rhs))
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs //= g
-    return coeffs, rhs
+def _lineality_rays(rays: Sequence[Vector], rank: int) -> set[Vector]:
+    """The rays whose negation lies in the cone they span.
 
-
-def _cone_contains(rays: Sequence[Vector], target: Vector) -> bool:
-    """Exact test: is target a nonnegative rational combination of the rays?
-
-    Encodes the defining equations as pairs of inequalities in the
-    combination coefficients and eliminates the coefficients one at a time
-    (Fourier-Motzkin over the integers, normalizing by gcd).
+    -v is in the cone exactly when v has a positive coefficient in a
+    nonnegative dependency of the rays.  Such a dependency is a conformal
+    sum of one-signed circuits (Rockafellar 1969), and each circuit extends
+    to rank + 1 rays of full rank, whose only dependency it is: row ``rank``
+    of U in their Smith form U A V = S, since row ``rank`` of S is zero.
+    So C(len(rays), rank + 1) small Smith forms decide every ray.
     """
-    r = len(rays)
-    if r == 0:
-        return not any(target)
-    system: set[tuple[tuple[int, ...], int]] = set()
-    for j in range(len(target)):
-        row = tuple(ray[j] for ray in rays)
-        system.add(_normalize_inequality(row, target[j]))
-        system.add(_normalize_inequality(tuple(-x for x in row), -target[j]))
-    for i in range(r):
-        unit = tuple(1 if k == i else 0 for k in range(r))
-        system.add((unit, 0))
-    for k in range(r):
-        pos = [q for q in system if q[0][k] > 0]
-        neg = [q for q in system if q[0][k] < 0]
-        keep = {q for q in system if q[0][k] == 0}
-        for cp, rp in pos:
-            for cn, rn in neg:
-                a, b = cp[k], -cn[k]
-                coeffs = tuple(b * cp[idx] + a * cn[idx] for idx in range(r))
-                keep.add(_normalize_inequality(coeffs, b * rp + a * rn))
-        system = keep
-    return all(rhs <= 0 for _, rhs in system)
+    lines: set[Vector] = set()
+    for subset in itertools.combinations(rays, rank + 1):
+        dep = smith_normal_form(IntegerMatrix.from_rows(subset)).U.row(rank)
+        if min(dep) >= 0 or max(dep) <= 0:
+            lines.update(ray for ray, c in zip(subset, dep) if c)
+    return lines
 
 
 def _divisor_period(cone: Cone, divisor: Sequence[int]) -> tuple[int, Vector]:

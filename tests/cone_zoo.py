@@ -8,6 +8,7 @@ the exact linear algebra shows up as a fixture mismatch.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from symtoric import Cone, SemigroupData, hilbert_basis, make_cone
@@ -46,6 +47,10 @@ EXPECTED_DET = {
     "parity2": 2,
     "cyclic4": 4,
 }
+
+# not simplicial, so kept out of the fixtures: the cone over the 3-cube,
+# rays (+-1, +-1, +-1, 1)
+CUBE_RAYS = [(*signs, 1) for signs in itertools.product((-1, 1), repeat=3)]
 
 
 def build_cone(name: str) -> Cone:

@@ -24,7 +24,11 @@ so agreeing with them is evidence rather than a restatement:
   first symbolic power of that ray's valuation ideal;
 * ``search_order_of_class`` multiplies a divisor by k = 2, 3, ... up to
   the group exponent and projects each multiple, where the library reads
-  the order off the residues as lcm(d_i / gcd(r_i, d_i)).
+  the order off the residues as lcm(d_i / gcd(r_i, d_i));
+* ``fourier_motzkin_contains`` decides whether a point is a nonnegative
+  combination of rays by eliminating the coefficients one at a time,
+  where the library finds the rays whose negation lies in the cone from
+  the one-signed dependencies of its (rank + 1)-ray subsets.
 
 ``hull_hilbert_basis`` was never library code: it is the 2D description
 of the Hilbert basis as the lattice points on the bounded edges of the
@@ -220,6 +224,45 @@ def search_order_of_class(divisor: Sequence[int], group: AbelianGroupPresentatio
         if not any(res):
             return k
     raise RuntimeError("order search exceeded the group exponent")
+
+
+def _normalize_inequality(coeffs: tuple[int, ...], rhs: int) -> tuple[tuple[int, ...], int]:
+    g = gcd(*(abs(c) for c in coeffs), abs(rhs))
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+        rhs //= g
+    return coeffs, rhs
+
+
+def fourier_motzkin_contains(rays: Sequence[Vector], target: Vector) -> bool:
+    """Exact test: is target a nonnegative rational combination of the rays?
+
+    Encodes the defining equations as pairs of inequalities in the
+    combination coefficients and eliminates the coefficients one at a time
+    (Fourier-Motzkin over the integers, normalizing by gcd).
+    """
+    r = len(rays)
+    if r == 0:
+        return not any(target)
+    system: set[tuple[tuple[int, ...], int]] = set()
+    for j in range(len(target)):
+        row = tuple(ray[j] for ray in rays)
+        system.add(_normalize_inequality(row, target[j]))
+        system.add(_normalize_inequality(tuple(-x for x in row), -target[j]))
+    for i in range(r):
+        unit = tuple(1 if k == i else 0 for k in range(r))
+        system.add((unit, 0))
+    for k in range(r):
+        pos = [q for q in system if q[0][k] > 0]
+        neg = [q for q in system if q[0][k] < 0]
+        keep = {q for q in system if q[0][k] == 0}
+        for cp, rp in pos:
+            for cn, rn in neg:
+                a, b = cp[k], -cn[k]
+                coeffs = tuple(b * cp[idx] + a * cn[idx] for idx in range(r))
+                keep.add(_normalize_inequality(coeffs, b * rp + a * rn))
+        system = keep
+    return all(rhs <= 0 for _, rhs in system)
 
 
 def _cross(a: Sequence[int], b: Sequence[int]) -> int:

@@ -5,9 +5,12 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+from cone_zoo import CUBE_RAYS
+import symtoric
 from symtoric import cli, exact_linalg
 from symtoric.cli import main
 
@@ -17,6 +20,7 @@ KLEIN4_TEXT = "dim 3\n# three rays, two independent index-two quotients\n1 0 0\n
 SQUARE_TEXT = "dim 3\n0 0 1\n1 0 1\n0 1 1\n1 1 1\n"
 FLAT_TEXT = "dim 3\n1 0 0\n0 1 0\n"
 DET11_TEXT = "dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 2 3 11\n"
+CUBE_TEXT = "dim 4\n" + "".join(" ".join(map(str, ray)) + "\n" for ray in CUBE_RAYS)
 
 
 @pytest.fixture()
@@ -43,9 +47,14 @@ def det11_file(tmp_path):
 def count_eliminations(monkeypatch):
     """Count calls of the exact_linalg eliminations, wrapped wherever a
     symtoric module binds them, so a cofactor inside ``adjugate`` counts
-    as a ``determinant`` call."""
+    as a ``determinant`` call.
+
+    The modules are the ones this file imported, reached from its own
+    ``symtoric`` package rather than ``sys.modules``: another suite may
+    have re-imported symtoric since, and ``main`` here still calls the
+    first import."""
     counts = Counter()
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "symtoric"]
+    modules = [symtoric, *(m for m in vars(symtoric).values() if isinstance(m, ModuleType))]
     for name in ("smith_normal_form", "determinant", "adjugate"):
         original = getattr(exact_linalg, name)
 
@@ -150,6 +159,20 @@ class TestClassGroupReport:
         code, out, _ = run_cli(capsys, "classgroup", str(path))
         assert code == 0
         assert "free rank: 1\norder: infinite\nexponent: infinite\n" in out
+
+    def test_cube_golden(self, capsys, tmp_path):
+        path = tmp_path / "cube.cone"
+        path.write_text(CUBE_TEXT)
+        code, out, err = run_cli(capsys, "classgroup", str(path))
+        assert code == 0 and err == ""
+        assert out == (
+            f"command: classgroup {path}\n"
+            "input: sha256:25860f721106\n"
+            "invariant factors: [2, 2, 2]\n"
+            "free rank: 4\n"
+            "order: infinite\n"
+            "exponent: infinite\n"
+        )
 
 
 class TestMultiplierReport:

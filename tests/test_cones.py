@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_zoo import CONE_FIXTURES, all_cones, an_cone, splits_of
+from cone_zoo import CONE_FIXTURES, CUBE_RAYS, all_cones, an_cone, splits_of
+from symtoric.class_group import class_group_of
 from symtoric.cones import (
     NotStronglyConvexError,
     UnsupportedConeError,
@@ -53,12 +55,44 @@ class TestMakeCone:
         assert cone.is_simplicial and not cone.is_full
 
     def test_line_rejected(self):
-        with pytest.raises(NotStronglyConvexError):
+        with pytest.raises(NotStronglyConvexError, match=re.escape("through (-1, 0)")):
             make_cone([(1, 0), (-1, 0)], 2)
-        with pytest.raises(NotStronglyConvexError):
+        with pytest.raises(NotStronglyConvexError, match=re.escape("through (-1, -1)")):
             make_cone([(1, 0), (0, 1), (-1, -1)], 2)
-        with pytest.raises(NotStronglyConvexError):
+        with pytest.raises(NotStronglyConvexError, match=re.escape("through (-1, -1)")):
             make_cone([(1, 1), (-2, -2)], 2)
+
+    def test_cone_over_the_cube(self):
+        # the line test reads C(8, 5) = 56 Smith forms of five rays each
+        cone = make_cone(CUBE_RAYS, 4)
+        assert len(cone.rays) == 8
+        assert cone.is_full and not cone.is_simplicial
+        group = class_group_of(cone)
+        assert group.invariant_factors == (2, 2, 2)
+        assert group.free_rank == 4
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [
+                (5, 2, 7), (1, 5, -2), (1, -4, -6), (6, 6, -2), (7, 8, -6), (4, -9, -3),
+                (7, -1, -4), (7, -4, -7), (3, 5, -5), (3, -9, -9), (4, -3, -4), (3, 0, 1),
+            ],
+            [
+                (2, 9, -7), (3, -6, 6), (7, 5, 6), (6, 3, -3), (1, 6, -9), (7, 3, 4),
+                (5, -9, 5), (3, -2, 9), (1, 1, -9), (1, -9, 8), (1, 3, -3), (4, -9, 7),
+            ],
+        ],
+    )
+    def test_twelve_pointed_rays_in_3d(self, rays):
+        cone = make_cone(rays, 3)
+        assert len(cone.rays) == 12
+        assert cone.is_full and not cone.is_simplicial
+
+    def test_line_through_the_cube_names_the_least_ray(self):
+        message = "cone contains the line through (-1, -1, -1, 1)"
+        with pytest.raises(NotStronglyConvexError, match=f"^{re.escape(message)}$"):
+            make_cone([*CUBE_RAYS, (0, 0, 0, -1)], 4)
 
     def test_zero_ray_rejected(self):
         with pytest.raises(ValueError, match="ray 1"):

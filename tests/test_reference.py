@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cone_zoo import all_cones, all_semigroups, build_cone
+from cone_zoo import CUBE_RAYS, all_cones, all_semigroups, build_cone
 from reference import (
     adjugate_dual_rays,
     basis_ray_prime,
@@ -18,13 +18,23 @@ from reference import (
     box_scan_size,
     closure_minimal_generators,
     combination_ordinary_power,
+    fourier_motzkin_contains,
     hull_hilbert_basis,
     quadratic_minimalize,
     search_order_of_class,
 )
 from symtoric.class_group import class_group_of, class_of, order_of_class
-from symtoric.cones import _divisor_period, dot, dual_cone, hilbert_basis, make_cone
-from symtoric.exact_linalg import IntegerMatrix, determinant
+from symtoric.cones import (
+    NotStronglyConvexError,
+    _divisor_period,
+    _lineality_rays,
+    dot,
+    dual_cone,
+    hilbert_basis,
+    make_cone,
+    primitive,
+)
+from symtoric.exact_linalg import IntegerMatrix, determinant, smith_normal_form
 from symtoric.ideals import (
     MonomialIdeal,
     PureHeightOneIdeal,
@@ -288,3 +298,59 @@ def test_order_of_class_on_non_simplicial_cone():
 @given(simplicial_cones(2, 2, 8))
 def test_hilbert_basis_matches_hull_2d(cone):
     assert hilbert_basis(cone).hilbert_basis == hull_hilbert_basis(cone)
+
+
+def rank_of(rows):
+    return sum(1 for f in smith_normal_form(IntegerMatrix.from_rows(rows)).invariant_factors if f)
+
+
+def check_lineality_matches_fourier_motzkin(rays, n):
+    """The rays whose negation Fourier-Motzkin puts in the cone are the
+    lineality rays, and make_cone names the least of them or succeeds."""
+    unique = sorted({primitive(ray) for ray in rays})
+    lines = _lineality_rays(unique, rank_of(unique))
+    assert lines == {v for v in unique if fourier_motzkin_contains(unique, tuple(-x for x in v))}
+    if lines:
+        message = f"cone contains the line through {min(lines)}"
+        with pytest.raises(NotStronglyConvexError) as caught:
+            make_cone(rays, n)
+        assert str(caught.value) == message
+    else:
+        assert not make_cone(rays, n).is_simplicial
+
+
+@st.composite
+def dependent_rays(draw):
+    """2D-3D ray lists of d + 1 to d + 3 nonzero rays, entries -2..2;
+    Fourier-Motzkin stays within milliseconds on these."""
+    n = draw(st.integers(2, 3))
+    ray = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    return draw(st.lists(ray, min_size=n + 1, max_size=n + 3)), n
+
+
+@settings(deadline=None, max_examples=300)
+@given(dependent_rays())
+def test_lineality_rays_match_fourier_motzkin(drawn):
+    rays, n = drawn
+    unique = {primitive(ray) for ray in rays}
+    assume(rank_of(unique) < len(unique))
+    check_lineality_matches_fourier_motzkin(rays, n)
+
+
+# 4D draws can keep Fourier-Motzkin busy for seconds, so 4D uses fixed rows
+@pytest.mark.parametrize(
+    "rays",
+    [
+        CUBE_RAYS[:5],
+        CUBE_RAYS[:5] + [(0, 0, 0, -1)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, 0, 0), (0, 0, 0, 1)],
+        [(1, 0, 0, 1), (0, 1, 0, 1), (-1, -1, 0, 1), (0, 0, 1, 0), (0, 0, -1, 0)],
+        [(1, 2, 0, 0), (-1, -2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)],
+    ],
+)
+def test_lineality_rays_match_fourier_motzkin_4d(rays):
+    assert rank_of(rays) < len(rays)
+    check_lineality_matches_fourier_motzkin(rays, 4)
