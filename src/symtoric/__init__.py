@@ -23,6 +23,7 @@ from .class_group import (
 )
 from .cones import (
     Cone,
+    HilbertBasis,
     NotStronglyConvexError,
     SemigroupData,
     UnsupportedConeError,
@@ -32,6 +33,7 @@ from .cones import (
     in_semigroup,
     make_cone,
     primitive,
+    semigroup_data,
     semigroup_member,
 )
 from .duval import DuValRecord, OutOfCatalogError, cross_check_an, lookup
@@ -68,6 +70,7 @@ __all__ = [
     "DimensionError",
     "DivisorClass",
     "DuValRecord",
+    "HilbertBasis",
     "IntegerMatrix",
     "LevelCheck",
     "MonomialIdeal",
@@ -101,6 +104,7 @@ __all__ = [
     "presentation_matrix",
     "primitive",
     "ray_prime",
+    "semigroup_data",
     "semigroup_member",
     "smith_normal_form",
     "symbolic_power",

@@ -25,11 +25,13 @@ __all__ = [
     "Vector",
     "Cone",
     "SemigroupData",
+    "HilbertBasis",
     "NotStronglyConvexError",
     "UnsupportedConeError",
     "primitive",
     "make_cone",
     "dual_cone",
+    "semigroup_data",
     "hilbert_basis",
     "in_semigroup",
     "semigroup_member",
@@ -156,23 +158,36 @@ def dual_cone(cone: Cone) -> Cone:
     return make_cone([_divisor_period(cone, e)[1] for e in units], n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemigroupData:
     """Dual semigroup of a simplicial full cone, ready for monomial work.
 
-    ``pairing_table[i][j]`` is the pairing of Hilbert basis element i with
-    cone ray j; both lists are lex-sorted.  ``parallelotope`` holds one
-    (pairing vector, point) pair per lattice point of the half-open
-    parallelotope of the dual rays, the origin included: every semigroup
-    element is exactly one of those points plus a nonnegative integer
-    combination of the dual rays.
+    ``dual_rays`` is lex-sorted.  ``parallelotope`` holds one (pairing
+    vector, point) pair per lattice point of the half-open parallelotope
+    of the dual rays, the origin included: every semigroup element is
+    exactly one of those points plus a nonnegative integer combination of
+    the dual rays.  The cone determines every other field, so contexts
+    compare by cone, whichever builder made them.
     """
 
     cone: Cone
     dual_rays: tuple[Vector, ...]
+    parallelotope: tuple[tuple[tuple[int, ...], Vector], ...] = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SemigroupData) and self.cone == other.cone
+
+    def __hash__(self) -> int:
+        return hash(self.cone)
+
+
+@dataclass(frozen=True, eq=False)
+class HilbertBasis(SemigroupData):
+    """Semigroup data with its Hilbert basis, lex-sorted, and
+    ``pairing_table[i][j]``, the pairing of basis element i with cone ray j."""
+
     hilbert_basis: tuple[Vector, ...]
     pairing_table: tuple[tuple[int, ...], ...]
-    parallelotope: tuple[tuple[tuple[int, ...], Vector], ...] = field(compare=False, repr=False)
 
 
 def _parallelotope(
@@ -202,19 +217,24 @@ def _parallelotope(
     return tuple(points)
 
 
-def hilbert_basis(cone: Cone) -> SemigroupData:
+def semigroup_data(cone: Cone) -> SemigroupData:
+    """Dual rays and |det W| dual parallelotope points of a simplicial full cone."""
+    dual = dual_cone(cone)
+    return SemigroupData(cone, dual.rays, _parallelotope(dual, cone.rays))
+
+
+def hilbert_basis(cone: Cone) -> HilbertBasis:
     """Hilbert basis of the dual semigroup of a simplicial full cone.
 
     Every semigroup element is a dual-ray translate of a lattice point of
     the half-open fundamental parallelotope of the dual rays, so the
     irreducible elements all sit among those points and the dual rays
-    themselves.  The points come from ``_parallelotope``; a candidate is
+    themselves.  Both come from ``semigroup_data``; a candidate is
     dropped when subtracting another candidate leaves a semigroup element.
     """
-    dual = dual_cone(cone)
+    data = semigroup_data(cone)
     rays = cone.rays
-    par = _parallelotope(dual, rays)
-    candidates: set[Vector] = set(dual.rays) | {p for _, p in par if any(p)}
+    candidates: set[Vector] = set(data.dual_rays) | {p for _, p in data.parallelotope if any(p)}
 
     def reducible(h: Vector) -> bool:
         for g in candidates:
@@ -227,7 +247,7 @@ def hilbert_basis(cone: Cone) -> SemigroupData:
 
     basis = tuple(h for h in sorted(candidates) if not reducible(h))
     table = tuple(tuple(dot(h, ray) for ray in rays) for h in basis)
-    return SemigroupData(cone, dual.rays, basis, table, par)
+    return HilbertBasis(cone, data.dual_rays, data.parallelotope, basis, table)
 
 
 def in_semigroup(point: Sequence[int], data: SemigroupData) -> bool:
@@ -239,7 +259,7 @@ def in_semigroup(point: Sequence[int], data: SemigroupData) -> bool:
     return all(dot(point, ray) >= 0 for ray in data.cone.rays)
 
 
-def semigroup_member(point: Sequence[int], data: SemigroupData) -> tuple[int, ...] | None:
+def semigroup_member(point: Sequence[int], data: HilbertBasis) -> tuple[int, ...] | None:
     """Decompose a point over the Hilbert basis, or report non-membership.
 
     Returns a coefficient tuple aligned with ``data.hilbert_basis`` such

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from symtoric import Cone, SemigroupData, hilbert_basis, make_cone
+from symtoric import Cone, HilbertBasis, SemigroupData, hilbert_basis, make_cone
 from symtoric.cones import dot
 
 CONE_FIXTURES: list[tuple[str, list[tuple[int, ...]]]] = [
@@ -62,7 +62,7 @@ def all_cones() -> list[tuple[str, Cone]]:
     return [(name, make_cone(rays, len(rays[0]))) for name, rays in CONE_FIXTURES]
 
 
-def all_semigroups() -> list[tuple[str, SemigroupData]]:
+def all_semigroups() -> list[tuple[str, HilbertBasis]]:
     return [(name, hilbert_basis(cone)) for name, cone in all_cones()]
 
 

@@ -30,10 +30,13 @@ so agreeing with them is evidence rather than a restatement:
   where the library finds the rays whose negation lies in the cone from
   the one-signed dependencies of its (rank + 1)-ray subsets.
 
-``hull_hilbert_basis`` was never library code: it is the 2D description
-of the Hilbert basis as the lattice points on the bounded edges of the
-convex hull of the dual cone's nonzero lattice points (Cox, Little and
-Schenck, *Toric Varieties*, section 10.2), with its own dual rays.
+``hull_hilbert_basis`` and ``chain_hilbert_basis`` were never library
+code.  The first is the 2D description of the Hilbert basis as the
+lattice points on the bounded edges of the convex hull of the dual
+cone's nonzero lattice points (Cox, Little and Schenck, *Toric
+Varieties*, section 10.2); the second walks those points as the
+Hirzebruch-Jung chain u_(i+1) = b_i u_i - u_(i-1) from one dual ray to
+the other.  Both find their own dual rays.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from math import gcd
 from typing import Sequence
 
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
-from symtoric.cones import Cone, SemigroupData, Vector, dot, primitive
+from symtoric.cones import Cone, HilbertBasis, SemigroupData, Vector, dot, primitive
 from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant
 from symtoric.ideals import MonomialIdeal
 
@@ -142,7 +145,7 @@ def quadratic_minimalize(points: Sequence[Vector], data: SemigroupData) -> tuple
     return tuple(kept)
 
 
-def basis_ray_prime(data: SemigroupData, ray_index: int) -> tuple[Vector, ...]:
+def basis_ray_prime(data: HilbertBasis, ray_index: int) -> tuple[Vector, ...]:
     """Minimal generators of the prime of the divisor on one ray.
 
     A monomial pairing positively with the ray is a sum of Hilbert basis
@@ -162,7 +165,7 @@ def combination_ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdea
     return MonomialIdeal(ideal.context, quadratic_minimalize(sums, ideal.context))
 
 
-def closure_minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:
+def closure_minimal_generators(data: HilbertBasis, bounds: dict[int, int]) -> tuple[Vector, ...]:
     """Minimal generators of {m in the semigroup : <m, ray_i> >= bounds[i]}.
 
     Search bound: a minimal generator stays strictly below bound + C on
@@ -269,22 +272,27 @@ def _cross(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def hull_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
-    """Hilbert basis of the dual semigroup of a full 2D cone.
-
-    The dual rays are the normals of the two rays, each turned to pair
-    positively with the other ray.  The bounded edges of the hull run from
-    one dual ray to the other inside the closed parallelogram they span,
-    so gift wrapping over that parallelogram's nonzero lattice points,
-    always turning as far towards the origin as the points allow, walks
-    them vertex by vertex; every lattice point on an edge is kept.
-    """
+def _dual_rays_2d(cone: Cone) -> tuple[Vector, Vector]:
+    """The normals of a full 2D cone's two rays, each turned to pair
+    positively with the other ray."""
     v1, v2 = cone.rays
     duals = []
     for v, other in ((v1, v2), (v2, v1)):
         normal = (-v[1], v[0])
         duals.append(normal if dot(normal, other) > 0 else (v[1], -v[0]))
-    w1, w2 = duals
+    return duals[0], duals[1]
+
+
+def hull_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
+    """Hilbert basis of the dual semigroup of a full 2D cone.
+
+    The bounded edges of the hull run from one dual ray to the other
+    inside the closed parallelogram they span, so gift wrapping over that
+    parallelogram's nonzero lattice points, always turning as far towards
+    the origin as the points allow, walks them vertex by vertex; every
+    lattice point on an edge is kept.
+    """
+    w1, w2 = _dual_rays_2d(cone)
     det = _cross(w1, w2)
     sign = 1 if det > 0 else -1
     corners = (w1, w2, (w1[0] + w2[0], w1[1] + w2[1]))
@@ -313,3 +321,51 @@ def hull_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
         basis += [(vertex[0] + k * dx // g, vertex[1] + k * dy // g) for k in range(1, g + 1)]
         vertex = nxt
     return tuple(sorted(basis))
+
+
+def hirzebruch_jung(d: int, k: int) -> list[int]:
+    """[b_1, ..., b_r] with d/k = b_1 - 1/(b_2 - 1/(... - 1/b_r)), all b_i >= 2."""
+    fraction = []
+    while k:
+        b = -(-d // k)
+        fraction.append(b)
+        d, k = k, b * k - d
+    return fraction
+
+
+def _bezout(p: int, q: int) -> tuple[int, int]:
+    """x, y with p x + q y = 1, for coprime p and q."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while q:
+        t, r = divmod(p, q)
+        p, q = q, r
+        x0, y0, x1, y1 = x1, y1, x0 - t * x1, y0 - t * y1
+    return (x0, y0) if p == 1 else (-x0, -y0)
+
+
+def chain_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
+    """Hilbert basis of the dual semigroup of a full 2D cone as the
+    Hirzebruch-Jung chain of the dual cone (Cox, Little and Schenck,
+    *Toric Varieties*, section 10.2).
+
+    With dual rays a and b, d = |det(a, b)| and s its sign, take c with
+    det(a, c) = s, shifted along a so that b = d c - k a with 0 <= k < d.
+    Then u_0 = a, u_1 = c and u_(i+1) = b_i u_i - u_(i-1), where
+    d/k = [[b_1, ..., b_r]], walks the lattice points on the bounded
+    edges of the hull of the dual cone's nonzero lattice points and ends
+    at b.
+    """
+    a, b = _dual_rays_2d(cone)
+    det = _cross(a, b)
+    d, s = abs(det), (1 if det > 0 else -1)
+    x, y = _bezout(*a)
+    c = (-s * y, s * x)
+    alpha = s * _cross(b, c)  # b = alpha a + d c
+    k = -alpha % d
+    t = (alpha + k) // d
+    chain = [a, (c[0] + t * a[0], c[1] + t * a[1])]
+    for bi in hirzebruch_jung(d, k):
+        chain.append(tuple(bi * p - q for p, q in zip(chain[-1], chain[-2])))
+    if chain[-1] != b:
+        raise RuntimeError(f"the chain ends at {chain[-1]}, not at the dual ray {b}")
+    return tuple(sorted(chain))

@@ -11,7 +11,7 @@ import pytest
 
 from cone_zoo import CUBE_RAYS
 import symtoric
-from symtoric import cli, exact_linalg
+from symtoric import cli, cones, exact_linalg
 from symtoric.cli import main
 
 A1_TEXT = "dim 2\n1 0\n1 2\n"
@@ -44,10 +44,9 @@ def det11_file(tmp_path):
     return str(path)
 
 
-def count_eliminations(monkeypatch):
-    """Count calls of the exact_linalg eliminations, wrapped wherever a
-    symtoric module binds them, so a cofactor inside ``adjugate`` counts
-    as a ``determinant`` call.
+def count_calls(monkeypatch, source, names):
+    """Count calls of the named functions of module ``source``, wrapped
+    wherever a symtoric module binds them, so calls between them count too.
 
     The modules are the ones this file imported, reached from its own
     ``symtoric`` package rather than ``sys.modules``: another suite may
@@ -55,8 +54,8 @@ def count_eliminations(monkeypatch):
     first import."""
     counts = Counter()
     modules = [symtoric, *(m for m in vars(symtoric).values() if isinstance(m, ModuleType))]
-    for name in ("smith_normal_form", "determinant", "adjugate"):
-        original = getattr(exact_linalg, name)
+    for name in names:
+        original = getattr(source, name)
 
         def counting(*args, _name=name, _original=original):
             counts[_name] += 1
@@ -67,6 +66,12 @@ def count_eliminations(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return counts
+
+
+def count_eliminations(monkeypatch):
+    """Count the exact_linalg eliminations; a cofactor inside ``adjugate``
+    counts as a ``determinant`` call."""
+    return count_calls(monkeypatch, exact_linalg, ("smith_normal_form", "determinant", "adjugate"))
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +234,23 @@ class TestEliminationCounts:
         counts = count_eliminations(monkeypatch)
         assert run_cli(capsys, *argv, det11_file) == expected
         assert counts == {"smith_normal_form": smith_forms}
+
+
+class TestHilbertBasisCalls:
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (("verify", "--ray", "0", "--D", "11", "--amax", "1"), 0),
+            (("sharpness", "--ray", "0", "--D", "10", "--amax", "1"), 0),
+            (("cone", "hilbert"), 1),
+        ],
+    )
+    def test_only_cone_hilbert_builds_a_basis(self, capsys, det11_file, monkeypatch, argv, calls):
+        # the ideal layer reads the dual rays and the parallelotope alone
+        expected = run_cli(capsys, *argv, det11_file)
+        counts = count_calls(monkeypatch, cones, ("hilbert_basis",))
+        assert run_cli(capsys, *argv, det11_file) == expected
+        assert counts["hilbert_basis"] == calls
 
 
 class TestVerifyCommand:
@@ -432,9 +454,9 @@ class TestErrorPaths:
     )
     def test_bad_ideal(self, capsys, a1_file, monkeypatch, options, message):
         def unexpected(cone):
-            pytest.fail("the Hilbert basis was built before the ideal was checked")
+            pytest.fail("the parallelotope was built before the ideal was checked")
 
-        monkeypatch.setattr(cli, "hilbert_basis", unexpected)
+        monkeypatch.setattr(cli, "semigroup_data", unexpected)
         err = self.check_error(capsys, "verify", a1_file, *options, "--D", "1", "--amax", "1")
         assert err == f"error: {message}\n"
 
@@ -460,9 +482,9 @@ class TestErrorPaths:
         self, capsys, a1_file, monkeypatch, multiplier, amax, option
     ):
         def unexpected(cone):
-            pytest.fail(f"the Hilbert basis was built before {option} was checked")
+            pytest.fail(f"the parallelotope was built before {option} was checked")
 
-        monkeypatch.setattr(cli, "hilbert_basis", unexpected)
+        monkeypatch.setattr(cli, "semigroup_data", unexpected)
         err = self.check_error(
             capsys, "verify", a1_file, "--ray", "0", "--D", multiplier, "--amax", amax
         )
@@ -471,9 +493,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("ray", ["9", "-1"])
     def test_bad_ray_index_before_hilbert_basis(self, capsys, klein4_file, monkeypatch, ray):
         def unexpected(cone):
-            pytest.fail("the Hilbert basis was built before the ray index was checked")
+            pytest.fail("the parallelotope was built before the ray index was checked")
 
-        monkeypatch.setattr(cli, "hilbert_basis", unexpected)
+        monkeypatch.setattr(cli, "semigroup_data", unexpected)
         err = self.check_error(
             capsys, "verify", klein4_file, "--ray", ray, "--D", "1", "--amax", "1"
         )

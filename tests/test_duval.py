@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from reference import hirzebruch_jung
 from symtoric.class_group import (
     AbelianGroupPresentation,
     class_group_of,
@@ -111,16 +112,6 @@ def intersection_matrix(
     for i, j in edges:
         rows[i][j] = rows[j][i] = 1
     return rows
-
-
-def hirzebruch_jung(d: int, k: int) -> list[int]:
-    """[b_1, ..., b_r] with d/k = b_1 - 1/(b_2 - 1/(... - 1/b_r)), all b_i >= 2."""
-    fraction = []
-    while k:
-        b = -(-d // k)
-        fraction.append(b)
-        d, k = k, b * k - d
-    return fraction
 
 
 def dynkin_edges(family: str, n: int) -> list[tuple[int, int]]:

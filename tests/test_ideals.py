@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cone_zoo import all_semigroups, an_cone, build_cone
 from symtoric.class_group import class_group_of, order_of_class
-from symtoric.cones import dot, hilbert_basis, in_semigroup, make_cone
+from symtoric.cones import dot, hilbert_basis, in_semigroup, make_cone, semigroup_data
 from symtoric.exact_linalg import DimensionError
 from symtoric.ideals import (
     ContainmentReport,
@@ -392,3 +392,17 @@ class TestMonomialIdealEquality:
         a = MonomialIdeal(a1_data, gens, ((0, 1),))
         b = MonomialIdeal(a1_data, gens, None)
         assert a == b
+
+    def test_contexts_of_one_cone_mix(self):
+        # semigroup_data and hilbert_basis contexts compare by cone, so
+        # ideals over either are equal and intersect
+        cone = make_cone([(1, 0), (1, 2)], 2)
+        lattice, basis = semigroup_data(cone), hilbert_basis(cone)
+        assert lattice == basis and basis == lattice and hash(lattice) == hash(basis)
+        assert lattice.dual_rays == basis.dual_rays
+        assert lattice.parallelotope == basis.parallelotope
+        assert lattice != semigroup_data(make_cone([(1, 0), (1, 3)], 2))
+        assert ray_prime(lattice, 0) == ray_prime(basis, 0)
+        meet = intersect_valuation_ideals([ray_prime(lattice, 0), ray_prime(basis, 1)])
+        assert meet.generators == ((1, 0),)
+        assert meet == intersect_valuation_ideals([ray_prime(basis, 0), ray_prime(lattice, 1)])

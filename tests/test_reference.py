@@ -16,6 +16,7 @@ from reference import (
     basis_ray_prime,
     box_scan_hilbert_basis,
     box_scan_size,
+    chain_hilbert_basis,
     closure_minimal_generators,
     combination_ordinary_power,
     fourier_motzkin_contains,
@@ -297,7 +298,9 @@ def test_order_of_class_on_non_simplicial_cone():
 @settings(deadline=None)
 @given(simplicial_cones(2, 2, 8))
 def test_hilbert_basis_matches_hull_2d(cone):
-    assert hilbert_basis(cone).hilbert_basis == hull_hilbert_basis(cone)
+    basis = hilbert_basis(cone).hilbert_basis
+    assert basis == hull_hilbert_basis(cone)
+    assert basis == chain_hilbert_basis(cone)
 
 
 def rank_of(rows):
