@@ -24,6 +24,10 @@ from .ideals import find_sharpness_witness, verify_containment
 
 __all__ = ["main"]
 
+# largest n for ``duval check-an n``: one cone and one class group per
+# k <= n, about 0.06 ms each, so the bound keeps a request near a second
+_MAX_CHECK_AN = 10_000
+
 
 class CliError(ValueError):
     """Input problem; reported on stderr with exit code 1."""
@@ -241,6 +245,8 @@ def _cmd_duval(ns: argparse.Namespace, cone: None) -> tuple[list[str], int]:
     if ns.family == "check-an":
         if ns.n < 1:
             raise CliError(f"check-an needs a positive bound, got {ns.n}")
+        if ns.n > _MAX_CHECK_AN:
+            raise CliError(f"check-an bound {ns.n} is above the limit of {_MAX_CHECK_AN}")
         results = [cross_check_an(k) for k in range(1, ns.n + 1)]
         lines = [f"n = {k}: {'ok' if ok else 'MISMATCH'}" for k, ok in enumerate(results, 1)]
         passed = all(results)

@@ -11,6 +11,9 @@ so agreeing with them is evidence rather than a restatement:
 * ``closure_minimal_generators`` closes over sums of Hilbert basis
   elements inside a capped box of pairings;
 * ``quadratic_minimalize`` tests every candidate against every other;
+* ``difference_member`` asks whether the point minus some generator lies
+  in the dual semigroup, recomputing every pairing, where the library
+  compares the point's pairings with the ones the ideal stores;
 * ``combination_ordinary_power`` sums every combination of generators as
   points and minimalizes those with ``quadratic_minimalize``, where the
   library sums packed pairing keys and forms points only for the minimal
@@ -143,6 +146,17 @@ def quadratic_minimalize(points: Sequence[Vector], data: SemigroupData) -> tuple
         ):
             kept.append(p)
     return tuple(kept)
+
+
+def difference_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
+    """Membership in a monomial ideal: the point is a semigroup translate
+    of a generator, so its difference with that generator pairs
+    nonnegatively with every ray."""
+    rays = ideal.context.cone.rays
+    return any(
+        all(dot([a - b for a, b in zip(point, g)], ray) >= 0 for ray in rays)
+        for g in ideal.generators
+    )
 
 
 def basis_ray_prime(data: HilbertBasis, ray_index: int) -> tuple[Vector, ...]:

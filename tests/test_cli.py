@@ -434,6 +434,8 @@ class TestErrorPaths:
     def test_check_an_bad_bound(self, capsys):
         err = self.check_error(capsys, "duval", "check-an", "0")
         assert err == "error: check-an needs a positive bound, got 0\n"
+        err = self.check_error(capsys, "duval", "check-an", "10001")
+        assert err == "error: check-an bound 10001 is above the limit of 10000\n"
 
     def test_bad_b_list(self, capsys, a1_file):
         err = self.check_error(

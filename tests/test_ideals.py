@@ -393,6 +393,14 @@ class TestMonomialIdealEquality:
         b = MonomialIdeal(a1_data, gens, None)
         assert a == b
 
+    def test_stored_pairings_ignored_in_comparison_and_repr(self, a1_data):
+        gens = ((1, 0), (2, -1))
+        a = MonomialIdeal(a1_data, gens)
+        b = MonomialIdeal(a1_data, gens, None, ((0, 0), (0, 0)))
+        assert a.pairings == ((1, 1), (2, 0))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "pairings" not in repr(a)
+
     def test_contexts_of_one_cone_mix(self):
         # semigroup_data and hilbert_basis contexts compare by cone, so
         # ideals over either are equal and intersect

@@ -19,6 +19,7 @@ from reference import (
     chain_hilbert_basis,
     closure_minimal_generators,
     combination_ordinary_power,
+    difference_member,
     fourier_motzkin_contains,
     hull_hilbert_basis,
     quadratic_minimalize,
@@ -44,6 +45,8 @@ from symtoric.ideals import (
     _pairings,
     _period,
     divisor_class,
+    ideal_member,
+    intersect_valuation_ideals,
     ordinary_power,
     ray_prime,
     symbolic_power,
@@ -144,7 +147,9 @@ def test_minimal_generators_match_closure(data, draw):
     nrays = len(data.cone.rays)
     rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
     bounds = {ray: draw.draw(st.integers(1, 12)) for ray in rays}
-    assert _minimal_generators(data, bounds) == closure_minimal_generators(data, bounds)
+    gens, pairs = _minimal_generators(data, bounds)
+    assert gens == closure_minimal_generators(data, bounds)
+    assert pairs == tuple(_pairings(g, data) for g in gens)
 
 
 def check_symbolic_powers_match_closure(q):
@@ -202,11 +207,11 @@ def zoo_ideals():
 @pytest.mark.parametrize("data, components", zoo_ideals())
 def test_period_pairs_to_class_order(data, components):
     q = PureHeightOneIdeal(data, components)
-    m, u = _period(q)
+    m, u, step = _period(q)
     b = divisor_class(q)
     assert m == search_order_of_class(b, class_group_of(data.cone))
     # m * b_i on q's rays, 0 on the others
-    assert _pairings(u, data) == tuple(m * c for c in b)
+    assert _pairings(u, data) == step == tuple(m * c for c in b)
     assert symbolic_power(q, m).generators == (u,)
 
 
@@ -220,7 +225,44 @@ def test_minimalize_matches_quadratic(data, draw):
         for coeffs in draw.draw(st.lists(combos, min_size=1, max_size=12))
     ]
     candidates = [(_pairings(p, data), p) for p in points]
-    assert _minimalize(candidates) == quadratic_minimalize(points, data)
+    kept, pairs = _minimalize(candidates)
+    assert kept == quadratic_minimalize(points, data)
+    assert pairs == tuple(_pairings(p, data) for p in kept)
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_stored_pairings_match_generators(data, draw):
+    """Every builder's stored pairing vectors are the generators' own, and
+    membership read from them agrees with the difference-vector test."""
+    nrays = len(data.cone.rays)
+    rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
+    q = PureHeightOneIdeal(data, tuple((ray, draw.draw(st.integers(1, 3))) for ray in rays))
+    m = _period(q)[0]
+    prime = ray_prime(data, rays[0])
+    # below, at and above the period, and in the third period
+    powers = [symbolic_power(q, e) for e in sorted({1, max(1, m - 1), m, m + 1, 2 * m + 1})]
+    ideals = [prime, *powers, MonomialIdeal(data, powers[-1].generators)]
+    for base in (prime, powers[0]):
+        for a in range(1, 4):
+            if comb(len(base.generators) + a - 1, a) <= 2000:
+                ideals.append(ordinary_power(base, a))
+    ideals.append(intersect_valuation_ideals([prime, symbolic_power(q, 2)]))
+    ideals.append(intersect_valuation_ideals([ray_prime(data, ray) for ray in range(nrays)]))
+    for ideal in ideals:
+        assert ideal.pairings == tuple(_pairings(g, data) for g in ideal.generators)
+    # each generator, and its steps up and down along every dual ray
+    zero = (0,) * data.cone.ambient_dim
+    offsets = [zero, *data.dual_rays, *(tuple(-c for c in w) for w in data.dual_rays)]
+    points = {
+        tuple(a + b for a, b in zip(g, w))
+        for ideal in ideals
+        for g in ideal.generators
+        for w in offsets
+    }
+    for ideal in ideals:
+        for point in points:
+            assert ideal_member(point, ideal) == difference_member(point, ideal)
 
 
 @settings(deadline=None)
@@ -250,8 +292,11 @@ def test_ordinary_power_guard_bits(value, power):
         for exps in itertools.product(range(power + 1), repeat=3)
         if sum(exps) == power
     )
-    assert ordinary_power(ideal, power).generators == expected
-    assert ordinary_power(ideal, power) == combination_ordinary_power(ideal, power)
+    result = ordinary_power(ideal, power)
+    assert result.generators == expected
+    assert result == combination_ordinary_power(ideal, power)
+    # the rays are lex sorted, so pairings list the coordinates last first
+    assert result.pairings == tuple(g[::-1] for g in expected)
 
 
 @st.composite
