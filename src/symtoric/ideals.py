@@ -9,19 +9,15 @@ translated by the period character.  Ordinary powers are generated by
 sums of generators; comparing the two detects whether a multiplier D puts
 every D*a-th symbolic power inside the a-th ordinary power.
 
-Every ideal stores its generators' pairing vectors, and membership and
-ordinary powers read them there.  The builders here never recompute
-them: minimal generators come with the pairings of the parallelotope
-points they were shifted from, a translation by k times the period
-character adds k times its pairing vector, and the minimal sums of an
-ordinary power unpack theirs from the packed keys they were compared by.
+Every ideal computes its generators' pairing vectors once, when it is
+created, and membership and ordinary powers read them there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from operator import ge, itemgetter
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from .cones import SemigroupData, Vector, _divisor_period, dot
@@ -52,21 +48,19 @@ class MonomialIdeal:
     valuation ideal, the (ray index, lower bound) pairs defining it;
     ordinary powers drop it since they are not valuation ideals in
     general.  ``pairings`` holds each generator's ray pairings, in
-    generator order: the builders of this module pass in the vectors they
-    already hold, and for an ideal built without them ``__post_init__``
-    computes them.  Equality, hash and repr see context and generators
-    (and the repr the bounds) only.
+    generator order; it is computed from the generators when the ideal is
+    created and is not a constructor argument.  Equality, hash and repr
+    see context and generators (and the repr the bounds) only.
     """
 
     context: SemigroupData
     generators: tuple[Vector, ...]
     valuation_bounds: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
-    pairings: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
+    pairings: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.pairings is None:
-            rows = tuple(_pairings(g, self.context) for g in self.generators)
-            object.__setattr__(self, "pairings", rows)
+        rows = tuple(_pairings(g, self.context) for g in self.generators)
+        object.__setattr__(self, "pairings", rows)
 
 
 @dataclass(frozen=True)
@@ -109,12 +103,9 @@ def _pairings(point: Vector, data: SemigroupData) -> tuple[int, ...]:
     return tuple(dot(point, ray) for ray in data.cone.rays)
 
 
-def _minimalize(
-    candidates: Iterable[tuple[tuple[int, ...], Vector]],
-) -> tuple[tuple[Vector, ...], tuple[tuple[int, ...], ...]]:
+def _minimalize(candidates: Iterable[tuple[tuple[int, ...], Vector]]) -> tuple[Vector, ...]:
     """Lex-sorted points of the (pairing vector, point) candidates that are
-    no semigroup translate of another candidate, and their pairing vectors
-    in the same order.
+    no semigroup translate of another candidate.
 
     Translation by a semigroup element only raises ray pairings, so p is
     redundant exactly when some other candidate's pairings are dominated
@@ -128,15 +119,11 @@ def _minimalize(
     for pairs, point in sorted(set(candidates), key=lambda c: sum(c[0])):
         if not any(all(map(ge, pairs, low)) for low, _ in kept):
             kept.append((pairs, point))
-    kept.sort(key=itemgetter(1))
-    return tuple(point for _, point in kept), tuple(pairs for pairs, _ in kept)
+    return tuple(sorted(point for _, point in kept))
 
 
-def _minimal_generators(
-    data: SemigroupData, bounds: dict[int, int]
-) -> tuple[tuple[Vector, ...], tuple[tuple[int, ...], ...]]:
-    """Minimal generators of {m in the semigroup : <m, ray_i> >= bounds[i]},
-    with their pairing vectors, as ``_minimalize`` returns them.
+def _minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:
+    """Minimal generators of {m in the semigroup : <m, ray_i> >= bounds[i]}.
 
     Every semigroup element is a parallelotope point y plus a nonnegative
     combination of the dual rays, and dual ray w_i, the period character of
@@ -167,16 +154,14 @@ def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
     return symbolic_power(PureHeightOneIdeal(data, ((ray_index, 1),)), 1)
 
 
-def _period(q: PureHeightOneIdeal) -> tuple[int, Vector, tuple[int, ...]]:
-    """Order m of q's divisor class b, the character u with
-    <u, v_j> = m * b_j on every ray v_j, from ``_divisor_period``, and
-    that pairing vector m * b."""
+def _period(q: PureHeightOneIdeal) -> tuple[int, Vector]:
+    """Order m of q's divisor class b and the character u with
+    <u, v_j> = m * b_j on every ray v_j, from ``_divisor_period``."""
     b = divisor_class(q)
     m, u = _divisor_period(q.context.cone, b)
-    step = tuple(m * c for c in b)
-    if _pairings(u, q.context) != step:
+    if _pairings(u, q.context) != tuple(m * c for c in b):
         raise RuntimeError("the period character does not pair to m times the divisor")
-    return m, u, step
+    return m, u
 
 
 def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
@@ -189,22 +174,20 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     order of q's divisor class and f the monomial chi^u of ``_period``,
     and adding u shifts the pairing on each ray by exactly m times its
     multiplicity.  So q^(E) is q^(E mod m) translated by (E // m) u, a
-    single generator when m divides E; a translation keeps lex order, and
-    adds (E // m) m b to every pairing vector.
+    single generator when m divides E; a translation keeps lex order.
     """
     if power < 1:
         raise ValueError(f"symbolic power must be >= 1, got {power}")
     bounds = {ray: power * mult for ray, mult in q.components}
-    m, u, step = _period(q)
+    m, u = _period(q)
     k, r = divmod(power, m)
-    if r:
-        gens, pairs = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
-    else:  # q^(0) = R, generated by 0
-        gens, pairs = ((0,) * len(u),), ((0,) * len(step),)
-    if k:  # below the period the built generators are returned, not copies
-        gens = tuple(tuple(a + k * c for a, c in zip(g, u)) for g in gens)
-        pairs = tuple(tuple(a + k * c for a, c in zip(p, step)) for p in pairs)
-    return MonomialIdeal(q.context, gens, tuple(sorted(bounds.items())), pairs)
+    if not r:
+        gens = (tuple(k * c for c in u),)
+    else:
+        gens = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
+        if k:  # below the period the built generators are returned, not copies
+            gens = tuple(tuple(a + k * c for a, c in zip(g, u)) for g in gens)
+    return MonomialIdeal(q.context, gens, tuple(sorted(bounds.items())))
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
@@ -220,10 +203,9 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
     at least that of ``low`` exactly when
     ``((key | guard) - low) & guard == guard``: with every guard bit set
     first, no field borrows from the next, and a field keeps its guard bit
-    exactly when it did not go below zero.  Points are summed, and pairing
-    vectors unpacked from their keys, only for the minimal sums.  A
-    generator with a negative pairing lies outside the dual semigroup and
-    raises ValueError.
+    exactly when it did not go below zero.  Points are summed only for the
+    minimal sums.  A generator with a negative pairing lies outside the
+    dual semigroup and raises ValueError.
     """
     if power < 1:
         raise ValueError(f"ordinary power must be >= 1, got {power}")
@@ -254,13 +236,8 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
                 break
         else:
             kept.append(key)
-    mask = (1 << width) - 1
-    minimal = sorted(
-        (tuple(map(sum, zip(*combos[key]))), tuple(key >> shift & mask for shift in fields))
-        for key in kept
-    )
-    gens = tuple(g for g, _ in minimal)
-    return MonomialIdeal(data, gens, pairings=tuple(row for _, row in minimal))
+    gens = sorted(tuple(map(sum, zip(*combos[key]))) for key in kept)
+    return MonomialIdeal(data, tuple(gens))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
@@ -296,8 +273,8 @@ def intersect_valuation_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal
             raise ValueError("intersection needs ideals with a recorded valuation description")
         for ray, bound in ideal.valuation_bounds:
             merged[ray] = max(bound, merged.get(ray, 0))
-    gens, pairs = _minimal_generators(data, merged)
-    return MonomialIdeal(data, gens, tuple(sorted(merged.items())), pairs)
+    gens = _minimal_generators(data, merged)
+    return MonomialIdeal(data, gens, tuple(sorted(merged.items())))
 
 
 def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -393,13 +394,16 @@ class TestMonomialIdealEquality:
         b = MonomialIdeal(a1_data, gens, None)
         assert a == b
 
-    def test_stored_pairings_ignored_in_comparison_and_repr(self, a1_data):
-        gens = ((1, 0), (2, -1))
-        a = MonomialIdeal(a1_data, gens)
-        b = MonomialIdeal(a1_data, gens, None, ((0, 0), (0, 0)))
+    def test_pairings_computed_from_generators(self, a1_data):
+        # a caller cannot pass pairings in, and a replaced ideal recomputes them
+        a = MonomialIdeal(a1_data, ((1, 0), (2, -1)), ((0, 1),))
         assert a.pairings == ((1, 1), (2, 0))
-        assert a == b and hash(a) == hash(b)
-        assert repr(a) == repr(b) and "pairings" not in repr(a)
+        assert "pairings" not in repr(a)
+        with pytest.raises(TypeError):
+            MonomialIdeal(a1_data, a.generators, None, ((0, 0), (0, 0)))
+        b = dataclasses.replace(a, generators=((1, 1),))
+        assert b.pairings == ((1, 3),)
+        assert b.valuation_bounds == a.valuation_bounds
 
     def test_contexts_of_one_cone_mix(self):
         # semigroup_data and hilbert_basis contexts compare by cone, so
