@@ -9,13 +9,14 @@ translated by the period character.  Ordinary powers are generated by
 sums of generators; comparing the two detects whether a multiplier D puts
 every D*a-th symbolic power inside the a-th ordinary power.
 
-Every ideal computes its generators' pairing vectors once, when it is
-created, and membership and ordinary powers read them there.
+Every ideal computes its generators' pairing vectors once, on first
+use, and membership and ordinary powers read them there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import ge
 from typing import Iterable, Iterator, Sequence
@@ -47,20 +48,19 @@ class MonomialIdeal:
     ``valuation_bounds`` records, when the ideal was produced as a
     valuation ideal, the (ray index, lower bound) pairs defining it;
     ordinary powers drop it since they are not valuation ideals in
-    general.  ``pairings`` holds each generator's ray pairings, in
-    generator order; it is computed from the generators when the ideal is
-    created and is not a constructor argument.  Equality, hash and repr
-    see context and generators (and the repr the bounds) only.
+    general.  Equality compares context and generators only.
     """
 
     context: SemigroupData
     generators: tuple[Vector, ...]
     valuation_bounds: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
-    pairings: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        rows = tuple(_pairings(g, self.context) for g in self.generators)
-        object.__setattr__(self, "pairings", rows)
+    @cached_property
+    def pairings(self) -> tuple[tuple[int, ...], ...]:
+        """Each generator's ray pairings, in generator order, computed from
+        the generators on first use; not a field, so equality, hash and
+        repr ignore it and no caller can pass it in."""
+        return tuple(_pairings(g, self.context) for g in self.generators)
 
 
 @dataclass(frozen=True)
