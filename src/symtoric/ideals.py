@@ -10,7 +10,8 @@ sums of generators; comparing the two detects whether a multiplier D puts
 every D*a-th symbolic power inside the a-th ordinary power.
 
 Every ideal computes its generators' pairing vectors once, on first
-use, and membership and ordinary powers read them there.
+use, and membership and ordinary powers read them there; an ordinary
+power's come from the packed keys it compares sums by.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class MonomialIdeal:
     @cached_property
     def pairings(self) -> tuple[tuple[int, ...], ...]:
         """Each generator's ray pairings, in generator order, computed from
-        the generators on first use; not a field, so equality, hash and
-        repr ignore it and no caller can pass it in."""
+        the generators on first use (``ordinary_power`` fills the cache
+        from its keys); not a field, so equality, hash and repr ignore it
+        and no caller can pass it in."""
         return tuple(_pairings(g, self.context) for g in self.generators)
 
 
@@ -203,9 +205,10 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
     at least that of ``low`` exactly when
     ``((key | guard) - low) & guard == guard``: with every guard bit set
     first, no field borrows from the next, and a field keeps its guard bit
-    exactly when it did not go below zero.  Points are summed only for the
-    minimal sums.  A generator with a negative pairing lies outside the
-    dual semigroup and raises ValueError.
+    exactly when it did not go below zero.  Points are summed, and pairing
+    vectors unpacked from the keys, only for the minimal sums.  A
+    generator with a negative pairing lies outside the dual semigroup and
+    raises ValueError.
     """
     if power < 1:
         raise ValueError(f"ordinary power must be >= 1, got {power}")
@@ -236,8 +239,15 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
                 break
         else:
             kept.append(key)
-    gens = sorted(tuple(map(sum, zip(*combos[key]))) for key in kept)
-    return MonomialIdeal(data, tuple(gens))
+    mask = (1 << width) - 1
+    minimal = sorted(
+        (tuple(map(sum, zip(*combos[key]))), tuple(key >> shift & mask for shift in fields))
+        for key in kept
+    )
+    result = MonomialIdeal(data, tuple(g for g, _ in minimal))
+    # the keys hold the sums' pairing vectors: fill the cache from them
+    result.__dict__["pairings"] = tuple(row for _, row in minimal)
+    return result
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
