@@ -217,6 +217,51 @@ def _parallelotope(
     return tuple(points)
 
 
+def _minimal_sums(
+    rows: Sequence[Sequence[int]], points: Sequence[Vector], power: int
+) -> list[tuple[Vector, tuple[int, ...]]]:
+    """Lex-sorted (point, pairing vector) of the minimal ``power``-fold sums
+    of the points, each with its nonnegative pairing vector in ``rows``.
+
+    A sum is compared through a packed key: pairing i in bits
+    [i w, (i + 1) w), the pairing sum above them.  The width w holds
+    ``power`` times the largest pairing plus a guard bit.  Pairings are
+    linear, so the key of a sum is the sum of the keys, and equal keys are
+    equal points.  A point is a semigroup translate of another exactly when
+    its pairings dominate the other's, so a dominated key has a smaller
+    pairing sum and sorts first: in key order each key is tested only
+    against those already kept (the degree-sorted reduction of Bruns and
+    Ichim), as domination is transitive.  A key has every ray field at
+    least that of ``low`` exactly when ``((key | guard) - low) & guard ==
+    guard``: with every guard bit set first, no field borrows from the
+    next, and a field keeps its guard bit exactly when it did not go below
+    zero.  Points are summed, and pairing vectors unpacked, for the minimal
+    keys alone.
+    """
+    columns = list(zip(*rows))
+    width = (power * max(map(max, columns), default=0)).bit_length() + 1
+    keys = list(map(sum, rows))
+    for column in reversed(columns):
+        keys = [key << width | p for key, p in zip(keys, column)]
+    combos = itertools.combinations_with_replacement(points, power)
+    sums = dict(zip(map(sum, itertools.combinations_with_replacement(keys, power)), combos))
+    fields = range(0, width * len(columns), width)
+    guard = sum(1 << (shift + width - 1) for shift in fields)
+    kept: list[int] = []
+    for key in sorted(sums):
+        high = key | guard
+        for low in kept:
+            if (high - low) & guard == guard:
+                break
+        else:
+            kept.append(key)
+    mask = (1 << width) - 1
+    return sorted(
+        (tuple(map(sum, zip(*sums[key]))), tuple(key >> shift & mask for shift in fields))
+        for key in kept
+    )
+
+
 def semigroup_data(cone: Cone) -> SemigroupData:
     """Dual rays and |det W| dual parallelotope points of a simplicial full cone."""
     dual = dual_cone(cone)

@@ -9,20 +9,20 @@ translated by the period character.  Ordinary powers are generated by
 sums of generators; comparing the two detects whether a multiplier D puts
 every D*a-th symbolic power inside the a-th ordinary power.
 
-Every ideal computes its generators' pairing vectors once, on first
-use, and membership and ordinary powers read them there; an ordinary
-power's come from the packed keys it compares sums by.
+Ordinary powers, symbolic powers below the period and intersections are
+minimalized by one reduction on packed pairing keys, which also gives
+their generators' pairing vectors; other ideals compute them on first
+use.  Membership and ordinary powers read them there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
 from operator import ge
 from typing import Iterable, Iterator, Sequence
 
-from .cones import SemigroupData, Vector, _divisor_period, dot
+from .cones import SemigroupData, Vector, _divisor_period, _minimal_sums, dot
 from .exact_linalg import DimensionError
 
 __all__ = [
@@ -58,10 +58,11 @@ class MonomialIdeal:
 
     @cached_property
     def pairings(self) -> tuple[tuple[int, ...], ...]:
-        """Each generator's ray pairings, in generator order, computed from
-        the generators on first use (``ordinary_power`` fills the cache
-        from its keys); not a field, so equality, hash and repr ignore it
-        and no caller can pass it in."""
+        """Each generator's ray pairings, in generator order: unpacked from
+        the reduction's keys for every library-built ideal but symbolic
+        powers at or past the period, computed from the generators on first
+        use for those and caller-built ideals.  Not a field, so equality,
+        hash and repr ignore it and no caller can pass it in."""
         return tuple(_pairings(g, self.context) for g in self.generators)
 
 
@@ -105,49 +106,48 @@ def _pairings(point: Vector, data: SemigroupData) -> tuple[int, ...]:
     return tuple(dot(point, ray) for ray in data.cone.rays)
 
 
-def _minimalize(candidates: Iterable[tuple[tuple[int, ...], Vector]]) -> tuple[Vector, ...]:
-    """Lex-sorted points of the (pairing vector, point) candidates that are
-    no semigroup translate of another candidate.
-
-    Translation by a semigroup element only raises ray pairings, so p is
-    redundant exactly when some other candidate's pairings are dominated
-    by p's componentwise.  Distinct points have distinct pairing vectors,
-    so a dominating candidate has a strictly smaller pairing sum.  Taken in
-    order of that sum, each candidate is tested only against those already
-    kept (the degree-sorted reduction of Bruns and Ichim): a dropped one is
-    dominated by a kept one, and domination is transitive.
-    """
-    kept: list[tuple[tuple[int, ...], Vector]] = []
-    for pairs, point in sorted(set(candidates), key=lambda c: sum(c[0])):
-        if not any(all(map(ge, pairs, low)) for low, _ in kept):
-            kept.append((pairs, point))
-    return tuple(sorted(point for _, point in kept))
+def _reduced_ideal(
+    data: SemigroupData,
+    minimal: Sequence[tuple[Vector, tuple[int, ...]]],
+    bounds: tuple[tuple[int, int], ...] | None = None,
+) -> MonomialIdeal:
+    """Ideal of the lex-sorted (generator, pairing vector) pairs of
+    ``cones._minimal_sums``, whose vectors, read off the packed keys, fill
+    the ``pairings`` cache."""
+    gens, rows = zip(*minimal) if minimal else ((), ())
+    ideal = MonomialIdeal(data, gens, bounds)
+    ideal.__dict__["pairings"] = rows
+    return ideal
 
 
-def _minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:
-    """Minimal generators of {m in the semigroup : <m, ray_i> >= bounds[i]}.
+def _minimal_generators(
+    data: SemigroupData, bounds: dict[int, int]
+) -> list[tuple[Vector, tuple[int, ...]]]:
+    """Lex-sorted (generator, pairing vector) pairs of the valuation ideal
+    {m in the semigroup : <m, ray_i> >= bounds[i]}.
 
     Every semigroup element is a parallelotope point y plus a nonnegative
-    combination of the dual rays, and dual ray w_i, the period character of
-    ray i's divisor, raises the pairing with ray i alone, by that class's
-    order c_i.  So the minimal generators are the minimal ones among the
-    |det W| points y shifted along w_i for each bounded ray i by the least
+    combination of the dual rays.  Dual ray w_i, the period character of
+    ray i's divisor, is the one pairing positively with ray i: it raises
+    that pairing alone, by the class's order c_i = <w_i, ray_i>.  So the
+    minimal generators are the minimal ones among the |det W| points y
+    shifted along w_i for each bounded ray i by the least
     k_i = max(0, ceil((b_i - y_i) / c_i)) that meets the bound b_i.
     """
-    n = len(data.cone.rays)
     shifts = [
-        (i, bound, *_divisor_period(data.cone, [int(j == i) for j in range(n)]))
+        (i, bound, *max((dot(w, data.cone.rays[i]), w) for w in data.dual_rays))
         for i, bound in bounds.items()
     ]
-    candidates = []
+    rows, points = [], []
     for pairs, point in data.parallelotope:
         for i, bound, c, w in shifts:
             k = -((pairs[i] - bound) // c)
             if k > 0:
                 pairs = pairs[:i] + (pairs[i] + k * c,) + pairs[i + 1 :]
                 point = tuple(a + k * b for a, b in zip(point, w))
-        candidates.append((pairs, point))
-    return _minimalize(candidates)
+        rows.append(pairs)
+        points.append(point)
+    return _minimal_sums(rows, points, 1)
 
 
 def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
@@ -180,74 +180,30 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     """
     if power < 1:
         raise ValueError(f"symbolic power must be >= 1, got {power}")
-    bounds = {ray: power * mult for ray, mult in q.components}
     m, u = _period(q)
     k, r = divmod(power, m)
+    bounds = tuple((ray, power * mult) for ray, mult in q.components)
     if not r:
-        gens = (tuple(k * c for c in u),)
-    else:
-        gens = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
-        if k:  # below the period the built generators are returned, not copies
-            gens = tuple(tuple(a + k * c for a, c in zip(g, u)) for g in gens)
-    return MonomialIdeal(q.context, gens, tuple(sorted(bounds.items())))
+        return MonomialIdeal(q.context, (tuple(k * c for c in u),), bounds)
+    below = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
+    if not k:
+        return _reduced_ideal(q.context, below, bounds)
+    gens = tuple(tuple(a + k * c for a, c in zip(g, u)) for g, _ in below)
+    return MonomialIdeal(q.context, gens, bounds)
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
-    """a-th ordinary power: minimalized a-fold sums of the generators.
-
-    The sums are compared through packed keys.  A generator's pairing
-    vector, nonnegative in the dual semigroup, becomes one integer with a
-    field of ``width`` bits per ray (room for ``power`` times the largest
-    pairing, plus a guard bit on top) and its pairing sum in a last field
-    above them.  Pairings are linear, so the key of a sum of generators is
-    the sum of their keys, and sorted keys are sums in order of pairing
-    sum, the order ``_minimalize`` reduces in.  A key has every ray field
-    at least that of ``low`` exactly when
-    ``((key | guard) - low) & guard == guard``: with every guard bit set
-    first, no field borrows from the next, and a field keeps its guard bit
-    exactly when it did not go below zero.  Points are summed, and pairing
-    vectors unpacked from the keys, only for the minimal sums.  A
+    """a-th ordinary power: the a-fold sums of the generators, minimalized
+    by ``cones._minimal_sums`` from the generators' pairing vectors.  A
     generator with a negative pairing lies outside the dual semigroup and
     raises ValueError.
     """
     if power < 1:
         raise ValueError(f"ordinary power must be >= 1, got {power}")
-    data = ideal.context
     rows = ideal.pairings
     if any(p < 0 for row in rows for p in row):
         raise ValueError("ordinary power needs generators in the dual semigroup")
-    top = power * max((p for row in rows for p in row), default=0)
-    width = top.bit_length() + 1
-    fields = range(0, width * len(data.cone.rays), width)
-    keys = [
-        sum(p << shift for p, shift in zip(row, fields)) + (sum(row) << len(fields) * width)
-        for row in rows
-    ]
-    guard = sum(1 << (shift + width - 1) for shift in fields)
-    # equal keys are equal pairing vectors, hence equal points
-    combos = dict(
-        zip(
-            map(sum, combinations_with_replacement(keys, power)),
-            combinations_with_replacement(ideal.generators, power),
-        )
-    )
-    kept: list[int] = []
-    for key in sorted(combos):
-        high = key | guard
-        for low in kept:
-            if (high - low) & guard == guard:
-                break
-        else:
-            kept.append(key)
-    mask = (1 << width) - 1
-    minimal = sorted(
-        (tuple(map(sum, zip(*combos[key]))), tuple(key >> shift & mask for shift in fields))
-        for key in kept
-    )
-    result = MonomialIdeal(data, tuple(g for g, _ in minimal))
-    # the keys hold the sums' pairing vectors: fill the cache from them
-    result.__dict__["pairings"] = tuple(row for _, row in minimal)
-    return result
+    return _reduced_ideal(ideal.context, _minimal_sums(rows, ideal.generators, power))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
@@ -283,8 +239,7 @@ def intersect_valuation_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal
             raise ValueError("intersection needs ideals with a recorded valuation description")
         for ray, bound in ideal.valuation_bounds:
             merged[ray] = max(bound, merged.get(ray, 0))
-    gens = _minimal_generators(data, merged)
-    return MonomialIdeal(data, gens, tuple(sorted(merged.items())))
+    return _reduced_ideal(data, _minimal_generators(data, merged), tuple(sorted(merged.items())))
 
 
 def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:

@@ -296,6 +296,33 @@ class TestIntersect:
                     assert ideal_member(g, factor), (g, factor.valuation_bounds)
 
 
+class TestEmptyCandidates:
+    """Empty bounds and empty generator sets through the packed reduction,
+    on the det-61 cone e1, e2, (3, 5, 61)."""
+
+    @pytest.fixture(scope="class")
+    def det61_data(self):
+        return semigroup_data(make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3))
+
+    def test_intersect_of_no_bounds_is_the_unit_ideal(self, det61_data):
+        ideal = MonomialIdeal(det61_data, ((1, 0, 0),), ())
+        meet = intersect_valuation_ideals([ideal])
+        assert meet.generators == ((0, 0, 0),)
+        assert meet.pairings == ((0, 0, 0),)
+        assert meet.valuation_bounds == ()
+
+    def test_power_of_the_zero_ideal_has_no_generators(self, det61_data):
+        square = ordinary_power(MonomialIdeal(det61_data, ()), 2)
+        assert square.generators == ()
+        assert square.pairings == ()
+
+    def test_power_of_the_unit_ideal_is_the_unit_ideal(self, det61_data):
+        unit = MonomialIdeal(det61_data, ((0, 0, 0),))
+        cube = ordinary_power(unit, 3)
+        assert cube == unit
+        assert cube.pairings == ((0, 0, 0),)
+
+
 class TestVerifyContainment:
     def test_a1_multiplier_one_fails_at_two(self, a1_data):
         report = verify_containment(single_prime(a1_data, 0), 1, 3)

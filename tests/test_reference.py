@@ -30,6 +30,7 @@ from symtoric.cones import (
     NotStronglyConvexError,
     _divisor_period,
     _lineality_rays,
+    _minimal_sums,
     dot,
     dual_cone,
     hilbert_basis,
@@ -41,7 +42,6 @@ from symtoric.ideals import (
     MonomialIdeal,
     PureHeightOneIdeal,
     _minimal_generators,
-    _minimalize,
     _pairings,
     _period,
     divisor_class,
@@ -147,7 +147,8 @@ def test_minimal_generators_match_closure(data, draw):
     nrays = len(data.cone.rays)
     rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
     bounds = {ray: draw.draw(st.integers(1, 12)) for ray in rays}
-    assert _minimal_generators(data, bounds) == closure_minimal_generators(data, bounds)
+    gens = tuple(g for g, _ in _minimal_generators(data, bounds))
+    assert gens == closure_minimal_generators(data, bounds)
 
 
 def check_symbolic_powers_match_closure(q):
@@ -216,14 +217,24 @@ def test_period_pairs_to_class_order(data, components):
 @settings(deadline=None)
 @given(small_cones(), st.data())
 def test_minimalize_matches_quadratic(data, draw):
+    """The shared reduction on packed pairing keys keeps the candidates,
+    or their power-fold sums, that the all-pairs test keeps, and unpacks
+    their own pairing vectors."""
     basis = data.hilbert_basis
     combos = st.lists(st.integers(0, 3), min_size=len(basis), max_size=len(basis))
     points = [
         tuple(sum(c * h[i] for c, h in zip(coeffs, basis)) for i in range(len(basis[0])))
         for coeffs in draw.draw(st.lists(combos, min_size=1, max_size=12))
     ]
-    candidates = [(_pairings(p, data), p) for p in points]
-    assert _minimalize(candidates) == quadratic_minimalize(points, data)
+    power = draw.draw(st.integers(1, 2))
+    sums = [
+        tuple(map(sum, zip(*combo)))
+        for combo in itertools.combinations_with_replacement(points, power)
+    ]
+    rows = [_pairings(p, data) for p in points]
+    minimal = _minimal_sums(rows, points, power)
+    assert tuple(g for g, _ in minimal) == quadratic_minimalize(sums, data)
+    assert [row for _, row in minimal] == [_pairings(g, data) for g, _ in minimal]
 
 
 @settings(deadline=None)
@@ -293,6 +304,25 @@ def test_ordinary_power_guard_bits(value, power):
     assert result == combination_ordinary_power(ideal, power)
     # the rays are lex sorted, so pairings list the coordinates last first
     assert result.pairings == tuple(g[::-1] for g in expected)
+
+
+@pytest.mark.parametrize(
+    "rays, bounds, pairings",
+    [
+        ([(1, 0), (1, 2)], {0: 6, 1: 1}, ((6, 2), (7, 1))),
+        ([(1, 0), (1, 3)], {0: 13}, ((13, 1), (15, 0))),
+    ],
+)
+def test_valuation_ideal_guard_bits(rays, bounds, pairings):
+    """A kept generator raised along a dual ray to a pairing of 2^(w-1) - 1,
+    the largest value its field holds below the guard bit, as no candidate
+    pairs higher: the parallelotope points pairing to (0, 0) and (1, 1)
+    are raised to (6, 2) and (7, 1); on the second cone those and (2, 2)
+    are raised to (15, 0), (13, 1) and (14, 2)."""
+    data = hilbert_basis(make_cone(rays, 2))
+    minimal = _minimal_generators(data, bounds)
+    assert tuple(g for g, _ in minimal) == closure_minimal_generators(data, bounds)
+    assert tuple(row for _, row in minimal) == pairings
 
 
 @st.composite
