@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -180,6 +181,11 @@ class SemigroupData:
     def __hash__(self) -> int:
         return hash(self.cone)
 
+    @cached_property
+    def _columns(self) -> list[tuple[int, ...]]:
+        """The parallelotope's pairing vectors transposed, one tuple per ray."""
+        return list(zip(*(pairs for pairs, _ in self.parallelotope)))
+
 
 @dataclass(frozen=True, eq=False)
 class HilbertBasis(SemigroupData):
@@ -217,34 +223,42 @@ def _parallelotope(
     return tuple(points)
 
 
+def _lattice_point(cone: Cone, pairs: Sequence[int]) -> Vector:
+    """The lattice point with these ray pairings, solved by ``_divisor_period``."""
+    m, point = _divisor_period(cone, pairs)
+    if m != 1:
+        raise RuntimeError(f"no lattice point has the ray pairings {tuple(pairs)}")
+    return point
+
+
 def _minimal_sums(
-    rows: Sequence[Sequence[int]], points: Sequence[Vector], power: int
+    columns: Sequence[Sequence[int]], points: Sequence[Vector] | Cone, power: int
 ) -> list[tuple[Vector, tuple[int, ...]]]:
     """Lex-sorted (point, pairing vector) of the minimal ``power``-fold sums
-    of the points, each with its nonnegative pairing vector in ``rows``.
+    of candidates whose nonnegative pairings with ray i are ``columns[i]``:
+    their ``points`` are summed, or given the cone, ``_lattice_point``
+    solves each kept vector, so no other candidate needs a point.
 
     A sum is compared through a packed key: pairing i in bits
-    [i w, (i + 1) w), the pairing sum above them.  The width w holds
-    ``power`` times the largest pairing plus a guard bit.  Pairings are
-    linear, so the key of a sum is the sum of the keys, and equal keys are
-    equal points.  A point is a semigroup translate of another exactly when
-    its pairings dominate the other's, so a dominated key has a smaller
-    pairing sum and sorts first: in key order each key is tested only
-    against those already kept (the degree-sorted reduction of Bruns and
-    Ichim), as domination is transitive.  A key has every ray field at
-    least that of ``low`` exactly when ``((key | guard) - low) & guard ==
-    guard``: with every guard bit set first, no field borrows from the
-    next, and a field keeps its guard bit exactly when it did not go below
-    zero.  Points are summed, and pairing vectors unpacked, for the minimal
-    keys alone.
+    [i w, (i + 1) w), of a width w that holds ``power`` times the largest
+    pairing plus a guard bit.  Pairings are linear, so the key of a sum is
+    the sum of the keys, and equal keys are equal points.  A point is a
+    semigroup translate of another exactly when its pairings dominate the
+    other's, and then its key is the larger: in key order each key is
+    tested only against those already kept (the reduction of Bruns and
+    Ichim), as domination is transitive and a repeated key dominates its
+    first copy.  A key has every field at least that of ``low`` exactly
+    when ``((key | guard) - low) & guard == guard``: with every guard bit
+    set first, no field borrows from the next, and a field keeps its guard
+    bit exactly when it did not go below zero.
     """
-    columns = list(zip(*rows))
     width = (power * max(map(max, columns), default=0)).bit_length() + 1
-    keys = list(map(sum, rows))
+    keys = [0] * len(columns[0]) if columns else []
     for column in reversed(columns):
         keys = [key << width | p for key, p in zip(keys, column)]
-    combos = itertools.combinations_with_replacement(points, power)
-    sums = dict(zip(map(sum, itertools.combinations_with_replacement(keys, power)), combos))
+    sums = map(sum, itertools.combinations_with_replacement(keys, power))
+    if not isinstance(points, Cone):
+        sums = dict(zip(sums, itertools.combinations_with_replacement(points, power)))
     fields = range(0, width * len(columns), width)
     guard = sum(1 << (shift + width - 1) for shift in fields)
     kept: list[int] = []
@@ -256,10 +270,10 @@ def _minimal_sums(
         else:
             kept.append(key)
     mask = (1 << width) - 1
-    return sorted(
-        (tuple(map(sum, zip(*sums[key]))), tuple(key >> shift & mask for shift in fields))
-        for key in kept
-    )
+    rows = [tuple(key >> shift & mask for shift in fields) for key in kept]
+    if isinstance(points, Cone):
+        return sorted((_lattice_point(points, row), row) for row in rows)
+    return sorted((tuple(map(sum, zip(*sums[key]))), row) for key, row in zip(kept, rows))
 
 
 def semigroup_data(cone: Cone) -> SemigroupData:

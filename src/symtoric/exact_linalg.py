@@ -10,6 +10,7 @@ point appears anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -83,10 +84,7 @@ class IntegerMatrix:
         """Matrix times column vector."""
         if len(vector) != self.cols:
             raise DimensionError(f"vector length {len(vector)} != {self.cols} columns")
-        return tuple(
-            sum(self.at(i, j) * vector[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(sum(map(mul, self.row(i), vector)) for i in range(self.rows))
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if not isinstance(other, IntegerMatrix):

@@ -9,10 +9,11 @@ translated by the period character.  Ordinary powers are generated by
 sums of generators; comparing the two detects whether a multiplier D puts
 every D*a-th symbolic power inside the a-th ordinary power.
 
-Ordinary powers, symbolic powers below the period and intersections are
-minimalized by one reduction on packed pairing keys, which also gives
-their generators' pairing vectors; other ideals compute them on first
-use.  Membership and ordinary powers read them there.
+One reduction on packed pairing keys minimalizes ordinary powers and
+valuation ideals, these in pairing coordinates with a lattice point solved
+for each minimal key alone.  Library-built ideals keep its pairing vectors,
+translated past the period; caller-built ones compute them on first use.
+Membership and ordinary powers read them there.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ class MonomialIdeal:
     @cached_property
     def pairings(self) -> tuple[tuple[int, ...], ...]:
         """Each generator's ray pairings, in generator order: unpacked from
-        the reduction's keys for every library-built ideal but symbolic
-        powers at or past the period, computed from the generators on first
-        use for those and caller-built ideals.  Not a field, so equality,
-        hash and repr ignore it and no caller can pass it in."""
+        the reduction's keys, or translated with the generators, for every
+        library-built ideal; computed from the generators on first use for
+        caller-built ones.  Not a field, so equality, hash and repr ignore
+        it and no caller can pass it in."""
         return tuple(_pairings(g, self.context) for g in self.generators)
 
 
@@ -80,6 +81,16 @@ class PureHeightOneIdeal:
     def __post_init__(self) -> None:
         comps = _checked_components(self.components, len(self.context.cone.rays))
         object.__setattr__(self, "components", comps)
+
+    @cached_property
+    def _period(self) -> tuple[int, Vector]:
+        """Order m of the divisor class b and the character u with <u, v_j> =
+        m * b_j on each ray v_j, solved once; equality, hash and repr ignore it."""
+        b = divisor_class(self)
+        m, u = _divisor_period(self.context.cone, b)
+        if _pairings(u, self.context) != tuple(m * c for c in b):
+            raise RuntimeError("the period character does not pair to m times the divisor")
+        return m, u
 
 
 def _checked_components(
@@ -112,7 +123,7 @@ def _reduced_ideal(
     bounds: tuple[tuple[int, int], ...] | None = None,
 ) -> MonomialIdeal:
     """Ideal of the lex-sorted (generator, pairing vector) pairs of
-    ``cones._minimal_sums``, whose vectors, read off the packed keys, fill
+    ``cones._minimal_sums``, or of their translates, whose vectors fill
     the ``pairings`` cache."""
     gens, rows = zip(*minimal) if minimal else ((), ())
     ideal = MonomialIdeal(data, gens, bounds)
@@ -129,41 +140,24 @@ def _minimal_generators(
     Every semigroup element is a parallelotope point y plus a nonnegative
     combination of the dual rays.  Dual ray w_i, the period character of
     ray i's divisor, is the one pairing positively with ray i: it raises
-    that pairing alone, by the class's order c_i = <w_i, ray_i>.  So the
-    minimal generators are the minimal ones among the |det W| points y
-    shifted along w_i for each bounded ray i by the least
-    k_i = max(0, ceil((b_i - y_i) / c_i)) that meets the bound b_i.
+    that pairing alone, by the class's order c_i = <w_i, ray_i> > y_i.  So
+    the minimal generators are the minimal ones among the |det W| points y
+    raised along w_i, for each bounded ray i, to the least pairing
+    b_i + (y_i - b_i) mod c_i >= b_i: their pairing columns are reduced.
     """
-    shifts = [
-        (i, bound, *max((dot(w, data.cone.rays[i]), w) for w in data.dual_rays))
-        for i, bound in bounds.items()
-    ]
-    rows, points = [], []
-    for pairs, point in data.parallelotope:
-        for i, bound, c, w in shifts:
-            k = -((pairs[i] - bound) // c)
-            if k > 0:
-                pairs = pairs[:i] + (pairs[i] + k * c,) + pairs[i + 1 :]
-                point = tuple(a + k * b for a, b in zip(point, w))
-        rows.append(pairs)
-        points.append(point)
-    return _minimal_sums(rows, points, 1)
+    rays = data.cone.rays
+    columns = list(data._columns)
+    for i, bound in bounds.items():
+        if bound > 0:
+            c = max(dot(w, rays[i]) for w in data.dual_rays)
+            columns[i] = [bound + (p - bound) % c for p in columns[i]]
+    return _minimal_sums(columns, data.cone, 1)
 
 
 def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
     """Prime of the divisor on one ray: monomials with positive pairing
     there, the first symbolic power of that ray's valuation ideal."""
     return symbolic_power(PureHeightOneIdeal(data, ((ray_index, 1),)), 1)
-
-
-def _period(q: PureHeightOneIdeal) -> tuple[int, Vector]:
-    """Order m of q's divisor class b and the character u with
-    <u, v_j> = m * b_j on every ray v_j, from ``_divisor_period``."""
-    b = divisor_class(q)
-    m, u = _divisor_period(q.context.cone, b)
-    if _pairings(u, q.context) != tuple(m * c for c in b):
-        raise RuntimeError("the period character does not pair to m times the divisor")
-    return m, u
 
 
 def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
@@ -173,23 +167,25 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     Symbolic powers are periodic up to translation.  Once q^(m) = fR is
     principal, q^(E+m) = f q^(E) for every E >= 0, with q^(0) = R: the
     principal-power argument behind the uniform multiplier.  Here m is the
-    order of q's divisor class and f the monomial chi^u of ``_period``,
+    order of q's divisor class and f the monomial chi^u of ``q._period``,
     and adding u shifts the pairing on each ray by exactly m times its
-    multiplicity.  So q^(E) is q^(E mod m) translated by (E // m) u, a
-    single generator when m divides E; a translation keeps lex order.
+    multiplicity.  So q^(E) is q^(E mod m), or R, translated by (E // m) u,
+    its pairing vectors by E - E mod m times the multiplicities; lex order stays.
     """
     if power < 1:
         raise ValueError(f"symbolic power must be >= 1, got {power}")
-    m, u = _period(q)
+    m, u = q._period
     k, r = divmod(power, m)
+    b = divisor_class(q)
+    below = [((0,) * len(u), (0,) * len(b))]
+    if r:
+        below = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
+    shifted = [
+        (tuple(a + k * c for a, c in zip(g, u)), tuple(p + (power - r) * c for p, c in zip(row, b)))
+        for g, row in below
+    ]
     bounds = tuple((ray, power * mult) for ray, mult in q.components)
-    if not r:
-        return MonomialIdeal(q.context, (tuple(k * c for c in u),), bounds)
-    below = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
-    if not k:
-        return _reduced_ideal(q.context, below, bounds)
-    gens = tuple(tuple(a + k * c for a, c in zip(g, u)) for g, _ in below)
-    return MonomialIdeal(q.context, gens, bounds)
+    return _reduced_ideal(q.context, shifted, bounds)
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
@@ -200,10 +196,10 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
     """
     if power < 1:
         raise ValueError(f"ordinary power must be >= 1, got {power}")
-    rows = ideal.pairings
-    if any(p < 0 for row in rows for p in row):
+    columns = list(zip(*ideal.pairings))
+    if min(map(min, columns), default=0) < 0:
         raise ValueError("ordinary power needs generators in the dual semigroup")
-    return _reduced_ideal(ideal.context, _minimal_sums(rows, ideal.generators, power))
+    return _reduced_ideal(ideal.context, _minimal_sums(columns, ideal.generators, power))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cone_zoo import all_semigroups, an_cone, build_cone
 from symtoric.class_group import class_group_of, order_of_class
 from symtoric.cones import dot, hilbert_basis, in_semigroup, make_cone, semigroup_data
+from symtoric import ideals
 from symtoric.exact_linalg import DimensionError
 from symtoric.ideals import (
     ContainmentReport,
@@ -148,6 +149,54 @@ class TestSymbolicPower:
                 ]
                 meet = intersect_valuation_ideals(pieces)
                 assert joint.generators == meet.generators, (name, power)
+
+    def test_pairings_stored_at_and_past_the_period(self, zoo_semigroups):
+        """Powers at and past the period store pairing vectors translated
+        from the reduced ones, not computed later from the generators."""
+        for name, data in zoo_semigroups:
+            rays = data.cone.rays
+            group = class_group_of(data.cone)
+            for i in range(len(rays)):
+                q = single_prime(data, i)
+                m = order_of_class(divisor_class(q), group)
+                for power in (m, m + 1, 2 * m, 2 * m + 1):
+                    sym = symbolic_power(q, power)
+                    assert "pairings" in sym.__dict__, (name, i, power)
+                    expected = tuple(tuple(dot(g, ray) for ray in rays) for g in sym.generators)
+                    assert sym.pairings == expected, (name, i, power)
+
+
+class TestPeriodOncePerIdeal:
+    """A sweep solves q's period once, however many levels it visits."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = ideals._divisor_period
+
+        def counted(cone, divisor):
+            calls.append(tuple(divisor))
+            return solve(cone, divisor)
+
+        monkeypatch.setattr(ideals, "_divisor_period", counted)
+        return calls
+
+    def test_verify_solves_the_period_once(self, a2_data, solves):
+        report = verify_containment(single_prime(a2_data, 0), 3, 3)
+        assert report.passed
+        assert solves == [(1, 0)]
+
+    def test_sharpness_solves_the_period_once(self, solves):
+        q = single_prime(hilbert_basis(an_cone(12)), 0)
+        assert find_sharpness_witness(q, 12, 13)[0] == 13
+        assert solves == [(1, 0)]
+
+    def test_cached_period_is_not_a_field(self, a2_data):
+        q, fresh = single_prime(a2_data, 0), single_prime(a2_data, 0)
+        symbolic_power(q, 2)
+        assert "_period" in q.__dict__ and "_period" not in fresh.__dict__
+        assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+        assert "_period" not in {f.name for f in dataclasses.fields(q)}
 
 
 def box_points(dim, radius):

@@ -29,6 +29,7 @@ from symtoric.class_group import class_group_of, class_of, order_of_class
 from symtoric.cones import (
     NotStronglyConvexError,
     _divisor_period,
+    _lattice_point,
     _lineality_rays,
     _minimal_sums,
     dot,
@@ -43,7 +44,6 @@ from symtoric.ideals import (
     PureHeightOneIdeal,
     _minimal_generators,
     _pairings,
-    _period,
     divisor_class,
     ideal_member,
     intersect_valuation_ideals,
@@ -144,11 +144,25 @@ def test_hilbert_basis_matches_box_scan(data):
 @settings(deadline=None)
 @given(small_cones(), st.data())
 def test_minimal_generators_match_closure(data, draw):
-    nrays = len(data.cone.rays)
-    rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
-    bounds = {ray: draw.draw(st.integers(1, 12)) for ray in rays}
+    """Bounds on any set of rays, up to every ray, each up to three times
+    the pairing c_i of its ray with its dual ray: raised pairings reach
+    the third period."""
+    rays = data.cone.rays
+    chosen = draw.draw(
+        st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=len(rays), unique=True)
+    )
+    periods = [max(dot(w, ray) for w in data.dual_rays) for ray in rays]
+    bounds = {ray: draw.draw(st.integers(1, 3 * periods[ray])) for ray in chosen}
     gens = tuple(g for g, _ in _minimal_generators(data, bounds))
     assert gens == closure_minimal_generators(data, bounds)
+
+
+def test_lattice_point_rejects_a_vector_outside_the_pairing_image():
+    """(1, 0) on the A_1 cone would be the point (1, -1/2)."""
+    cone = make_cone([(1, 0), (1, 2)], 2)
+    assert _lattice_point(cone, (1, 1)) == (1, 0)
+    with pytest.raises(RuntimeError):
+        _lattice_point(cone, (1, 0))
 
 
 def check_symbolic_powers_match_closure(q):
@@ -206,7 +220,7 @@ def zoo_ideals():
 @pytest.mark.parametrize("data, components", zoo_ideals())
 def test_period_pairs_to_class_order(data, components):
     q = PureHeightOneIdeal(data, components)
-    m, u = _period(q)
+    m, u = q._period
     b = divisor_class(q)
     assert m == search_order_of_class(b, class_group_of(data.cone))
     # m * b_i on q's rays, 0 on the others
@@ -232,7 +246,7 @@ def test_minimalize_matches_quadratic(data, draw):
         for combo in itertools.combinations_with_replacement(points, power)
     ]
     rows = [_pairings(p, data) for p in points]
-    minimal = _minimal_sums(rows, points, power)
+    minimal = _minimal_sums(list(zip(*rows)), points, power)
     assert tuple(g for g, _ in minimal) == quadratic_minimalize(sums, data)
     assert [row for _, row in minimal] == [_pairings(g, data) for g, _ in minimal]
 
@@ -245,7 +259,7 @@ def test_stored_pairings_match_generators(data, draw):
     nrays = len(data.cone.rays)
     rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
     q = PureHeightOneIdeal(data, tuple((ray, draw.draw(st.integers(1, 3))) for ray in rays))
-    m = _period(q)[0]
+    m = q._period[0]
     prime = ray_prime(data, rays[0])
     # below, at and above the period, and in the third period
     powers = [symbolic_power(q, e) for e in sorted({1, max(1, m - 1), m, m + 1, 2 * m + 1})]
