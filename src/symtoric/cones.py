@@ -256,7 +256,7 @@ def _minimal_sums(
     keys = [0] * len(columns[0]) if columns else []
     for column in reversed(columns):
         keys = [key << width | p for key, p in zip(keys, column)]
-    sums = map(sum, itertools.combinations_with_replacement(keys, power))
+    sums = map(sum, itertools.combinations_with_replacement(keys, power)) if power > 1 else keys
     if not isinstance(points, Cone):
         sums = dict(zip(sums, itertools.combinations_with_replacement(points, power)))
     fields = range(0, width * len(columns), width)
