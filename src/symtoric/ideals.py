@@ -145,11 +145,10 @@ def _minimal_generators(
     raised along w_i, for each bounded ray i, to the least pairing
     b_i + (y_i - b_i) mod c_i >= b_i: their pairing columns are reduced.
     """
-    rays = data.cone.rays
     columns = list(data._columns)
     for i, bound in bounds.items():
         if bound > 0:
-            c = max(dot(w, rays[i]) for w in data.dual_rays)
+            c = max(dot(w, data.cone.rays[i]) for w in data.dual_rays)
             columns[i] = [bound + (p - bound) % c for p in columns[i]]
     return _minimal_sums(columns, data.cone, 1)
 

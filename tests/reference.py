@@ -1,9 +1,10 @@
 """Earlier lattice searches of the library, kept as independent oracles.
 
 The library now builds Hilbert basis candidates and valuation-ideal
-generators from one enumeration of the dual parallelotope and minimalizes
-in order of pairing sum.  The algorithms it replaced search differently,
-so agreeing with them is evidence rather than a restatement:
+generators from one enumeration of the dual parallelotope, minimalizes
+packed pairing keys in increasing order, and solves a valuation ideal's
+points from their pairing vectors.  The algorithms it replaced search
+differently, so agreeing with them is evidence rather than a restatement:
 
 * ``box_scan_hilbert_basis`` scans the integer bounding box of the dual
   parallelotope and keeps the points whose parallelotope coordinates lie
