@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone_zoo import all_semigroups, an_cone, build_cone
+from symtoric import ideals
 from symtoric.class_group import class_group_of, order_of_class
 from symtoric.cones import dot, hilbert_basis, in_semigroup, make_cone, semigroup_data
-from symtoric import ideals
 from symtoric.exact_linalg import DimensionError
 from symtoric.ideals import (
     ContainmentReport,

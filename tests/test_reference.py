@@ -145,8 +145,8 @@ def test_hilbert_basis_matches_box_scan(data):
 @given(small_cones(), st.data())
 def test_minimal_generators_match_closure(data, draw):
     """Bounds on any set of rays, up to every ray, each up to three times
-    the pairing c_i of its ray with its dual ray: raised pairings reach
-    the third period."""
+    the pairing c_i of its ray with its dual ray, so candidates are raised
+    by up to three periods."""
     rays = data.cone.rays
     chosen = draw.draw(
         st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=len(rays), unique=True)
