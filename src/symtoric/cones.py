@@ -231,13 +231,9 @@ def _lattice_point(cone: Cone, pairs: Sequence[int]) -> Vector:
     return point
 
 
-def _minimal_sums(
-    columns: Sequence[Sequence[int]], points: Sequence[Vector] | Cone, power: int
-) -> list[tuple[Vector, tuple[int, ...]]]:
-    """Lex-sorted (point, pairing vector) of the minimal ``power``-fold sums
-    of candidates whose nonnegative pairings with ray i are ``columns[i]``:
-    their ``points`` are summed, or given the cone, ``_lattice_point``
-    solves each kept vector, so no other candidate needs a point.
+def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[tuple[int, ...], ...]:
+    """Pairing vectors, in key order, of the minimal ``power``-fold sums of
+    candidates whose nonnegative pairings with ray i are ``columns[i]``.
 
     A sum is compared through a packed key: pairing i in bits
     [i w, (i + 1) w), of a width w that holds ``power`` times the largest
@@ -247,8 +243,9 @@ def _minimal_sums(
     other's, and then its key is the larger: in key order each key is
     tested only against those already kept (the reduction of Bruns and
     Ichim), as domination is transitive and a repeated key dominates its
-    first copy.  A key has every field at least that of ``low`` exactly
-    when ``((key | guard) - low) & guard == guard``: with every guard bit
+    first copy; many sums coincide, so each is tested once.  A key has
+    every field at least that of ``low`` exactly when
+    ``((key | guard) - low) & guard == guard``: with every guard bit
     set first, no field borrows from the next, and a field keeps its guard
     bit exactly when it did not go below zero.
     """
@@ -256,9 +253,8 @@ def _minimal_sums(
     keys = [0] * len(columns[0]) if columns else []
     for column in reversed(columns):
         keys = [key << width | p for key, p in zip(keys, column)]
-    sums = map(sum, itertools.combinations_with_replacement(keys, power)) if power > 1 else keys
-    if not isinstance(points, Cone):
-        sums = dict(zip(sums, itertools.combinations_with_replacement(points, power)))
+    combinations = itertools.combinations_with_replacement(keys, power)
+    sums = set(map(sum, combinations)) if power > 1 else keys
     fields = range(0, width * len(columns), width)
     guard = sum(1 << (shift + width - 1) for shift in fields)
     kept: list[int] = []
@@ -270,10 +266,7 @@ def _minimal_sums(
         else:
             kept.append(key)
     mask = (1 << width) - 1
-    rows = [tuple(key >> shift & mask for shift in fields) for key in kept]
-    if isinstance(points, Cone):
-        return sorted((_lattice_point(points, row), row) for row in rows)
-    return sorted((tuple(map(sum, zip(*sums[key]))), row) for key, row in zip(kept, rows))
+    return tuple(tuple(key >> shift & mask for shift in fields) for key in kept)
 
 
 def semigroup_data(cone: Cone) -> SemigroupData:

@@ -9,11 +9,11 @@ translated by the period character.  Ordinary powers are generated by
 sums of generators; comparing the two detects whether a multiplier D puts
 every D*a-th symbolic power inside the a-th ordinary power.
 
-One reduction on packed pairing keys minimalizes ordinary powers and
-valuation ideals, these in pairing coordinates with a lattice point solved
-for each minimal key alone.  Library-built ideals keep its pairing vectors,
-translated past the period; caller-built ones compute them on first use.
-Membership and ordinary powers read them there.
+One reduction on packed pairing keys minimalizes valuation ideals, which
+solve a lattice point per kept key, and ordinary powers, which store the
+kept vectors alone and solve their points on first read.  Valuation ideals
+store the vectors too, translated past the period; other ideals compute
+them on first use.  Membership, powers and the sweep read them there.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 from operator import ge
 from typing import Iterable, Iterator, Sequence
 
-from .cones import SemigroupData, Vector, _divisor_period, _minimal_sums, dot
+from .cones import SemigroupData, Vector, _divisor_period, _lattice_point, _minimal_sums, dot
 from .exact_linalg import DimensionError
 
 __all__ = [
@@ -60,11 +60,25 @@ class MonomialIdeal:
     @cached_property
     def pairings(self) -> tuple[tuple[int, ...], ...]:
         """Each generator's ray pairings, in generator order: unpacked from
-        the reduction's keys, or translated with the generators, for every
-        library-built ideal; computed from the generators on first use for
-        caller-built ones.  Not a field, so equality, hash and repr ignore
-        it and no caller can pass it in."""
+        the reduction's keys, or translated with the generators, for
+        valuation ideals; computed from the generators on first use for
+        other ones.  Not a field, so equality, hash and repr ignore it and
+        no caller can pass it in."""
         return tuple(_pairings(g, self.context) for g in self.generators)
+
+    @cached_property
+    def _vectors(self) -> tuple[tuple[int, ...], ...]:
+        """The generators' pairing vectors in any order: ``pairings``, or
+        those an ordinary power is built from, in key order, whose points
+        ``__getattr__`` solves and lex-sorts when ``generators`` is first read."""
+        return self.pairings
+
+    def __getattr__(self, name: str) -> tuple[Vector, ...]:
+        if name != "generators" or "_vectors" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        points = (_lattice_point(self.context.cone, row) for row in self._vectors)
+        self.__dict__["generators"] = tuple(sorted(points))
+        return self.generators
 
 
 @dataclass(frozen=True)
@@ -117,17 +131,14 @@ def _pairings(point: Vector, data: SemigroupData) -> tuple[int, ...]:
     return tuple(dot(point, ray) for ray in data.cone.rays)
 
 
-def _reduced_ideal(
-    data: SemigroupData,
-    minimal: Sequence[tuple[Vector, tuple[int, ...]]],
-    bounds: tuple[tuple[int, int], ...] | None = None,
+def _library_ideal(
+    data: SemigroupData, bounds: tuple[tuple[int, int], ...] | None, **cache: tuple
 ) -> MonomialIdeal:
-    """Ideal of the lex-sorted (generator, pairing vector) pairs of
-    ``cones._minimal_sums``, or of their translates, whose vectors fill
-    the ``pairings`` cache."""
-    gens, rows = zip(*minimal) if minimal else ((), ())
-    ideal = MonomialIdeal(data, gens, bounds)
-    ideal.__dict__["pairings"] = rows
+    """Ideal with its fields and caches set at once from a reduction: a
+    valuation ideal's ``generators`` and ``pairings``, or an ordinary
+    power's ``_vectors`` alone."""
+    ideal = object.__new__(MonomialIdeal)
+    ideal.__dict__.update(context=data, valuation_bounds=bounds, **cache)
     return ideal
 
 
@@ -143,14 +154,14 @@ def _minimal_generators(
     that pairing alone, by the class's order c_i = <w_i, ray_i> > y_i.  So
     the minimal generators are the minimal ones among the |det W| points y
     raised along w_i, for each bounded ray i, to the least pairing
-    b_i + (y_i - b_i) mod c_i >= b_i: their pairing columns are reduced.
-    """
+    b_i + (y_i - b_i) mod c_i >= b_i: their pairing columns are reduced
+    and a point is solved for each kept vector."""
     columns = list(data._columns)
     for i, bound in bounds.items():
         if bound > 0:
             c = max(dot(w, data.cone.rays[i]) for w in data.dual_rays)
             columns[i] = [bound + (p - bound) % c for p in columns[i]]
-    return _minimal_sums(columns, data.cone, 1)
+    return sorted((_lattice_point(data.cone, row), row) for row in _minimal_sums(columns, 1))
 
 
 def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
@@ -176,45 +187,46 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     m, u = q._period
     k, r = divmod(power, m)
     b = divisor_class(q)
-    below = [((0,) * len(u), (0,) * len(b))]
+    pairs = [((0,) * len(u), (0,) * len(b))]
     if r:
-        below = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
-    shifted = [
-        (tuple(a + k * c for a, c in zip(g, u)), tuple(p + (power - r) * c for p, c in zip(row, b)))
-        for g, row in below
-    ]
+        pairs = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
+    if k:
+        pairs = [
+            (tuple(a + k * c for a, c in zip(g, u)), tuple(p + (power - r) * c for p, c in zip(row, b)))
+            for g, row in pairs
+        ]
     bounds = tuple((ray, power * mult) for ray, mult in q.components)
-    return _reduced_ideal(q.context, shifted, bounds)
+    gens, rows = zip(*pairs)
+    return _library_ideal(q.context, bounds, generators=gens, pairings=rows)
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
     """a-th ordinary power: the a-fold sums of the generators, minimalized
-    by ``cones._minimal_sums`` from the generators' pairing vectors.  A
-    generator with a negative pairing lies outside the dual semigroup and
-    raises ValueError.
-    """
+    by ``cones._minimal_sums`` from the generators' pairing vectors, and
+    built from the vectors it keeps.  A generator with a negative pairing
+    lies outside the dual semigroup and raises ValueError."""
     if power < 1:
         raise ValueError(f"ordinary power must be >= 1, got {power}")
-    columns = list(zip(*ideal.pairings))
+    columns = list(zip(*ideal._vectors))
     if min(map(min, columns), default=0) < 0:
         raise ValueError("ordinary power needs generators in the dual semigroup")
-    return _reduced_ideal(ideal.context, _minimal_sums(columns, ideal.generators, power))
+    return _library_ideal(ideal.context, None, _vectors=_minimal_sums(columns, power))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
     """Membership: the point's ray pairings dominate some generator's
-    componentwise, read from ``ideal.pairings``."""
+    componentwise, read from the ideal's stored vectors."""
     data = ideal.context
     if len(point) != data.cone.ambient_dim:
         raise DimensionError(
             f"point length {len(point)} != ambient dimension {data.cone.ambient_dim}"
         )
     pairs = _pairings(point, data)
-    return any(all(map(ge, pairs, low)) for low in ideal.pairings)
+    return any(all(map(ge, pairs, low)) for low in ideal._vectors)
 
 
 def is_principal(ideal: MonomialIdeal) -> bool:
-    return len(ideal.generators) == 1
+    return len(ideal._vectors) == 1
 
 
 def intersect_valuation_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
@@ -234,7 +246,8 @@ def intersect_valuation_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal
             raise ValueError("intersection needs ideals with a recorded valuation description")
         for ray, bound in ideal.valuation_bounds:
             merged[ray] = max(bound, merged.get(ray, 0))
-    return _reduced_ideal(data, _minimal_generators(data, merged), tuple(sorted(merged.items())))
+    gens, rows = zip(*_minimal_generators(data, merged))
+    return _library_ideal(data, tuple(sorted(merged.items())), generators=gens, pairings=rows)
 
 
 def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:
@@ -271,24 +284,23 @@ def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Ite
 
     Generator containment suffices: every other member is a semigroup
     translate of a generator and ordinary powers absorb translation.  The
-    first symbolic generator failing membership is the level's witness.
-    """
+    first symbolic generator failing membership, read off stored vectors, is
+    the level's witness."""
+    if multiplier < 1:
+        raise ValueError(f"multiplier must be >= 1, got {multiplier}")
+    if max_level < 1:
+        raise ValueError(f"max level must be >= 1, got {max_level}")
     base = symbolic_power(q, 1)
     for a in range(1, max_level + 1):
         sym = symbolic_power(q, multiplier * a)
-        ordinary = ordinary_power(base, a)
-        witness = next(
-            (g for g in sym.generators if not ideal_member(g, ordinary)), None
-        )
+        lows = ordinary_power(base, a)._vectors
+        witness = next((g for g, row in zip(sym.generators, sym.pairings)
+                        if not any(all(map(ge, row, low)) for low in lows)), None)
         yield LevelCheck(a, witness is None, witness)
 
 
 def verify_containment(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> ContainmentReport:
     """Check symbolic_power(q, D*a) inside ordinary_power(q, a) for a = 1..max_level."""
-    if multiplier < 1:
-        raise ValueError(f"multiplier must be >= 1, got {multiplier}")
-    if max_level < 1:
-        raise ValueError(f"max level must be >= 1, got {max_level}")
     return ContainmentReport(multiplier, tuple(_level_checks(q, multiplier, max_level)))
 
 
@@ -297,10 +309,5 @@ def find_sharpness_witness(
 ) -> tuple[int, Vector] | None:
     """Smallest level where the candidate multiplier fails, with a monomial
     witnessing the failure; None when no failure shows up to max_level."""
-    if candidate < 1:
-        raise ValueError(f"candidate multiplier must be >= 1, got {candidate}")
-    if max_level < 1:
-        raise ValueError(f"max level must be >= 1, got {max_level}")
-    failures = (c for c in _level_checks(q, candidate, max_level) if not c.passed)
-    first = next(failures, None)
+    first = next((c for c in _level_checks(q, candidate, max_level) if not c.passed), None)
     return None if first is None else (first.level, first.witness)

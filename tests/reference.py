@@ -3,7 +3,8 @@
 The library now builds Hilbert basis candidates and valuation-ideal
 generators from one enumeration of the dual parallelotope, minimalizes
 packed pairing keys in increasing order, and solves a valuation ideal's
-points from their pairing vectors.  The algorithms it replaced search
+points, and an ordinary power's on first read, from their pairing
+vectors.  The algorithms it replaced search
 differently, so agreeing with them is evidence rather than a restatement:
 
 * ``box_scan_hilbert_basis`` scans the integer bounding box of the dual
@@ -17,8 +18,13 @@ differently, so agreeing with them is evidence rather than a restatement:
   compares the point's pairings with the ones the ideal stores;
 * ``combination_ordinary_power`` sums every combination of generators as
   points and minimalizes those with ``quadratic_minimalize``, where the
-  library sums packed pairing keys and forms points only for the minimal
-  sums;
+  library sums packed pairing keys and solves points for the minimal sums
+  only when the generators are read;
+* ``reference_sweep`` decides each level of a containment sweep by
+  ``difference_member`` against ``combination_ordinary_power``, on
+  symbolic powers from ``closure_minimal_generators``, where the library
+  compares the stored pairing vectors of both powers and never forms the
+  ordinary power's points;
 * ``adjugate_dual_rays`` takes the dual rays as the sign-fixed columns
   of the adjugate of the ray matrix, where the library solves for them
   with the Smith form the cone already stores;
@@ -178,6 +184,24 @@ def combination_ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdea
         for combo in itertools.combinations_with_replacement(ideal.generators, power)
     }
     return MonomialIdeal(ideal.context, quadratic_minimalize(sums, ideal.context))
+
+
+def reference_sweep(
+    data: HilbertBasis, components: Sequence[tuple[int, int]], multiplier: int, max_level: int
+) -> list[tuple[int, bool, Vector | None]]:
+    """(level, passed, witness) for the symbolic power D*a of the ideal with
+    these (ray, multiplicity) components inside the a-th ordinary power of
+    its first symbolic power, a = 1..max_level.  The witness is the
+    lex-least symbolic generator outside the ordinary power."""
+    base = MonomialIdeal(data, closure_minimal_generators(data, dict(components)))
+    levels = []
+    for a in range(1, max_level + 1):
+        ordinary = combination_ordinary_power(base, a)
+        bounds = {ray: multiplier * a * mult for ray, mult in components}
+        symbolic = closure_minimal_generators(data, bounds)
+        failing = [g for g in symbolic if not difference_member(g, ordinary)]
+        levels.append((a, not failing, min(failing, default=None)))
+    return levels
 
 
 def closure_minimal_generators(data: HilbertBasis, bounds: dict[int, int]) -> tuple[Vector, ...]:

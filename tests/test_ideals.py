@@ -150,6 +150,21 @@ class TestSymbolicPower:
                 meet = intersect_valuation_ideals(pieces)
                 assert joint.generators == meet.generators, (name, power)
 
+    def test_powers_below_the_period_keep_the_reduced_pairs(self, a2_data, monkeypatch):
+        built = []
+        reduce = ideals._minimal_generators
+
+        def recorded(data, bounds):
+            built.append(reduce(data, bounds))
+            return built[-1]
+
+        monkeypatch.setattr(ideals, "_minimal_generators", recorded)
+        sym = symbolic_power(single_prime(a2_data, 0), 2)
+        (pairs,) = built
+        assert len(pairs) == len(sym.generators) > 1
+        for g, row, (point, vector) in zip(sym.generators, sym.pairings, pairs):
+            assert g is point and row is vector
+
     def test_pairings_stored_at_and_past_the_period(self, zoo_semigroups):
         """Powers at and past the period store pairing vectors translated
         from the reduced ones, not computed later from the generators."""
@@ -278,6 +293,69 @@ class TestOrdinaryPower:
                     sym = symbolic_power(q, a)
                     for g in ordinary_power(base, a).generators:
                         assert satisfies_bounds(g, sym), (name, i, a, g)
+
+
+class TestOrdinaryPowerSolvesOnRead:
+    """An ordinary power keeps its generators' pairing vectors alone:
+    membership, principality, further powers and a whole sweep read them,
+    and reading ``generators`` solves each vector once."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = ideals._lattice_point
+
+        def counted(cone, pairs):
+            calls.append(tuple(pairs))
+            return solve(cone, pairs)
+
+        monkeypatch.setattr(ideals, "_lattice_point", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        # class order 4, ten generators in the first symbolic power
+        data = semigroup_data(make_cone([(1, 1, 2), (1, 2, 1), (2, 1, 1)], 3))
+        return symbolic_power(single_prime(data, 0), 1)
+
+    def test_readers_solve_no_point(self, base, solves):
+        square = ordinary_power(base, 2)
+        assert not ideal_member((0, 0, 0), square)
+        assert ideal_member(tuple(2 * c for c in base.generators[0]), square)
+        assert not is_principal(square)
+        cube_of_square = ordinary_power(square, 3)
+        assert not is_principal(cube_of_square)
+        assert solves == []
+        assert "generators" not in vars(square) and "pairings" not in vars(square)
+
+    def test_generators_solve_each_vector_once(self, base, solves):
+        square = ordinary_power(base, 2)
+        gens = square.generators
+        assert square.generators is gens and list(gens) == sorted(gens)
+        assert sorted(solves) == sorted(square._vectors)
+        assert len(set(solves)) == len(solves) == len(gens)
+        # the pairings follow the solved generators and solve nothing more
+        rays = base.context.cone.rays
+        assert square.pairings == tuple(tuple(dot(g, ray) for ray in rays) for g in gens)
+        assert len(solves) == len(gens)
+
+    def test_solved_power_equals_a_caller_built_ideal(self, base):
+        built = MonomialIdeal(base.context, ordinary_power(base, 2).generators)
+        fresh = ordinary_power(base, 2)
+        assert fresh == built and hash(fresh) == hash(built) and repr(fresh) == repr(built)
+        assert dataclasses.replace(ordinary_power(base, 2)) == built
+
+    def test_sweeps_solve_only_their_symbolic_powers(self, a2_data, solves):
+        # the ray prime's class has order 3, so a power E solves the points
+        # of power E mod 3 alone: at D = 3 only the base q^(1) solves any,
+        # and D = 2 fails at level 3 after the powers 1, 2, 4 and 6
+        first, second = (symbolic_power(single_prime(a2_data, 0), e).pairings for e in (1, 2))
+        solves.clear()
+        assert verify_containment(single_prime(a2_data, 0), 3, 3).passed
+        assert sorted(solves) == sorted(first)
+        solves.clear()
+        assert find_sharpness_witness(single_prime(a2_data, 0), 2, 4) == (3, (6, -2))
+        assert sorted(solves) == sorted(first + second + first)
 
 
 class TestIdealMember:

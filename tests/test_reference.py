@@ -23,6 +23,7 @@ from reference import (
     fourier_motzkin_contains,
     hull_hilbert_basis,
     quadratic_minimalize,
+    reference_sweep,
     search_order_of_class,
 )
 from symtoric.class_group import class_group_of, class_of, order_of_class
@@ -45,11 +46,13 @@ from symtoric.ideals import (
     _minimal_generators,
     _pairings,
     divisor_class,
+    find_sharpness_witness,
     ideal_member,
     intersect_valuation_ideals,
     ordinary_power,
     ray_prime,
     symbolic_power,
+    verify_containment,
 )
 
 # entry range per dimension, wide enough to reach |det| = 30 yet small
@@ -231,9 +234,9 @@ def test_period_pairs_to_class_order(data, components):
 @settings(deadline=None)
 @given(small_cones(), st.data())
 def test_minimalize_matches_quadratic(data, draw):
-    """The shared reduction on packed pairing keys keeps the candidates,
-    or their power-fold sums, that the all-pairs test keeps, and unpacks
-    their own pairing vectors."""
+    """The shared reduction on packed pairing keys keeps the pairing
+    vectors of the candidates, or their power-fold sums, that the
+    all-pairs test keeps, and each solves to its own point."""
     basis = data.hilbert_basis
     combos = st.lists(st.integers(0, 3), min_size=len(basis), max_size=len(basis))
     points = [
@@ -246,9 +249,10 @@ def test_minimalize_matches_quadratic(data, draw):
         for combo in itertools.combinations_with_replacement(points, power)
     ]
     rows = [_pairings(p, data) for p in points]
-    minimal = _minimal_sums(list(zip(*rows)), points, power)
-    assert tuple(g for g, _ in minimal) == quadratic_minimalize(sums, data)
-    assert [row for _, row in minimal] == [_pairings(g, data) for g, _ in minimal]
+    minimal = _minimal_sums(list(zip(*rows)), power)
+    solved = sorted((_lattice_point(data.cone, row), row) for row in minimal)
+    assert tuple(g for g, _ in solved) == quadratic_minimalize(sums, data)
+    assert [row for _, row in solved] == [_pairings(g, data) for g, _ in solved]
 
 
 @settings(deadline=None)
@@ -296,6 +300,27 @@ def test_ordinary_power_matches_combinations(data, draw):
     power = draw.draw(st.integers(1, 4))
     assume(comb(len(ideal.generators) + power - 1, power) <= 5000)
     assert ordinary_power(ideal, power) == combination_ordinary_power(ideal, power)
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_sweep_matches_reference(data, draw):
+    """verify_containment and find_sharpness_witness against the
+    brute-force sweep, at every multiplier from 1 to |det|, so that
+    levels fail and witnesses are compared."""
+    nrays = len(data.cone.rays)
+    rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
+    components = tuple((ray, draw.draw(st.integers(1, 2))) for ray in rays)
+    q = PureHeightOneIdeal(data, components)
+    max_level = draw.draw(st.integers(1, 3))
+    base = len(symbolic_power(q, 1).generators)
+    assume(comb(base + max_level - 1, max_level) <= 2000)
+    for multiplier in range(1, abs(determinant(data.cone.ray_matrix())) + 1):
+        expected = reference_sweep(data, q.components, multiplier, max_level)
+        report = verify_containment(q, multiplier, max_level)
+        assert [(c.level, c.passed, c.witness) for c in report.levels] == expected
+        failed = [(level, witness) for level, passed, witness in expected if not passed]
+        assert find_sharpness_witness(q, multiplier, max_level) == (failed[0] if failed else None)
 
 
 @pytest.mark.parametrize("value, power", [(1, 1), (7, 1), (5, 3), (21, 3)])
