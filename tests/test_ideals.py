@@ -345,6 +345,12 @@ class TestOrdinaryPowerSolvesOnRead:
         assert fresh == built and hash(fresh) == hash(built) and repr(fresh) == repr(built)
         assert dataclasses.replace(ordinary_power(base, 2)) == built
 
+    def test_passing_sweep_on_a_smooth_cone_solves_nothing(self, solves):
+        # every class is trivial: each symbolic power is a translate of R
+        data = semigroup_data(make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
+        assert verify_containment(single_prime(data, 0), 1, 3).passed
+        assert solves == []
+
     def test_sweeps_solve_only_their_symbolic_powers(self, a2_data, solves):
         # the ray prime's class has order 3, so a power E solves the points
         # of power E mod 3 alone: at D = 3 only the base q^(1) solves any,
