@@ -9,11 +9,11 @@ translated by the period character.  Ordinary powers are generated by
 sums of generators; comparing the two detects whether a multiplier D puts
 every D*a-th symbolic power inside the a-th ordinary power.
 
-One reduction on packed pairing keys minimalizes valuation ideals, which
-solve a lattice point per kept key, and ordinary powers, which store the
-kept vectors alone and solve their points on first read.  Valuation ideals
-store the vectors too, translated past the period; other ideals compute
-them on first use.  Membership, powers and the sweep read them there.
+One reduction on packed pairing keys minimalizes valuation ideals and
+ordinary powers.  A library ideal holds only the pairing vectors it kept,
+translated past the period, and solves their points when its generators are
+first read; an ideal built from generators computes its vectors on first use.
+Membership, powers and the sweep read vectors alone: a sweep solves witnesses.
 """
 
 from __future__ import annotations
@@ -57,20 +57,24 @@ class MonomialIdeal:
     generators: tuple[Vector, ...]
     valuation_bounds: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        dim = self.context.cone.ambient_dim
+        if lengths := {len(g) for g in self.generators} - {dim}:
+            raise DimensionError(f"generator length {min(lengths)} != ambient dimension {dim}")
+
     @cached_property
     def pairings(self) -> tuple[tuple[int, ...], ...]:
-        """Each generator's ray pairings, in generator order: unpacked from
-        the reduction's keys, or translated with the generators, for
-        valuation ideals; computed from the generators on first use for
-        other ones.  Not a field, so equality, hash and repr ignore it and
-        no caller can pass it in."""
+        """Each generator's ray pairings, in generator order, computed on
+        first use.  Not a field, so equality, hash and repr ignore it and no
+        caller can pass it in."""
         return tuple(_pairings(g, self.context) for g in self.generators)
 
     @cached_property
     def _vectors(self) -> tuple[tuple[int, ...], ...]:
-        """The generators' pairing vectors in any order: ``pairings``, or
-        those an ordinary power is built from, in key order, whose points
-        ``__getattr__`` solves and lex-sorts when ``generators`` is first read."""
+        """The generators' pairing vectors in any order: for a library ideal,
+        the ones its reduction kept, in key order, whose points
+        ``__getattr__`` solves and lex-sorts when ``generators`` is first
+        read; ``pairings`` for an ideal built from generators."""
         return self.pairings
 
     def __getattr__(self, name: str) -> tuple[Vector, ...]:
@@ -132,21 +136,23 @@ def _pairings(point: Vector, data: SemigroupData) -> tuple[int, ...]:
 
 
 def _library_ideal(
-    data: SemigroupData, bounds: tuple[tuple[int, int], ...] | None, **cache: tuple
+    data: SemigroupData, bounds: tuple[tuple[int, int], ...] | None, vectors: tuple[Vector, ...]
 ) -> MonomialIdeal:
-    """Ideal with its fields and caches set at once from a reduction: a
-    valuation ideal's ``generators`` and ``pairings``, or an ordinary
-    power's ``_vectors`` alone."""
+    """Ideal holding a reduction's kept pairing vectors alone: ``generators``
+    is solved from them on first read, and ``pairings`` follows."""
     ideal = object.__new__(MonomialIdeal)
-    ideal.__dict__.update(context=data, valuation_bounds=bounds, **cache)
+    ideal.__dict__.update(context=data, valuation_bounds=bounds, _vectors=vectors)
     return ideal
 
 
-def _minimal_generators(
-    data: SemigroupData, bounds: dict[int, int]
-) -> list[tuple[Vector, tuple[int, ...]]]:
-    """Lex-sorted (generator, pairing vector) pairs of the valuation ideal
-    {m in the semigroup : <m, ray_i> >= bounds[i]}.
+def _in_ideal(row: Sequence[int], ideal: MonomialIdeal) -> bool:
+    """Whether a pairing vector dominates one of the ideal's, so its monomial lies in the ideal."""
+    return any(all(map(ge, row, low)) for low in ideal._vectors)
+
+
+def _minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Pairing vectors, in key order, of the minimal generators of the
+    valuation ideal {m in the semigroup : <m, ray_i> >= bounds[i]}.
 
     Every semigroup element is a parallelotope point y plus a nonnegative
     combination of the dual rays.  Dual ray w_i, the period character of
@@ -154,14 +160,13 @@ def _minimal_generators(
     that pairing alone, by the class's order c_i = <w_i, ray_i> > y_i.  So
     the minimal generators are the minimal ones among the |det W| points y
     raised along w_i, for each bounded ray i, to the least pairing
-    b_i + (y_i - b_i) mod c_i >= b_i: their pairing columns are reduced
-    and a point is solved for each kept vector."""
+    b_i + (y_i - b_i) mod c_i >= b_i: their pairing columns are reduced."""
     columns = list(data._columns)
     for i, bound in bounds.items():
         if bound > 0:
             c = max(dot(w, data.cone.rays[i]) for w in data.dual_rays)
             columns[i] = [bound + (p - bound) % c for p in columns[i]]
-    return sorted((_lattice_point(data.cone, row), row) for row in _minimal_sums(columns, 1))
+    return _minimal_sums(columns, 1)
 
 
 def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
@@ -179,25 +184,20 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     principal-power argument behind the uniform multiplier.  Here m is the
     order of q's divisor class and f the monomial chi^u of ``q._period``,
     and adding u shifts the pairing on each ray by exactly m times its
-    multiplicity.  So q^(E) is q^(E mod m), or R, translated by (E // m) u,
-    its pairing vectors by E - E mod m times the multiplicities; lex order stays.
+    multiplicity.  So the pairing vectors of q^(E) are those of q^(E mod m),
+    or R, translated by (E - E mod m) b, b the multiplicities on the rays.
     """
     if power < 1:
         raise ValueError(f"symbolic power must be >= 1, got {power}")
-    m, u = q._period
-    k, r = divmod(power, m)
+    r = power % q._period[0]
     b = divisor_class(q)
-    pairs = [((0,) * len(u), (0,) * len(b))]
+    rows = ((0,) * len(b),)
     if r:
-        pairs = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
-    if k:
-        pairs = [
-            (tuple(a + k * c for a, c in zip(g, u)), tuple(p + (power - r) * c for p, c in zip(row, b)))
-            for g, row in pairs
-        ]
+        rows = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
+    if power > r:
+        rows = tuple(tuple(p + (power - r) * c for p, c in zip(row, b)) for row in rows)
     bounds = tuple((ray, power * mult) for ray, mult in q.components)
-    gens, rows = zip(*pairs)
-    return _library_ideal(q.context, bounds, generators=gens, pairings=rows)
+    return _library_ideal(q.context, bounds, rows)
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
@@ -210,7 +210,7 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
     columns = list(zip(*ideal._vectors))
     if min(map(min, columns), default=0) < 0:
         raise ValueError("ordinary power needs generators in the dual semigroup")
-    return _library_ideal(ideal.context, None, _vectors=_minimal_sums(columns, power))
+    return _library_ideal(ideal.context, None, _minimal_sums(columns, power))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
@@ -221,8 +221,7 @@ def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
         raise DimensionError(
             f"point length {len(point)} != ambient dimension {data.cone.ambient_dim}"
         )
-    pairs = _pairings(point, data)
-    return any(all(map(ge, pairs, low)) for low in ideal._vectors)
+    return _in_ideal(_pairings(point, data), ideal)
 
 
 def is_principal(ideal: MonomialIdeal) -> bool:
@@ -246,8 +245,7 @@ def intersect_valuation_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal
             raise ValueError("intersection needs ideals with a recorded valuation description")
         for ray, bound in ideal.valuation_bounds:
             merged[ray] = max(bound, merged.get(ray, 0))
-    gens, rows = zip(*_minimal_generators(data, merged))
-    return _library_ideal(data, tuple(sorted(merged.items())), generators=gens, pairings=rows)
+    return _library_ideal(data, tuple(sorted(merged.items())), _minimal_generators(data, merged))
 
 
 def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:
@@ -284,8 +282,9 @@ def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Ite
 
     Generator containment suffices: every other member is a semigroup
     translate of a generator and ordinary powers absorb translation.  The
-    first symbolic generator failing membership, read off stored vectors, is
-    the level's witness."""
+    symbolic power's vectors are tested against the ordinary power's, and
+    only the failing ones are solved: the lex-least of their points is the
+    level's witness."""
     if multiplier < 1:
         raise ValueError(f"multiplier must be >= 1, got {multiplier}")
     if max_level < 1:
@@ -293,9 +292,9 @@ def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Ite
     base = symbolic_power(q, 1)
     for a in range(1, max_level + 1):
         sym = symbolic_power(q, multiplier * a)
-        lows = ordinary_power(base, a)._vectors
-        witness = next((g for g, row in zip(sym.generators, sym.pairings)
-                        if not any(all(map(ge, row, low)) for low in lows)), None)
+        ordinary = ordinary_power(base, a)
+        failing = [row for row in sym._vectors if not _in_ideal(row, ordinary)]
+        witness = min((_lattice_point(q.context.cone, row) for row in failing), default=None)
         yield LevelCheck(a, witness is None, witness)
 
 

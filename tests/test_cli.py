@@ -255,20 +255,23 @@ class TestHilbertBasisCalls:
 
 class TestVerifyCommand:
     def test_failing_multiplier_golden(self, capsys, a1_file):
-        code, out, err = run_cli(
-            capsys, "verify", a1_file, "--ray", "0", "--D", "1", "--amax", "2"
-        )
-        assert code == 2 and err == ""
-        assert out == (
-            f"command: verify {a1_file} --ray 0 --D 1 --amax 2\n"
-            "input: sha256:45cb2093a4bb\n"
-            "ideal: P0^(1)\n"
-            "D: 1\n"
-            "a_max: 2\n"
-            "a = 1: PASS\n"
-            "a = 2: FAIL witness (2, -1)\n"
-            "verdict: FAIL\n"
-        )
+        # level 3 fails at two points; the first in pairing-key order is
+        # (4, -2), and the witness is the lex-least, (3, -1)
+        levels = ["a = 1: PASS\n", "a = 2: FAIL witness (2, -1)\n", "a = 3: FAIL witness (3, -1)\n"]
+        for amax in (2, 3):
+            code, out, err = run_cli(
+                capsys, "verify", a1_file, "--ray", "0", "--D", "1", "--amax", str(amax)
+            )
+            assert code == 2 and err == ""
+            assert out == (
+                f"command: verify {a1_file} --ray 0 --D 1 --amax {amax}\n"
+                "input: sha256:45cb2093a4bb\n"
+                "ideal: P0^(1)\n"
+                "D: 1\n"
+                f"a_max: {amax}\n"
+                + "".join(levels[:amax])
+                + "verdict: FAIL\n"
+            )
 
     def test_passing_multiplier(self, capsys, a1_file):
         code, out, _ = run_cli(

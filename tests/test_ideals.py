@@ -160,14 +160,14 @@ class TestSymbolicPower:
 
         monkeypatch.setattr(ideals, "_minimal_generators", recorded)
         sym = symbolic_power(single_prime(a2_data, 0), 2)
-        (pairs,) = built
-        assert len(pairs) == len(sym.generators) > 1
-        for g, row, (point, vector) in zip(sym.generators, sym.pairings, pairs):
-            assert g is point and row is vector
+        (rows,) = built
+        assert sym._vectors is rows
+        assert len(rows) == len(sym.generators) > 1
+        assert sorted(rows) == sorted(sym.pairings)
 
     def test_pairings_stored_at_and_past_the_period(self, zoo_semigroups):
         """Powers at and past the period store pairing vectors translated
-        from the reduced ones, not computed later from the generators."""
+        from the reduced ones, and no generators until they are read."""
         for name, data in zoo_semigroups:
             rays = data.cone.rays
             group = class_group_of(data.cone)
@@ -176,9 +176,10 @@ class TestSymbolicPower:
                 m = order_of_class(divisor_class(q), group)
                 for power in (m, m + 1, 2 * m, 2 * m + 1):
                     sym = symbolic_power(q, power)
-                    assert "pairings" in sym.__dict__, (name, i, power)
-                    expected = tuple(tuple(dot(g, ray) for ray in rays) for g in sym.generators)
-                    assert sym.pairings == expected, (name, i, power)
+                    assert "generators" not in vars(sym), (name, i, power)
+                    assert "_vectors" in vars(sym), (name, i, power)
+                    expected = [tuple(dot(g, ray) for ray in rays) for g in sym.generators]
+                    assert sorted(sym._vectors) == sorted(expected), (name, i, power)
 
 
 class TestPeriodOncePerIdeal:
@@ -296,9 +297,11 @@ class TestOrdinaryPower:
 
 
 class TestOrdinaryPowerSolvesOnRead:
-    """An ordinary power keeps its generators' pairing vectors alone:
-    membership, principality, further powers and a whole sweep read them,
-    and reading ``generators`` solves each vector once."""
+    """Every library ideal keeps its generators' pairing vectors alone: an
+    ordinary power, a symbolic power below or past the period, a ray prime
+    and an intersection.  Membership, principality, further powers and a
+    passing sweep read them, a failing sweep solves its failing vectors
+    alone, and reading ``generators`` solves each vector once."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -316,7 +319,19 @@ class TestOrdinaryPowerSolvesOnRead:
     def base(self):
         # class order 4, ten generators in the first symbolic power
         data = semigroup_data(make_cone([(1, 1, 2), (1, 2, 1), (2, 1, 1)], 3))
-        return symbolic_power(single_prime(data, 0), 1)
+        base = symbolic_power(single_prime(data, 0), 1)
+        base.generators  # solved here, before any test counts solves
+        return base
+
+    @staticmethod
+    def valuation_ideals(data):
+        """Ray primes, an intersection, and symbolic powers below, past and
+        at the class order 4 of the first ray prime: only the last is principal."""
+        q = single_prime(data, 0)
+        below = symbolic_power(q, 2)
+        meet = intersect_valuation_ideals([below, ray_prime(data, 1)])
+        return [ray_prime(data, 0), ray_prime(data, 2), meet, below, symbolic_power(q, 5),
+                symbolic_power(q, 4)]
 
     def test_readers_solve_no_point(self, base, solves):
         square = ordinary_power(base, 2)
@@ -352,16 +367,50 @@ class TestOrdinaryPowerSolvesOnRead:
         assert solves == []
 
     def test_sweeps_solve_only_their_symbolic_powers(self, a2_data, solves):
-        # the ray prime's class has order 3, so a power E solves the points
-        # of power E mod 3 alone: at D = 3 only the base q^(1) solves any,
-        # and D = 2 fails at level 3 after the powers 1, 2, 4 and 6
-        first, second = (symbolic_power(single_prime(a2_data, 0), e).pairings for e in (1, 2))
-        solves.clear()
+        # the ray prime's class has order 3: D = 3 passes and solves no
+        # point, and D = 2 fails at level 3, where q^(6) is the translate
+        # of R by the period character (6, -2), the one vector it solves
         assert verify_containment(single_prime(a2_data, 0), 3, 3).passed
-        assert sorted(solves) == sorted(first)
-        solves.clear()
+        assert solves == []
         assert find_sharpness_witness(single_prime(a2_data, 0), 2, 4) == (3, (6, -2))
-        assert sorted(solves) == sorted(first + second + first)
+        assert solves == [(6, 0)]
+
+    def test_valuation_ideals_read_without_solving(self, base, solves):
+        data = base.context
+        deep = tuple(10 * sum(column) for column in zip(*data.dual_rays))
+        built = self.valuation_ideals(data)
+        for ideal in built:
+            assert not ideal_member((0, 0, 0), ideal)
+            assert ideal_member(deep, ideal)
+            single = ideal is built[-1]
+            assert is_principal(ideal) == is_principal(ordinary_power(ideal, 2)) == single
+        assert verify_containment(single_prime(data, 0), 4, 2).passed
+        assert solves == []
+        assert all("generators" not in vars(ideal) for ideal in built)
+
+    def test_valuation_generators_solve_each_vector_once(self, base, solves):
+        for ideal in self.valuation_ideals(base.context):
+            solves.clear()
+            gens = ideal.generators
+            assert ideal.generators is gens and list(gens) == sorted(gens)
+            assert sorted(solves) == sorted(ideal._vectors) == sorted(ideal.pairings)
+            assert len(set(solves)) == len(solves) == len(gens)
+
+    def test_failing_sweep_solves_only_its_failing_vectors(self, solves):
+        # on the A_1 cone D = 1 fails at levels 2 and 3; the witness is the
+        # lex-least point of the failing ones, whatever order they are in
+        data = semigroup_data(make_cone([(1, 0), (1, 2)], 2))
+        q = single_prime(data, 0)
+        failing = []
+        for a in (1, 2, 3):
+            ordinary = ordinary_power(ray_prime(data, 0), a)
+            points = [g for g in symbolic_power(q, a).generators if not ideal_member(g, ordinary)]
+            failing += [tuple(dot(g, ray) for ray in data.cone.rays) for g in points]
+        assert len(failing) == 3
+        solves.clear()
+        report = verify_containment(q, 1, 3)
+        assert [c.witness for c in report.levels] == [None, (2, -1), (3, -1)]
+        assert sorted(solves) == sorted(failing)
 
 
 class TestIdealMember:
@@ -377,6 +426,16 @@ class TestIdealMember:
     def test_dimension_checked(self, a1_data):
         with pytest.raises(DimensionError):
             ideal_member((1, 0, 0), ray_prime(a1_data, 0))
+
+    def test_generator_dimension_checked(self):
+        # pairings zip a generator with each ray, which would cut a wrong length silently
+        data = semigroup_data(make_cone([(1, 0), (1, 2)], 2))
+        with pytest.raises(DimensionError):
+            MonomialIdeal(data, ((1, 0, 5),))
+        with pytest.raises(DimensionError):
+            MonomialIdeal(data, ((1, 0), (1,)))
+        with pytest.raises(DimensionError):
+            dataclasses.replace(ray_prime(data, 0), generators=((1, 0, 5),))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
