@@ -4,16 +4,16 @@ A monomial ideal lives in the dual semigroup of a simplicial full cone,
 stored by its minimal lattice-point generators.  Symbolic powers of pure
 height one ideals are valuation ideals: a point is in the E-th one exactly
 when its pairing with each chosen ray reaches E times its multiplicity.
-They repeat with the period of the divisor class: the (E+m)-th is the E-th
-translated by the period character.  Ordinary powers are generated by
-sums of generators; comparing the two detects whether a multiplier D puts
-every D*a-th symbolic power inside the a-th ordinary power.
+Once the period m of the divisor class divides E, the E-th is principal.
+Ordinary powers are generated by sums of generators; comparing the two
+detects whether a multiplier D puts every D*a-th symbolic power inside the
+a-th ordinary power.
 
 One reduction on packed pairing keys minimalizes valuation ideals and
-ordinary powers.  A library ideal holds only the pairing vectors it kept,
-translated past the period, and solves their points when its generators are
-first read; an ideal built from generators computes its vectors on first use.
-Membership, powers and the sweep read vectors alone: a sweep solves witnesses.
+ordinary powers.  Every ideal holds its generators' pairing vectors from
+construction; a library ideal solves its points when its generators are
+first read.  Membership, powers and the sweep read vectors alone: a sweep
+solves witnesses.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ class MonomialIdeal:
     ``valuation_bounds`` records, when the ideal was produced as a
     valuation ideal, the (ray index, lower bound) pairs defining it;
     ordinary powers drop it since they are not valuation ideals in
-    general.  Equality compares context and generators only.
+    general.  Equality compares context and generators only.  ``_vectors``
+    holds the generators' pairing vectors from construction: ``pairings`` for
+    an ideal built from generators, and for a library ideal the ones its
+    reduction kept, whose points ``__getattr__`` solves on first read.
     """
 
     context: SemigroupData
@@ -58,9 +61,12 @@ class MonomialIdeal:
     valuation_bounds: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        dim = self.context.cone.ambient_dim
+        dim, nrays = self.context.cone.ambient_dim, len(self.context.cone.rays)
         if lengths := {len(g) for g in self.generators} - {dim}:
             raise DimensionError(f"generator length {min(lengths)} != ambient dimension {dim}")
+        if bad := [ray for ray, _ in self.valuation_bounds or () if not 0 <= ray < nrays]:
+            raise IndexError(f"ray index {bad[0]} out of range for {nrays} rays")
+        object.__setattr__(self, "_vectors", self.pairings)
 
     @cached_property
     def pairings(self) -> tuple[tuple[int, ...], ...]:
@@ -69,16 +75,8 @@ class MonomialIdeal:
         caller can pass it in."""
         return tuple(_pairings(g, self.context) for g in self.generators)
 
-    @cached_property
-    def _vectors(self) -> tuple[tuple[int, ...], ...]:
-        """The generators' pairing vectors in any order: for a library ideal,
-        the ones its reduction kept, in key order, whose points
-        ``__getattr__`` solves and lex-sorts when ``generators`` is first
-        read; ``pairings`` for an ideal built from generators."""
-        return self.pairings
-
     def __getattr__(self, name: str) -> tuple[Vector, ...]:
-        if name != "generators" or "_vectors" not in self.__dict__:
+        if name != "generators":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         points = (_lattice_point(self.context.cone, row) for row in self._vectors)
         self.__dict__["generators"] = tuple(sorted(points))
@@ -138,8 +136,8 @@ def _pairings(point: Vector, data: SemigroupData) -> tuple[int, ...]:
 def _library_ideal(
     data: SemigroupData, bounds: tuple[tuple[int, int], ...] | None, vectors: tuple[Vector, ...]
 ) -> MonomialIdeal:
-    """Ideal holding a reduction's kept pairing vectors alone: ``generators``
-    is solved from them on first read, and ``pairings`` follows."""
+    """Ideal holding a reduction's kept pairing vectors alone; its rays are in
+    range, so it skips ``__post_init__``.  ``generators`` is solved on first read."""
     ideal = object.__new__(MonomialIdeal)
     ideal.__dict__.update(context=data, valuation_bounds=bounds, _vectors=vectors)
     return ideal
@@ -179,25 +177,20 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     """E-th symbolic power: pairing on each component ray at least E times
     its multiplicity.
 
-    Symbolic powers are periodic up to translation.  Once q^(m) = fR is
-    principal, q^(E+m) = f q^(E) for every E >= 0, with q^(0) = R: the
-    principal-power argument behind the uniform multiplier.  Here m is the
-    order of q's divisor class and f the monomial chi^u of ``q._period``,
-    and adding u shifts the pairing on each ray by exactly m times its
-    multiplicity.  So the pairing vectors of q^(E) are those of q^(E mod m),
-    or R, translated by (E - E mod m) b, b the multiplicities on the rays.
+    Once q^(m) = fR is principal, q^(ma) = f^a R: the principal-power
+    argument behind the uniform multiplier.  Here m is the order of q's
+    divisor class and f = chi^u, u of ``q._period``, pairs to m b, b the
+    multiplicities on the rays.  So a power that m divides holds the one
+    vector E b; any other is reduced at its bounds, as an intersection is.
     """
     if power < 1:
         raise ValueError(f"symbolic power must be >= 1, got {power}")
-    r = power % q._period[0]
-    b = divisor_class(q)
-    rows = ((0,) * len(b),)
-    if r:
-        rows = _minimal_generators(q.context, {ray: r * mult for ray, mult in q.components})
-    if power > r:
-        rows = tuple(tuple(p + (power - r) * c for p, c in zip(row, b)) for row in rows)
-    bounds = tuple((ray, power * mult) for ray, mult in q.components)
-    return _library_ideal(q.context, bounds, rows)
+    bounds = {ray: power * mult for ray, mult in q.components}
+    if power % q._period[0]:
+        rows = _minimal_generators(q.context, bounds)
+    else:
+        rows = (tuple(power * c for c in divisor_class(q)),)
+    return _library_ideal(q.context, tuple(bounds.items()), rows)
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:

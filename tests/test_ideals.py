@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -150,7 +151,9 @@ class TestSymbolicPower:
                 meet = intersect_valuation_ideals(pieces)
                 assert joint.generators == meet.generators, (name, power)
 
-    def test_powers_below_the_period_keep_the_reduced_pairs(self, a2_data, monkeypatch):
+    def test_non_principal_powers_keep_the_reduced_pairs(self, a2_data, monkeypatch):
+        # the class has order 3: the powers below and past it are each one
+        # reduction at their own bounds, whose kept vectors the ideal holds
         built = []
         reduce = ideals._minimal_generators
 
@@ -159,15 +162,23 @@ class TestSymbolicPower:
             return built[-1]
 
         monkeypatch.setattr(ideals, "_minimal_generators", recorded)
-        sym = symbolic_power(single_prime(a2_data, 0), 2)
-        (rows,) = built
-        assert sym._vectors is rows
-        assert len(rows) == len(sym.generators) > 1
-        assert sorted(rows) == sorted(sym.pairings)
+        for power in (2, 4):
+            built.clear()
+            sym = symbolic_power(single_prime(a2_data, 0), power)
+            (rows,) = built
+            assert sym._vectors is rows, power
+            assert len(rows) == len(sym.generators) > 1, power
+            assert sorted(rows) == sorted(sym.pairings), power
+        # an ideal built from generators holds their pairings from the start
+        made = MonomialIdeal(a2_data, sym.generators, sym.valuation_bounds)
+        assert "_vectors" in vars(made) and made._vectors == made.pairings == sym.pairings
+        replaced = dataclasses.replace(made, generators=sym.generators[:1])
+        assert "_vectors" in vars(replaced) and replaced._vectors == (sym.pairings[0],)
 
     def test_pairings_stored_at_and_past_the_period(self, zoo_semigroups):
-        """Powers at and past the period store pairing vectors translated
-        from the reduced ones, and no generators until they are read."""
+        """Powers at and past the period store pairing vectors, the one
+        vector E b at a multiple of the period and the reduced ones past it,
+        and no generators until they are read."""
         for name, data in zoo_semigroups:
             rays = data.cone.rays
             group = class_group_of(data.cone)
@@ -463,6 +474,16 @@ class TestIntersect:
         assert meet.generators == ((2, 0), (3, -1))
         assert meet.valuation_bounds == ((0, 2), (1, 1))
 
+    def test_recorded_ray_indices_checked(self):
+        # unchecked, a negative index would read the last ray's pairing
+        # column, and a large one would fail inside the reduction
+        data = semigroup_data(make_cone([(1, 0), (1, 2)], 2))
+        for bounds in (((-1, 2),), ((5, 1),)):
+            with pytest.raises(IndexError, match="out of range for 2 rays"):
+                intersect_valuation_ideals([MonomialIdeal(data, ((1, 0),), bounds)])
+        with pytest.raises(IndexError, match="ray index 2 out of range for 2 rays"):
+            dataclasses.replace(ray_prime(data, 0), valuation_bounds=((0, 1), (2, 1)))
+
     def test_requires_bounds(self, a1_data):
         p0 = ray_prime(a1_data, 0)
         with pytest.raises(ValueError):
@@ -565,6 +586,31 @@ class TestSharpness:
         q = single_prime(data, 0)
         assert find_sharpness_witness(q, 3, 5) == (4, (12, -3))
         assert find_sharpness_witness(q, 4, 4) is None
+
+    def test_ray_primes_below_their_period_fail_within_the_bound(self, zoo_cones):
+        """A ray prime whose class has order m fails every D < m by level
+        m / gcd(D, m).  Its period character is the dual ray w, and the points
+        pairing 0 with every other ray are the multiples of w, so chi^(k w) is
+        a product of at most k elements of the prime.  At that level a the
+        one generator of the symbolic power has k = D a / m < a."""
+        pairs = [(d, k) for d in range(2, 11) for k in range(1, d) if gcd(d, k) == 1]
+        cones = [make_cone([(0, 1), (d, -k)], 2) for d, k in pairs]
+        checked = 0
+        for cone in cones + [cone for _, cone in zoo_cones]:
+            data, group = semigroup_data(cone), class_group_of(cone)
+            for i in range(len(cone.rays)):
+                q = single_prime(data, i)
+                m = order_of_class(divisor_class(q), group)
+                for multiplier in range(1, m):
+                    checked += 1
+                    bound = m // gcd(multiplier, m)
+                    assert find_sharpness_witness(q, multiplier, bound) is not None, (cone, i)
+        assert checked == 458
+        # on A_n both ray primes have m = n + 1, and D = n first fails there
+        for n in range(1, 11):
+            data = semigroup_data(an_cone(n))
+            for i in (0, 1):
+                assert find_sharpness_witness(single_prime(data, i), n, n + 1)[0] == n + 1, (n, i)
 
     def test_validation(self, a1_data):
         q = single_prime(a1_data, 0)
