@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 
 from symtoric.class_group import class_group_of, det_multiplier, group_exponent
-from symtoric.cones import make_cone, semigroup_data
+from symtoric.cones import SemigroupData, make_cone
 from symtoric.ideals import (
     PureHeightOneIdeal,
     find_sharpness_witness,
@@ -39,7 +39,7 @@ def sweep(a_max: int) -> int:
     bad = 0
     for label, dim, rays in PANEL:
         cone = make_cone(rays, dim)
-        data = semigroup_data(cone)
+        data = SemigroupData(cone)
         group = class_group_of(cone)
         d = det_multiplier(cone)
         d_min = group_exponent(group)

@@ -23,7 +23,6 @@ from .class_group import (
 )
 from .cones import (
     Cone,
-    HilbertBasis,
     NotStronglyConvexError,
     SemigroupData,
     UnsupportedConeError,
@@ -33,7 +32,6 @@ from .cones import (
     in_semigroup,
     make_cone,
     primitive,
-    semigroup_data,
     semigroup_member,
 )
 from .duval import DuValRecord, OutOfCatalogError, cross_check_an, lookup
@@ -70,7 +68,6 @@ __all__ = [
     "DimensionError",
     "DivisorClass",
     "DuValRecord",
-    "HilbertBasis",
     "IntegerMatrix",
     "LevelCheck",
     "MonomialIdeal",
@@ -104,7 +101,6 @@ __all__ = [
     "presentation_matrix",
     "primitive",
     "ray_prime",
-    "semigroup_data",
     "semigroup_member",
     "smith_normal_form",
     "symbolic_power",

@@ -17,7 +17,7 @@ from math import prod
 from typing import Sequence
 
 from .class_group import class_group_of, det_multiplier, group_exponent, group_order
-from .cones import Cone, dual_cone, hilbert_basis, make_cone, semigroup_data
+from .cones import Cone, SemigroupData, dual_cone, hilbert_basis, make_cone
 from .duval import cross_check_an, lookup
 from .ideals import PureHeightOneIdeal, _checked_components
 from .ideals import find_sharpness_witness, verify_containment
@@ -199,7 +199,8 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
             raise CliError(f"--b {ns.b!r} is not a comma separated integer list") from None
         if len(mults) != len(rays):
             raise CliError(f"--b lists {len(mults)} multiplicities for {len(rays)} rays")
-    # checked before the dual parallelotope, whose |det| points it would enumerate
+    # checked before a sweep enumerates the dual parallelotope: |det W|
+    # points, W the matrix of dual rays
     if ns.multiplier < 1:
         raise CliError(f"--D must be >= 1, got {ns.multiplier}")
     if ns.amax < 1:
@@ -209,7 +210,7 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
         if not 0 <= ray < nrays:
             raise CliError(f"ray index {ray} out of range for {nrays} rays")
     components = _checked_components(zip(rays, mults), nrays)
-    return PureHeightOneIdeal(semigroup_data(cone), components)
+    return PureHeightOneIdeal(SemigroupData(cone), components)
 
 
 def _fmt_components(q: PureHeightOneIdeal) -> str:

@@ -26,13 +26,11 @@ __all__ = [
     "Vector",
     "Cone",
     "SemigroupData",
-    "HilbertBasis",
     "NotStronglyConvexError",
     "UnsupportedConeError",
     "primitive",
     "make_cone",
     "dual_cone",
-    "semigroup_data",
     "hilbert_basis",
     "in_semigroup",
     "semigroup_member",
@@ -159,41 +157,65 @@ def dual_cone(cone: Cone) -> Cone:
     return make_cone([_divisor_period(cone, e)[1] for e in units], n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SemigroupData:
     """Dual semigroup of a simplicial full cone, ready for monomial work.
 
-    ``dual_rays`` is lex-sorted.  ``parallelotope`` holds one (pairing
-    vector, point) pair per lattice point of the half-open parallelotope
-    of the dual rays, the origin included: every semigroup element is
-    exactly one of those points plus a nonnegative integer combination of
-    the dual rays.  The cone determines every other field, so contexts
-    compare by cone, whichever builder made them.
+    The cone is the one field: it determines the rest, so contexts compare
+    and hash by cone.  Its dual cone is computed at construction, which
+    rejects a cone that is not simplicial and full; every other attribute
+    is derived on first read.  ``dual_rays`` is lex-sorted.
+    ``parallelotope`` holds one (pairing vector, point) pair per lattice
+    point of the half-open parallelotope of the dual rays, the origin
+    included: every semigroup element is exactly one of those points plus
+    a nonnegative integer combination of the dual rays.
     """
 
     cone: Cone
-    dual_rays: tuple[Vector, ...]
-    parallelotope: tuple[tuple[tuple[int, ...], Vector], ...] = field(repr=False)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SemigroupData) and self.cone == other.cone
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_dual", dual_cone(self.cone))
 
-    def __hash__(self) -> int:
-        return hash(self.cone)
+    @property
+    def dual_rays(self) -> tuple[Vector, ...]:
+        return self._dual.rays
+
+    @cached_property
+    def parallelotope(self) -> tuple[tuple[tuple[int, ...], Vector], ...]:
+        return _parallelotope(self._dual, self.cone.rays)
 
     @cached_property
     def _columns(self) -> list[tuple[int, ...]]:
         """The parallelotope's pairing vectors transposed, one tuple per ray."""
         return list(zip(*(pairs for pairs, _ in self.parallelotope)))
 
+    @cached_property
+    def hilbert_basis(self) -> tuple[Vector, ...]:
+        """The Hilbert basis, lex-sorted.
 
-@dataclass(frozen=True, eq=False)
-class HilbertBasis(SemigroupData):
-    """Semigroup data with its Hilbert basis, lex-sorted, and
-    ``pairing_table[i][j]``, the pairing of basis element i with cone ray j."""
+        Every semigroup element is a dual-ray translate of a lattice point
+        of the parallelotope, so the irreducible elements all sit among
+        those points and the dual rays themselves; a candidate is dropped
+        when subtracting another candidate leaves a semigroup element.
+        """
+        rays = self.cone.rays
+        candidates = set(self.dual_rays) | {p for _, p in self.parallelotope if any(p)}
 
-    hilbert_basis: tuple[Vector, ...]
-    pairing_table: tuple[tuple[int, ...], ...]
+        def reducible(h: Vector) -> bool:
+            for g in candidates:
+                if g == h:
+                    continue
+                diff = tuple(a - b for a, b in zip(h, g))
+                if all(dot(diff, ray) >= 0 for ray in rays):
+                    return True
+            return False
+
+        return tuple(h for h in sorted(candidates) if not reducible(h))
+
+    @cached_property
+    def pairing_table(self) -> tuple[tuple[int, ...], ...]:
+        """``pairing_table[i][j]``: the pairing of basis element i with cone ray j."""
+        return tuple(tuple(dot(h, ray) for ray in self.cone.rays) for h in self.hilbert_basis)
 
 
 def _parallelotope(
@@ -269,37 +291,12 @@ def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[tuple[i
     return tuple(tuple(key >> shift & mask for shift in fields) for key in kept)
 
 
-def semigroup_data(cone: Cone) -> SemigroupData:
-    """Dual rays and |det W| dual parallelotope points of a simplicial full cone."""
-    dual = dual_cone(cone)
-    return SemigroupData(cone, dual.rays, _parallelotope(dual, cone.rays))
-
-
-def hilbert_basis(cone: Cone) -> HilbertBasis:
-    """Hilbert basis of the dual semigroup of a simplicial full cone.
-
-    Every semigroup element is a dual-ray translate of a lattice point of
-    the half-open fundamental parallelotope of the dual rays, so the
-    irreducible elements all sit among those points and the dual rays
-    themselves.  Both come from ``semigroup_data``; a candidate is
-    dropped when subtracting another candidate leaves a semigroup element.
-    """
-    data = semigroup_data(cone)
-    rays = cone.rays
-    candidates: set[Vector] = set(data.dual_rays) | {p for _, p in data.parallelotope if any(p)}
-
-    def reducible(h: Vector) -> bool:
-        for g in candidates:
-            if g == h:
-                continue
-            diff = tuple(a - b for a, b in zip(h, g))
-            if all(dot(diff, ray) >= 0 for ray in rays):
-                return True
-        return False
-
-    basis = tuple(h for h in sorted(candidates) if not reducible(h))
-    table = tuple(tuple(dot(h, ray) for ray in rays) for h in basis)
-    return HilbertBasis(cone, data.dual_rays, data.parallelotope, basis, table)
+def hilbert_basis(cone: Cone) -> SemigroupData:
+    """Semigroup context of a simplicial full cone with its Hilbert basis
+    and pairing table computed before it is returned."""
+    data = SemigroupData(cone)
+    data.pairing_table
+    return data
 
 
 def in_semigroup(point: Sequence[int], data: SemigroupData) -> bool:
@@ -311,7 +308,7 @@ def in_semigroup(point: Sequence[int], data: SemigroupData) -> bool:
     return all(dot(point, ray) >= 0 for ray in data.cone.rays)
 
 
-def semigroup_member(point: Sequence[int], data: HilbertBasis) -> tuple[int, ...] | None:
+def semigroup_member(point: Sequence[int], data: SemigroupData) -> tuple[int, ...] | None:
     """Decompose a point over the Hilbert basis, or report non-membership.
 
     Returns a coefficient tuple aligned with ``data.hilbert_basis`` such

@@ -56,7 +56,7 @@ from math import gcd
 from typing import Sequence
 
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
-from symtoric.cones import Cone, HilbertBasis, SemigroupData, Vector, dot, primitive
+from symtoric.cones import Cone, SemigroupData, Vector, dot, primitive
 from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant
 from symtoric.ideals import MonomialIdeal
 
@@ -166,7 +166,7 @@ def difference_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
     )
 
 
-def basis_ray_prime(data: HilbertBasis, ray_index: int) -> tuple[Vector, ...]:
+def basis_ray_prime(data: SemigroupData, ray_index: int) -> tuple[Vector, ...]:
     """Minimal generators of the prime of the divisor on one ray.
 
     A monomial pairing positively with the ray is a sum of Hilbert basis
@@ -187,7 +187,7 @@ def combination_ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdea
 
 
 def reference_sweep(
-    data: HilbertBasis, components: Sequence[tuple[int, int]], multiplier: int, max_level: int
+    data: SemigroupData, components: Sequence[tuple[int, int]], multiplier: int, max_level: int
 ) -> list[tuple[int, bool, Vector | None]]:
     """(level, passed, witness) for the symbolic power D*a of the ideal with
     these (ray, multiplicity) components inside the a-th ordinary power of
@@ -204,7 +204,7 @@ def reference_sweep(
     return levels
 
 
-def closure_minimal_generators(data: HilbertBasis, bounds: dict[int, int]) -> tuple[Vector, ...]:
+def closure_minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:
     """Minimal generators of {m in the semigroup : <m, ray_i> >= bounds[i]}.
 
     Search bound: a minimal generator stays strictly below bound + C on

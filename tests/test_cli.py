@@ -458,10 +458,10 @@ class TestErrorPaths:
         ],
     )
     def test_bad_ideal(self, capsys, a1_file, monkeypatch, options, message):
-        def unexpected(cone):
-            pytest.fail("the parallelotope was built before the ideal was checked")
+        def unexpected(dual, rays):
+            pytest.fail("the parallelotope was enumerated before the ideal was checked")
 
-        monkeypatch.setattr(cli, "semigroup_data", unexpected)
+        monkeypatch.setattr(cones, "_parallelotope", unexpected)
         err = self.check_error(capsys, "verify", a1_file, *options, "--D", "1", "--amax", "1")
         assert err == f"error: {message}\n"
 
@@ -486,10 +486,10 @@ class TestErrorPaths:
     def test_bad_multiplier_before_hilbert_basis(
         self, capsys, a1_file, monkeypatch, multiplier, amax, option
     ):
-        def unexpected(cone):
-            pytest.fail(f"the parallelotope was built before {option} was checked")
+        def unexpected(dual, rays):
+            pytest.fail(f"the parallelotope was enumerated before {option} was checked")
 
-        monkeypatch.setattr(cli, "semigroup_data", unexpected)
+        monkeypatch.setattr(cones, "_parallelotope", unexpected)
         err = self.check_error(
             capsys, "verify", a1_file, "--ray", "0", "--D", multiplier, "--amax", amax
         )
@@ -497,10 +497,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("ray", ["9", "-1"])
     def test_bad_ray_index_before_hilbert_basis(self, capsys, klein4_file, monkeypatch, ray):
-        def unexpected(cone):
-            pytest.fail("the parallelotope was built before the ray index was checked")
+        def unexpected(dual, rays):
+            pytest.fail("the parallelotope was enumerated before the ray index was checked")
 
-        monkeypatch.setattr(cli, "semigroup_data", unexpected)
+        monkeypatch.setattr(cones, "_parallelotope", unexpected)
         err = self.check_error(
             capsys, "verify", klein4_file, "--ray", ray, "--D", "1", "--amax", "1"
         )

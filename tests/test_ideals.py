@@ -9,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone_zoo import all_semigroups, an_cone, build_cone
-from symtoric import ideals
+from symtoric import cones, ideals
 from symtoric.class_group import class_group_of, order_of_class
-from symtoric.cones import dot, hilbert_basis, in_semigroup, make_cone, semigroup_data
+from symtoric.cones import (
+    SemigroupData,
+    UnsupportedConeError,
+    dot,
+    hilbert_basis,
+    in_semigroup,
+    make_cone,
+)
 from symtoric.exact_linalg import DimensionError
 from symtoric.ideals import (
     ContainmentReport,
@@ -329,7 +336,7 @@ class TestOrdinaryPowerSolvesOnRead:
     @pytest.fixture(scope="class")
     def base(self):
         # class order 4, ten generators in the first symbolic power
-        data = semigroup_data(make_cone([(1, 1, 2), (1, 2, 1), (2, 1, 1)], 3))
+        data = SemigroupData(make_cone([(1, 1, 2), (1, 2, 1), (2, 1, 1)], 3))
         base = symbolic_power(single_prime(data, 0), 1)
         base.generators  # solved here, before any test counts solves
         return base
@@ -373,7 +380,7 @@ class TestOrdinaryPowerSolvesOnRead:
 
     def test_passing_sweep_on_a_smooth_cone_solves_nothing(self, solves):
         # every class is trivial: each symbolic power is a translate of R
-        data = semigroup_data(make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
+        data = SemigroupData(make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
         assert verify_containment(single_prime(data, 0), 1, 3).passed
         assert solves == []
 
@@ -410,7 +417,7 @@ class TestOrdinaryPowerSolvesOnRead:
     def test_failing_sweep_solves_only_its_failing_vectors(self, solves):
         # on the A_1 cone D = 1 fails at levels 2 and 3; the witness is the
         # lex-least point of the failing ones, whatever order they are in
-        data = semigroup_data(make_cone([(1, 0), (1, 2)], 2))
+        data = SemigroupData(make_cone([(1, 0), (1, 2)], 2))
         q = single_prime(data, 0)
         failing = []
         for a in (1, 2, 3):
@@ -440,7 +447,7 @@ class TestIdealMember:
 
     def test_generator_dimension_checked(self):
         # pairings zip a generator with each ray, which would cut a wrong length silently
-        data = semigroup_data(make_cone([(1, 0), (1, 2)], 2))
+        data = SemigroupData(make_cone([(1, 0), (1, 2)], 2))
         with pytest.raises(DimensionError):
             MonomialIdeal(data, ((1, 0, 5),))
         with pytest.raises(DimensionError):
@@ -477,7 +484,7 @@ class TestIntersect:
     def test_recorded_ray_indices_checked(self):
         # unchecked, a negative index would read the last ray's pairing
         # column, and a large one would fail inside the reduction
-        data = semigroup_data(make_cone([(1, 0), (1, 2)], 2))
+        data = SemigroupData(make_cone([(1, 0), (1, 2)], 2))
         for bounds in (((-1, 2),), ((5, 1),)):
             with pytest.raises(IndexError, match="out of range for 2 rays"):
                 intersect_valuation_ideals([MonomialIdeal(data, ((1, 0),), bounds)])
@@ -515,7 +522,7 @@ class TestEmptyCandidates:
 
     @pytest.fixture(scope="class")
     def det61_data(self):
-        return semigroup_data(make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3))
+        return SemigroupData(make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3))
 
     def test_intersect_of_no_bounds_is_the_unit_ideal(self, det61_data):
         ideal = MonomialIdeal(det61_data, ((1, 0, 0),), ())
@@ -597,7 +604,7 @@ class TestSharpness:
         cones = [make_cone([(0, 1), (d, -k)], 2) for d, k in pairs]
         checked = 0
         for cone in cones + [cone for _, cone in zoo_cones]:
-            data, group = semigroup_data(cone), class_group_of(cone)
+            data, group = SemigroupData(cone), class_group_of(cone)
             for i in range(len(cone.rays)):
                 q = single_prime(data, i)
                 m = order_of_class(divisor_class(q), group)
@@ -608,7 +615,7 @@ class TestSharpness:
         assert checked == 458
         # on A_n both ray primes have m = n + 1, and D = n first fails there
         for n in range(1, 11):
-            data = semigroup_data(an_cone(n))
+            data = SemigroupData(an_cone(n))
             for i in (0, 1):
                 assert find_sharpness_witness(single_prime(data, i), n, n + 1)[0] == n + 1, (n, i)
 
@@ -671,15 +678,45 @@ class TestMonomialIdealEquality:
         assert b.valuation_bounds == a.valuation_bounds
 
     def test_contexts_of_one_cone_mix(self):
-        # semigroup_data and hilbert_basis contexts compare by cone, so
-        # ideals over either are equal and intersect
+        # a context's one field is its cone, so contexts built with or
+        # without a Hilbert basis are equal and their ideals intersect
         cone = make_cone([(1, 0), (1, 2)], 2)
-        lattice, basis = semigroup_data(cone), hilbert_basis(cone)
+        lattice, basis = SemigroupData(cone), hilbert_basis(cone)
         assert lattice == basis and basis == lattice and hash(lattice) == hash(basis)
+        assert [f.name for f in dataclasses.fields(SemigroupData)] == ["cone"]
+        assert dataclasses.replace(lattice) == lattice
+        assert repr(lattice) == f"SemigroupData(cone={cone!r})"
         assert lattice.dual_rays == basis.dual_rays
         assert lattice.parallelotope == basis.parallelotope
-        assert lattice != semigroup_data(make_cone([(1, 0), (1, 3)], 2))
+        assert lattice.hilbert_basis == basis.hilbert_basis == ((0, 1), (1, 0), (2, -1))
+        assert lattice != SemigroupData(make_cone([(1, 0), (1, 3)], 2))
         assert ray_prime(lattice, 0) == ray_prime(basis, 0)
         meet = intersect_valuation_ideals([ray_prime(lattice, 0), ray_prime(basis, 1)])
         assert meet.generators == ((1, 0),)
         assert meet == intersect_valuation_ideals([ray_prime(basis, 0), ray_prime(lattice, 1)])
+        # the dual cone is built with the context, so an unsupported cone
+        # raises there, before any attribute is read
+        square = make_cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
+        flat = make_cone([(1, 0, 0), (0, 1, 0)], 3)
+        for cone in (square, flat):
+            with pytest.raises(UnsupportedConeError, match="^dualization needs a simplicial "
+                               "full-dimensional cone$"):
+                SemigroupData(cone)
+
+
+class TestParallelotopeOnRead:
+    def test_principal_power_enumerates_no_point(self, monkeypatch):
+        # e1, e2, (3, 5, 61): a context, a principal symbolic power of a ray
+        # prime, and its readers never enumerate the 3721-point parallelotope
+        def unexpected(*args):
+            pytest.fail("the parallelotope was enumerated")
+
+        monkeypatch.setattr(cones, "_parallelotope", unexpected)
+        data = SemigroupData(make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3))
+        q = single_prime(data, 2)
+        m = q._period[0]
+        power = symbolic_power(q, m)
+        assert is_principal(power)
+        assert ideal_member(power.generators[0], power)
+        assert not ideal_member((0, 0, 0), power)
+        assert "parallelotope" not in vars(data)
