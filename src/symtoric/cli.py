@@ -199,8 +199,7 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
             raise CliError(f"--b {ns.b!r} is not a comma separated integer list") from None
         if len(mults) != len(rays):
             raise CliError(f"--b lists {len(mults)} multiplicities for {len(rays)} rays")
-    # checked before a sweep enumerates the dual parallelotope: |det W|
-    # points, W the matrix of dual rays
+    # checked before a sweep enumerates the |det W| dual parallelotope points, W the dual rays
     if ns.multiplier < 1:
         raise CliError(f"--D must be >= 1, got {ns.multiplier}")
     if ns.amax < 1:
