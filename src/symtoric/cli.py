@@ -1,10 +1,11 @@
 """Command line frontend.
 
 Subcommands: cone info/dual/hilbert, classgroup, multiplier, verify,
-sharpness, duval.  Reports go to stdout and are byte-identical across
-runs for identical inputs; diagnostics go to stderr as a single line
-with an ``error:`` prefix and exit code 1.  ``verify`` (and ``duval
-check-an``) exit 0 when the verification passes and 2 when it fails.
+sharpness, duval; each subparser names its handler in its defaults.
+Reports go to stdout and are byte-identical across runs for identical
+inputs; diagnostics go to stderr as a single line with an ``error:``
+prefix and exit code 1.  ``verify`` (and ``duval check-an``) exit 0
+when the verification passes and 2 when it fails.
 """
 
 from __future__ import annotations
@@ -43,19 +44,23 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cone = sub.add_parser("cone", help="cone reports")
+    cone.set_defaults(handler=_cmd_cone)
     cone_sub = cone.add_subparsers(dest="action", required=True)
     for action in ("info", "dual", "hilbert"):
         p = cone_sub.add_parser(action)
         p.add_argument("file")
         p.add_argument("--json", action="store_true", dest="as_json")
 
-    for name in ("classgroup", "multiplier"):
+    for name, handler in (("classgroup", _cmd_classgroup), ("multiplier", _cmd_multiplier)):
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("file")
         p.add_argument("--json", action="store_true", dest="as_json")
 
     verify = sub.add_parser("verify", help="symbolic-into-ordinary containment sweep")
     sharp = sub.add_parser("sharpness", help="search for a failing level of a candidate multiplier")
+    verify.set_defaults(handler=_cmd_verify)
+    sharp.set_defaults(handler=_cmd_sharpness)
     for p in (verify, sharp):
         p.add_argument("file")
         p.add_argument("--json", action="store_true", dest="as_json")
@@ -67,6 +72,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--amax", type=int, required=True)
 
     duval = sub.add_parser("duval", help="du Val catalog lookups and checks")
+    duval.set_defaults(handler=_cmd_duval)
     duval.add_argument("family", help="A, D, E, or check-an")
     duval.add_argument("n", type=int)
     return parser
@@ -260,23 +266,13 @@ def _cmd_duval(ns: argparse.Namespace, cone: None) -> tuple[list[str], int]:
     ], 0
 
 
-_HANDLERS = {
-    "cone": _cmd_cone,
-    "classgroup": _cmd_classgroup,
-    "multiplier": _cmd_multiplier,
-    "verify": _cmd_verify,
-    "sharpness": _cmd_sharpness,
-    "duval": _cmd_duval,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one request: the only code here that writes stdout or stderr."""
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         ns = _build_parser().parse_args(args)
         cone = None if ns.command == "duval" else _load_cone(ns.file, ns.as_json)
-        body, code = _HANDLERS[ns.command](ns, cone)
+        body, code = ns.handler(ns, cone)
     except ValueError as exc:
         # CliError for input problems, and the library's domain errors
         # (unsupported cone, bad catalog pair, ...)

@@ -34,7 +34,6 @@ __all__ = [
     "hilbert_basis",
     "in_semigroup",
     "semigroup_member",
-    "dot",
 ]
 
 Vector = tuple[int, ...]

@@ -148,9 +148,9 @@ def _in_ideal(row: Sequence[int], ideal: MonomialIdeal) -> bool:
     return any(all(map(ge, row, low)) for low in ideal._vectors)
 
 
-def _minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-    """Pairing vectors, in key order, of the minimal generators of the
-    valuation ideal {m in the semigroup : <m, ray_i> >= bounds[i]}.
+def _valuation_ideal(data: SemigroupData, bounds: dict[int, int]) -> MonomialIdeal:
+    """The valuation ideal {m in the semigroup : <m, ray_i> >= bounds[i]},
+    holding the pairing vectors of its minimal generators in key order.
 
     Every semigroup element is a parallelotope point y plus a nonnegative
     combination of the dual rays.  Dual ray w_i, the period character of
@@ -164,7 +164,7 @@ def _minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[tu
         if bound > 0:
             c = max(dot(w, data.cone.rays[i]) for w in data.dual_rays)
             columns[i] = [bound + (p - bound) % c for p in columns[i]]
-    return _minimal_sums(columns, 1)
+    return _library_ideal(data, tuple(sorted(bounds.items())), _minimal_sums(columns, 1))
 
 
 def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
@@ -187,10 +187,9 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
         raise ValueError(f"symbolic power must be >= 1, got {power}")
     bounds = {ray: power * mult for ray, mult in q.components}
     if power % q._period[0]:
-        rows = _minimal_generators(q.context, bounds)
-    else:
-        rows = (tuple(power * c for c in divisor_class(q)),)
-    return _library_ideal(q.context, tuple(bounds.items()), rows)
+        return _valuation_ideal(q.context, bounds)
+    vector = tuple(power * c for c in divisor_class(q))
+    return _library_ideal(q.context, tuple(bounds.items()), (vector,))
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
@@ -238,7 +237,7 @@ def intersect_valuation_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal
             raise ValueError("intersection needs ideals with a recorded valuation description")
         for ray, bound in ideal.valuation_bounds:
             merged[ray] = max(bound, merged.get(ray, 0))
-    return _library_ideal(data, tuple(sorted(merged.items())), _minimal_generators(data, merged))
+    return _valuation_ideal(data, merged)
 
 
 def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:

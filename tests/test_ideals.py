@@ -162,13 +162,14 @@ class TestSymbolicPower:
         # the class has order 3: the powers below and past it are each one
         # reduction at their own bounds, whose kept vectors the ideal holds
         built = []
-        reduce = ideals._minimal_generators
+        reduce = ideals._valuation_ideal
 
         def recorded(data, bounds):
-            built.append(reduce(data, bounds))
-            return built[-1]
+            ideal = reduce(data, bounds)
+            built.append(ideal._vectors)
+            return ideal
 
-        monkeypatch.setattr(ideals, "_minimal_generators", recorded)
+        monkeypatch.setattr(ideals, "_valuation_ideal", recorded)
         for power in (2, 4):
             built.clear()
             sym = symbolic_power(single_prime(a2_data, 0), power)

@@ -43,8 +43,8 @@ from symtoric.exact_linalg import IntegerMatrix, determinant, smith_normal_form
 from symtoric.ideals import (
     MonomialIdeal,
     PureHeightOneIdeal,
-    _minimal_generators,
     _pairings,
+    _valuation_ideal,
     divisor_class,
     find_sharpness_witness,
     ideal_member,
@@ -156,7 +156,7 @@ def test_minimal_generators_match_closure(data, draw):
     )
     periods = [max(dot(w, ray) for w in data.dual_rays) for ray in rays]
     bounds = {ray: draw.draw(st.integers(1, 3 * periods[ray])) for ray in chosen}
-    rows = _minimal_generators(data, bounds)
+    rows = _valuation_ideal(data, bounds)._vectors
     expected = closure_minimal_generators(data, bounds)
     assert sorted(rows) == sorted(_pairings(g, data) for g in expected)
     assert tuple(sorted(_lattice_point(data.cone, row) for row in rows)) == expected
@@ -362,7 +362,7 @@ def test_valuation_ideal_guard_bits(rays, bounds, pairings):
     are raised to (15, 0), (13, 1) and (14, 2)."""
     data = hilbert_basis(make_cone(rays, 2))
     expected = closure_minimal_generators(data, bounds)
-    assert sorted(_minimal_generators(data, bounds)) == sorted(pairings)
+    assert sorted(_valuation_ideal(data, bounds)._vectors) == sorted(pairings)
     assert sorted(_pairings(g, data) for g in expected) == sorted(pairings)
 
 

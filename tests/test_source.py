@@ -105,3 +105,19 @@ def test_only_cli_main_writes_output():
             if owner != "main":
                 found.append(f"cli.py:{node.lineno} {hit} in {owner or 'module'}")
     assert found == []
+
+
+def test_package_reexports_each_layer_modules_public_list():
+    """``symtoric.__all__`` is the union of the layer modules' ``__all__``,
+    each name the same object as in its module; the inner-loop helper
+    ``cones.dot`` and the CLI entry point ``cli.main`` stay unexported."""
+    # read off this file's own package: another suite may re-import symtoric
+    layers = [getattr(symtoric, name) for name in ("class_group", "cones", "duval",
+                                                   "exact_linalg", "ideals")]
+    assert set(symtoric.__all__) == {name for module in layers for name in module.__all__}
+    assert len(symtoric.__all__) == len(set(symtoric.__all__))
+    for module in layers:
+        for name in module.__all__:
+            assert getattr(symtoric, name) is getattr(module, name), name
+    assert "dot" not in symtoric.__all__ and not hasattr(symtoric, "dot")
+    assert "main" not in symtoric.__all__ and not hasattr(symtoric, "main")
