@@ -162,14 +162,13 @@ class TestSymbolicPower:
         # the class has order 3: the powers below and past it are each one
         # reduction at their own bounds, whose kept vectors the ideal holds
         built = []
-        reduce = ideals._valuation_ideal
+        reduce = ideals._minimal_sums
 
-        def recorded(data, bounds):
-            ideal = reduce(data, bounds)
-            built.append(ideal._vectors)
-            return ideal
+        def recorded(columns, power):
+            built.append(reduce(columns, power))
+            return built[-1]
 
-        monkeypatch.setattr(ideals, "_valuation_ideal", recorded)
+        monkeypatch.setattr(ideals, "_minimal_sums", recorded)
         for power in (2, 4):
             built.clear()
             sym = symbolic_power(single_prime(a2_data, 0), power)

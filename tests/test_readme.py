@@ -16,7 +16,8 @@ def _quick_tour() -> str:
 
 def test_quick_tour_values_match_their_comments():
     """Statements run in order; an expression statement's comment must
-    start with the repr of its value, as in ``group_order(group)  # 2``."""
+    start with the repr of its value, as in ``group_order(group)  # 2``,
+    ended by the comment's end, a space, a colon or a comma."""
     source = _quick_tour()
     lines = source.splitlines()
     namespace: dict = {}
@@ -27,9 +28,8 @@ def test_quick_tour_values_match_their_comments():
             continue
         value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
         comment = lines[statement.lineno - 1].split("#", 1)[1].strip()
-        assert comment.startswith(repr(value)), (ast.unparse(statement), value)
+        stated = repr(value)
+        after = comment[len(stated) : len(stated) + 1]
+        assert comment.startswith(stated) and after in ("", " ", ":", ","), (ast.unparse(statement), value)
         checked.append(value)
     assert checked
-    data, q = namespace["data"], namespace["q"]
-    assert data.dual_rays == ((0, 1), (2, -1))
-    assert namespace["find_sharpness_witness"](q, 1, 4) == (2, (2, -1))
