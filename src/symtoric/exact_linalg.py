@@ -2,7 +2,9 @@
 
 Determinants use fraction-free Bareiss elimination, adjugates come from
 signed cofactors, and the Smith normal form routine returns the full
-decomposition U @ M @ V == S with unimodular transform witnesses.
+decomposition U @ M @ V == S with unimodular transform witnesses.  It
+eliminates on one block matrix [[M, I], [I, 0]], which ends as
+[[S, U], [V, 0]], so each row and column operation is written once.
 Everything runs on Python's arbitrary-precision integers; no floating
 point appears anywhere in this module.
 """
@@ -169,85 +171,67 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form over the integers, deterministically.
 
     Pivot rule: the entry of smallest nonzero absolute value in the
-    remaining submatrix, ties broken by lowest (row, col) position.  Row
-    and column operations are mirrored into U and V, so U @ M @ V == S
-    holds exactly on return.
+    remaining submatrix, ties broken by lowest (row, col) position.  The
+    elimination runs on the block matrix [[M, I], [I, 0]]: a row
+    operation on its first rows changes M and U together, a column
+    operation on its first columns changes M and V together, so it ends
+    as [[S, U], [V, 0]] and U @ M @ V == S holds exactly on return.
     """
     nrows, ncols = m.rows, m.cols
-    s = m.to_rows()
-    u = IntegerMatrix.identity(nrows).to_rows()
-    v = IntegerMatrix.identity(ncols).to_rows()
-
-    def swap_rows(a: int, b: int) -> None:
-        s[a], s[b] = s[b], s[a]
-        u[a], u[b] = u[b], u[a]
-
-    def swap_cols(a: int, b: int) -> None:
-        for row in s:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
-            row[a], row[b] = row[b], row[a]
-
-    def negate_row(a: int) -> None:
-        s[a] = [-x for x in s[a]]
-        u[a] = [-x for x in u[a]]
+    # [[M, I], [I, 0]] with the zero block left out: nothing reads it
+    a = [[*m.row(i), *(int(i == k) for k in range(nrows))] for i in range(nrows)]
+    a += [[int(j == k) for k in range(ncols)] for j in range(ncols)]
 
     def add_row(src: int, dst: int, k: int) -> None:
-        s[dst] = [x + k * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
 
     def add_col(src: int, dst: int, k: int) -> None:
-        for row in s:
-            row[dst] += k * row[src]
-        for row in v:
+        for row in a:
             row[dst] += k * row[src]
 
     limit = min(nrows, ncols)
     for t in range(limit):
         while True:
-            pivot = None
             best = None
             for i in range(t, nrows):
                 for j in range(t, ncols):
-                    val = abs(s[i][j])
+                    val = abs(a[i][j])
                     if val and (best is None or val < best):
-                        best, pivot = val, (i, j)
-            if pivot is None:
+                        best, pi, pj = val, i, j
+            if best is None:
                 break
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
-            if s[t][t] < 0:
-                negate_row(t)
-            p = s[t][t]
+            if pi != t:
+                a[t], a[pi] = a[pi], a[t]
+            if pj != t:
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            p = a[t][t]
             clean = True
             for i in range(t + 1, nrows):
-                if s[i][t]:
-                    add_row(t, i, -(s[i][t] // p))
-                    if s[i][t]:
+                if a[i][t]:
+                    add_row(t, i, -(a[i][t] // p))
+                    if a[i][t]:
                         clean = False
             for j in range(t + 1, ncols):
-                if s[t][j]:
-                    add_col(t, j, -(s[t][j] // p))
-                    if s[t][j]:
+                if a[t][j]:
+                    add_col(t, j, -(a[t][j] // p))
+                    if a[t][j]:
                         clean = False
             if not clean:
                 # a remainder smaller than the pivot appeared; re-pivot
                 continue
-            offender = None
             for i in range(t + 1, nrows):
-                if any(s[i][j] % p for j in range(t + 1, ncols)):
-                    offender = i
+                if any(a[i][j] % p for j in range(t + 1, ncols)):
+                    # pull the non-divisible row up so the next pivot shrinks
+                    add_row(i, t, 1)
                     break
-            if offender is None:
+            else:
                 break
-            # pull the non-divisible row up so the next pivot shrinks
-            add_row(offender, t, 1)
-    diag = tuple(s[i][i] for i in range(limit))
     return SmithDecomposition(
-        U=IntegerMatrix.from_rows(u),
-        S=IntegerMatrix.from_rows(s),
-        V=IntegerMatrix.from_rows(v),
-        invariant_factors=diag,
+        U=IntegerMatrix(nrows, nrows, tuple(x for row in a[:nrows] for x in row[ncols:])),
+        S=IntegerMatrix(nrows, ncols, tuple(x for row in a[:nrows] for x in row[:ncols])),
+        V=IntegerMatrix(ncols, ncols, tuple(x for row in a[nrows:] for x in row)),
+        invariant_factors=tuple(a[i][i] for i in range(limit)),
     )

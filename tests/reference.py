@@ -38,7 +38,13 @@ differently, so agreeing with them is evidence rather than a restatement:
 * ``fourier_motzkin_contains`` decides whether a point is a nonnegative
   combination of rays by eliminating the coefficients one at a time,
   where the library finds the rays whose negation lies in the cone from
-  the one-signed dependencies of its (rank + 1)-ray subsets.
+  the one-signed dependencies of its (rank + 1)-ray subsets;
+* ``mirrored_smith_normal_form`` keeps S, U and V as three lists of rows
+  and repeats each row operation on U and each column operation on V,
+  where the library eliminates once on the block matrix [[M, I], [I, 0]].
+  It is the same elimination, kept because any valid U would not do: the
+  residues of ``class_of`` and the point order of ``_parallelotope`` both
+  read U, so the library's U, S and V must stay exactly these.
 
 ``hull_hilbert_basis`` and ``chain_hilbert_basis`` were never library
 code.  The first is the 2D description of the Hilbert basis as the
@@ -57,7 +63,7 @@ from typing import Sequence
 
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
 from symtoric.cones import Cone, SemigroupData, Vector, dot, primitive
-from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant
+from symtoric.exact_linalg import IntegerMatrix, SmithDecomposition, adjugate, determinant
 from symtoric.ideals import MonomialIdeal
 
 
@@ -408,3 +414,91 @@ def chain_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
     if chain[-1] != b:
         raise RuntimeError(f"the chain ends at {chain[-1]}, not at the dual ray {b}")
     return tuple(sorted(chain))
+
+
+def mirrored_smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
+    """Smith normal form over the integers, deterministically.
+
+    Pivot rule: the entry of smallest nonzero absolute value in the
+    remaining submatrix, ties broken by lowest (row, col) position.  Row
+    and column operations are mirrored into U and V, so U @ M @ V == S
+    holds exactly on return.
+    """
+    nrows, ncols = m.rows, m.cols
+    s = m.to_rows()
+    u = IntegerMatrix.identity(nrows).to_rows()
+    v = IntegerMatrix.identity(ncols).to_rows()
+
+    def swap_rows(a: int, b: int) -> None:
+        s[a], s[b] = s[b], s[a]
+        u[a], u[b] = u[b], u[a]
+
+    def swap_cols(a: int, b: int) -> None:
+        for row in s:
+            row[a], row[b] = row[b], row[a]
+        for row in v:
+            row[a], row[b] = row[b], row[a]
+
+    def negate_row(a: int) -> None:
+        s[a] = [-x for x in s[a]]
+        u[a] = [-x for x in u[a]]
+
+    def add_row(src: int, dst: int, k: int) -> None:
+        s[dst] = [x + k * y for x, y in zip(s[dst], s[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src: int, dst: int, k: int) -> None:
+        for row in s:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    limit = min(nrows, ncols)
+    for t in range(limit):
+        while True:
+            pivot = None
+            best = None
+            for i in range(t, nrows):
+                for j in range(t, ncols):
+                    val = abs(s[i][j])
+                    if val and (best is None or val < best):
+                        best, pivot = val, (i, j)
+            if pivot is None:
+                break
+            if pivot[0] != t:
+                swap_rows(t, pivot[0])
+            if pivot[1] != t:
+                swap_cols(t, pivot[1])
+            if s[t][t] < 0:
+                negate_row(t)
+            p = s[t][t]
+            clean = True
+            for i in range(t + 1, nrows):
+                if s[i][t]:
+                    add_row(t, i, -(s[i][t] // p))
+                    if s[i][t]:
+                        clean = False
+            for j in range(t + 1, ncols):
+                if s[t][j]:
+                    add_col(t, j, -(s[t][j] // p))
+                    if s[t][j]:
+                        clean = False
+            if not clean:
+                # a remainder smaller than the pivot appeared; re-pivot
+                continue
+            offender = None
+            for i in range(t + 1, nrows):
+                if any(s[i][j] % p for j in range(t + 1, ncols)):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            # pull the non-divisible row up so the next pivot shrinks
+            add_row(offender, t, 1)
+    diag = tuple(s[i][i] for i in range(limit))
+    return SmithDecomposition(
+        U=IntegerMatrix.from_rows(u),
+        S=IntegerMatrix.from_rows(s),
+        V=IntegerMatrix.from_rows(v),
+        invariant_factors=diag,
+    )

@@ -117,6 +117,9 @@ class TestDetMultiplier:
             det_multiplier(make_cone([(1, 0), (1, 2)], 2))
 
 
+DET_11_RAYS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)]
+
+
 class TestClassOf:
     def test_identity_is_zero_tuple(self):
         group = class_group_of(make_cone([(1, 0), (1, 2)], 2))
@@ -135,6 +138,21 @@ class TestClassOf:
                 identity = not any(class_of(divisor, group))
                 found = in_image_bruteforce(cone, divisor, radius)
                 assert identity == found, (name, divisor)
+
+    @pytest.mark.parametrize(
+        "rays, divisor, residues",
+        [
+            (DET_11_RAYS, (1, 0, 0, 0), (8,)),
+            (DET_11_RAYS, (0, 0, 0, 1), (1,)),
+            (DET_11_RAYS, (1, 2, 3, 4), (5,)),
+            ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], (1, -1, -1, 1), (4,)),
+        ],
+    )
+    def test_pinned_residues(self, rays, divisor, residues):
+        """The residues read U of the Smith form, so a change in which
+        unimodular U the elimination picks shows here."""
+        group = class_group_of(make_cone(rays, len(rays[0])))
+        assert class_of(divisor, group) == residues
 
     def test_needs_projection_data(self):
         group = AbelianGroupPresentation((2,), 0)

@@ -36,16 +36,12 @@ def det_by_permutations(m: IntegerMatrix) -> int:
 
 @st.composite
 def matrices(draw, max_dim=4, square=False):
-    r = draw(st.integers(1, max_dim))
-    c = r if square else draw(st.integers(1, max_dim))
-    rows = draw(
-        st.lists(
-            st.lists(st.integers(-9, 9), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
-        )
-    )
-    return IntegerMatrix.from_rows(rows)
+    """Matrices of up to ``max_dim`` rows and columns, either of them 0;
+    built with the constructor, since ``from_rows`` of no rows is 0x0."""
+    r = draw(st.integers(0, max_dim))
+    c = r if square else draw(st.integers(0, max_dim))
+    entries = draw(st.lists(st.integers(-9, 9), min_size=r * c, max_size=r * c))
+    return IntegerMatrix(r, c, tuple(entries))
 
 
 class TestIntegerMatrix:
@@ -146,6 +142,12 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntegerMatrix.identity(2)).invariant_factors == (1, 1)
         assert smith_normal_form(mat([[1, 0], [1, 2]])).invariant_factors == (1, 2)
         assert smith_normal_form(mat([[2, 4], [6, 8]])).invariant_factors == (2, 4)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        m = IntegerMatrix(*shape, ())
+        assert smith_normal_form(m).invariant_factors == ()
+        check_smith_invariants(m)
 
     def test_zero_matrix(self):
         dec = smith_normal_form(IntegerMatrix(2, 3, (0,) * 6))

@@ -7,7 +7,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cone_zoo import CUBE_RAYS, all_cones, all_semigroups, build_cone
@@ -22,6 +22,7 @@ from reference import (
     difference_member,
     fourier_motzkin_contains,
     hull_hilbert_basis,
+    mirrored_smith_normal_form,
     quadratic_minimalize,
     reference_sweep,
     search_order_of_class,
@@ -373,6 +374,24 @@ def simplicial_cones(draw, min_dim, max_dim, span):
     rays = draw(st.lists(st.tuples(*[entries] * n), min_size=n, max_size=n))
     assume(determinant(IntegerMatrix.from_rows(rays)) != 0)
     return make_cone(rays, n)
+
+
+@st.composite
+def smith_inputs(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    size = draw(st.sampled_from([1, 9, 10**6]))
+    entries = draw(st.lists(st.integers(-size, size), min_size=rows * cols, max_size=rows * cols))
+    return IntegerMatrix(rows, cols, tuple(entries))
+
+
+@settings(deadline=None)
+@given(smith_inputs())
+# a negative pivot, and a row pulled up because 2 does not divide 3
+@example(IntegerMatrix.from_rows([[0, -1, 0, 0]]))
+@example(IntegerMatrix.from_rows([[2, 0], [0, 3]]))
+def test_smith_form_matches_mirrored(m):
+    """The same U, S, V and invariant factors as the three-list elimination."""
+    assert smith_normal_form(m) == mirrored_smith_normal_form(m)
 
 
 @settings(deadline=None)
