@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 
 from symtoric.class_group import class_group_of, det_multiplier, group_exponent
-from symtoric.cones import SemigroupData, make_cone
+from symtoric.cones import make_cone
 from symtoric.ideals import (
     PureHeightOneIdeal,
     find_sharpness_witness,
@@ -39,7 +39,6 @@ def sweep(a_max: int) -> int:
     bad = 0
     for label, dim, rays in PANEL:
         cone = make_cone(rays, dim)
-        data = SemigroupData(cone)
         group = class_group_of(cone)
         d = det_multiplier(cone)
         d_min = group_exponent(group)
@@ -47,7 +46,7 @@ def sweep(a_max: int) -> int:
         print(f"{label}: rays {rays}")
         print(f"  class group factors {factors}, D = {d}, D_min = {d_min}")
         for i in range(len(cone.rays)):
-            q = PureHeightOneIdeal(data, ((i, 1),))
+            q = PureHeightOneIdeal(cone, ((i, 1),))
             report = verify_containment(q, d, a_max)
             verdict = "pass" if report.passed else "FAIL"
             line = f"  P{i}: D = {d} {verdict}"
@@ -72,7 +71,13 @@ def sweep(a_max: int) -> int:
 
 
 def main() -> int:
-    a_max = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+    try:
+        a_max = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+        if a_max < 1:
+            raise ValueError
+    except ValueError:
+        print(f"error: a_max must be an integer >= 1, got {sys.argv[1]!r}", file=sys.stderr)
+        return 1
     return sweep(a_max)
 
 

@@ -24,7 +24,13 @@ def fmt_group(record) -> str:
 
 
 def main() -> int:
-    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
+    try:
+        max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
+        if max_n < 1:
+            raise ValueError
+    except ValueError:
+        print(f"error: max_n must be an integer >= 1, got {sys.argv[1]!r}", file=sys.stderr)
+        return 1
     rows = []
     for n in range(1, max_n + 1):
         rows.append(("A", n))

@@ -18,7 +18,7 @@ from math import prod
 from typing import Sequence
 
 from .class_group import class_group_of, det_multiplier, group_exponent, group_order
-from .cones import Cone, SemigroupData, dual_cone, hilbert_basis, make_cone
+from .cones import Cone, dual_cone, hilbert_basis, make_cone
 from .duval import cross_check_an, lookup
 from .ideals import PureHeightOneIdeal, _checked_components
 from .ideals import find_sharpness_witness, verify_containment
@@ -215,7 +215,7 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
         if not 0 <= ray < nrays:
             raise CliError(f"ray index {ray} out of range for {nrays} rays")
     components = _checked_components(zip(rays, mults), nrays)
-    return PureHeightOneIdeal(SemigroupData(cone), components)
+    return PureHeightOneIdeal(cone, components)
 
 
 def _fmt_components(q: PureHeightOneIdeal) -> str:

@@ -4,7 +4,8 @@ A cone is stored by its primitive ray generators, deduplicated and sorted,
 so equal cones compare equal regardless of input order.  For a simplicial
 full cone it computes a divisor's period (its class order m and the
 character pairing to m times it), the dual rays as the ray divisors'
-periods, and the dual semigroup's Hilbert basis with decompositions.
+periods, and the dual semigroup's Hilbert basis with decompositions: the
+cone determines its semigroup, so it carries these, each on first read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .exact_linalg import (
 __all__ = [
     "Vector",
     "Cone",
-    "SemigroupData",
     "NotStronglyConvexError",
     "UnsupportedConeError",
     "primitive",
@@ -62,7 +62,17 @@ def primitive(vector: Sequence[int]) -> Vector:
 
 @dataclass(frozen=True)
 class Cone:
-    """Rational polyhedral cone given by primitive, lex-sorted ray generators."""
+    """Rational polyhedral cone given by primitive, lex-sorted ray generators.
+
+    A simplicial full cone determines its dual semigroup, whose attributes
+    are derived on first read and kept; equality, hash and repr read the
+    fields alone.  Every one goes through ``_dual``, which rejects any
+    other cone.  ``dual_rays`` is lex-sorted.  ``parallelotope`` holds one
+    (pairing vector, point) pair per lattice point of the half-open
+    parallelotope of the dual rays, the origin included: every semigroup
+    element is exactly one of those points plus a nonnegative integer
+    combination of the dual rays.
+    """
 
     ambient_dim: int
     rays: tuple[Vector, ...]
@@ -74,6 +84,51 @@ class Cone:
     def ray_matrix(self) -> IntegerMatrix:
         """One row per ray, in stored order."""
         return IntegerMatrix.from_rows(self.rays)
+
+    @cached_property
+    def _dual(self) -> Cone:
+        return dual_cone(self)
+
+    @property
+    def dual_rays(self) -> tuple[Vector, ...]:
+        return self._dual.rays
+
+    @cached_property
+    def parallelotope(self) -> tuple[tuple[tuple[int, ...], Vector], ...]:
+        return _parallelotope(self._dual, self.rays)
+
+    @cached_property
+    def _columns(self) -> list[tuple[int, ...]]:
+        """The parallelotope's pairing vectors transposed, one tuple per ray."""
+        return list(zip(*(pairs for pairs, _ in self.parallelotope)))
+
+    @cached_property
+    def hilbert_basis(self) -> tuple[Vector, ...]:
+        """The Hilbert basis, lex-sorted.
+
+        Every semigroup element is a dual-ray translate of a lattice point
+        of the parallelotope, so the irreducible elements all sit among
+        those points and the dual rays themselves; a candidate is dropped
+        when subtracting another candidate leaves a semigroup element.
+        """
+        rays = self.rays
+        candidates = set(self.dual_rays) | {p for _, p in self.parallelotope if any(p)}
+
+        def reducible(h: Vector) -> bool:
+            for g in candidates:
+                if g == h:
+                    continue
+                diff = tuple(a - b for a, b in zip(h, g))
+                if all(dot(diff, ray) >= 0 for ray in rays):
+                    return True
+            return False
+
+        return tuple(h for h in sorted(candidates) if not reducible(h))
+
+    @cached_property
+    def pairing_table(self) -> tuple[tuple[int, ...], ...]:
+        """``pairing_table[i][j]``: the pairing of basis element i with ray j."""
+        return tuple(tuple(dot(h, ray) for ray in self.rays) for h in self.hilbert_basis)
 
 
 def make_cone(rays: Iterable[Sequence[int]], ambient_dim: int) -> Cone:
@@ -156,67 +211,6 @@ def dual_cone(cone: Cone) -> Cone:
     return make_cone([_divisor_period(cone, e)[1] for e in units], n)
 
 
-@dataclass(frozen=True)
-class SemigroupData:
-    """Dual semigroup of a simplicial full cone, ready for monomial work.
-
-    The cone is the one field: it determines the rest, so contexts compare
-    and hash by cone.  Its dual cone is computed at construction, which
-    rejects a cone that is not simplicial and full; every other attribute
-    is derived on first read.  ``dual_rays`` is lex-sorted.
-    ``parallelotope`` holds one (pairing vector, point) pair per lattice
-    point of the half-open parallelotope of the dual rays, the origin
-    included: every semigroup element is exactly one of those points plus
-    a nonnegative integer combination of the dual rays.
-    """
-
-    cone: Cone
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_dual", dual_cone(self.cone))
-
-    @property
-    def dual_rays(self) -> tuple[Vector, ...]:
-        return self._dual.rays
-
-    @cached_property
-    def parallelotope(self) -> tuple[tuple[tuple[int, ...], Vector], ...]:
-        return _parallelotope(self._dual, self.cone.rays)
-
-    @cached_property
-    def _columns(self) -> list[tuple[int, ...]]:
-        """The parallelotope's pairing vectors transposed, one tuple per ray."""
-        return list(zip(*(pairs for pairs, _ in self.parallelotope)))
-
-    @cached_property
-    def hilbert_basis(self) -> tuple[Vector, ...]:
-        """The Hilbert basis, lex-sorted.
-
-        Every semigroup element is a dual-ray translate of a lattice point
-        of the parallelotope, so the irreducible elements all sit among
-        those points and the dual rays themselves; a candidate is dropped
-        when subtracting another candidate leaves a semigroup element.
-        """
-        rays = self.cone.rays
-        candidates = set(self.dual_rays) | {p for _, p in self.parallelotope if any(p)}
-
-        def reducible(h: Vector) -> bool:
-            for g in candidates:
-                if g == h:
-                    continue
-                diff = tuple(a - b for a, b in zip(h, g))
-                if all(dot(diff, ray) >= 0 for ray in rays):
-                    return True
-            return False
-
-        return tuple(h for h in sorted(candidates) if not reducible(h))
-
-    @cached_property
-    def pairing_table(self) -> tuple[tuple[int, ...], ...]:
-        """``pairing_table[i][j]``: the pairing of basis element i with cone ray j."""
-        return tuple(tuple(dot(h, ray) for ray in self.cone.rays) for h in self.hilbert_basis)
-
-
 def _parallelotope(
     dual: Cone, rays: Sequence[Vector]
 ) -> tuple[tuple[tuple[int, ...], Vector], ...]:
@@ -290,27 +284,25 @@ def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[tuple[i
     return tuple(tuple(key >> shift & mask for shift in fields) for key in kept)
 
 
-def hilbert_basis(cone: Cone) -> SemigroupData:
-    """Semigroup context of a simplicial full cone with its Hilbert basis
-    and pairing table computed before it is returned."""
-    data = SemigroupData(cone)
-    data.pairing_table
-    return data
+def hilbert_basis(cone: Cone) -> Cone:
+    """The cone itself, once its dual semigroup's Hilbert basis and
+    pairing table are computed."""
+    cone.pairing_table
+    return cone
 
 
-def in_semigroup(point: Sequence[int], data: SemigroupData) -> bool:
+def in_semigroup(point: Sequence[int], cone: Cone) -> bool:
     """Membership in the dual semigroup: all ray pairings nonnegative."""
-    if len(point) != data.cone.ambient_dim:
-        raise DimensionError(
-            f"point length {len(point)} != ambient dimension {data.cone.ambient_dim}"
-        )
-    return all(dot(point, ray) >= 0 for ray in data.cone.rays)
+    cone._dual  # rejects a cone that is not simplicial and full
+    if len(point) != cone.ambient_dim:
+        raise DimensionError(f"point length {len(point)} != ambient dimension {cone.ambient_dim}")
+    return all(dot(point, ray) >= 0 for ray in cone.rays)
 
 
-def semigroup_member(point: Sequence[int], data: SemigroupData) -> tuple[int, ...] | None:
+def semigroup_member(point: Sequence[int], cone: Cone) -> tuple[int, ...] | None:
     """Decompose a point over the Hilbert basis, or report non-membership.
 
-    Returns a coefficient tuple aligned with ``data.hilbert_basis`` such
+    Returns a coefficient tuple aligned with ``cone.hilbert_basis`` such
     that the weighted sum reproduces the point, or None when the point is
     outside the semigroup.  Depth-first search over basis elements in
     lexicographic order, each count tried from its largest value down;
@@ -318,12 +310,12 @@ def semigroup_member(point: Sequence[int], data: SemigroupData) -> tuple[int, ..
     the search.  An explicit stack keeps deep bases off the call stack.
     """
     vec = tuple(point)
-    if not in_semigroup(vec, data):
+    if not in_semigroup(vec, cone):
         return None
-    table = data.pairing_table
+    table = cone.pairing_table
     counts = [0] * len(table)
     # rests[i]: what is left to cover before basis element i is counted
-    rests = [tuple(dot(vec, ray) for ray in data.cone.rays)]
+    rests = [tuple(dot(vec, ray) for ray in cone.rays)]
     while any(rests[-1]):
         idx = len(rests) - 1
         if idx < len(table):

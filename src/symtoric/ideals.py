@@ -23,7 +23,7 @@ from functools import cached_property
 from operator import ge
 from typing import Iterable, Iterator, Sequence
 
-from .cones import SemigroupData, Vector, _divisor_period, _lattice_point, _minimal_sums, dot
+from .cones import Cone, Vector, _divisor_period, _lattice_point, _minimal_sums, dot
 from .exact_linalg import DimensionError
 
 __all__ = [
@@ -56,12 +56,13 @@ class MonomialIdeal:
     reduction kept, whose points ``__getattr__`` solves on first read.
     """
 
-    context: SemigroupData
+    context: Cone
     generators: tuple[Vector, ...]
     valuation_bounds: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        dim, nrays = self.context.cone.ambient_dim, len(self.context.cone.rays)
+        self.context._dual  # rejects a cone that is not simplicial and full
+        dim, nrays = self.context.ambient_dim, len(self.context.rays)
         if lengths := {len(g) for g in self.generators} - {dim}:
             raise DimensionError(f"generator length {min(lengths)} != ambient dimension {dim}")
         if bad := [ray for ray, _ in self.valuation_bounds or () if not 0 <= ray < nrays]:
@@ -78,7 +79,7 @@ class MonomialIdeal:
     def __getattr__(self, name: str) -> tuple[Vector, ...]:
         if name != "generators":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        points = (_lattice_point(self.context.cone, row) for row in self._vectors)
+        points = (_lattice_point(self.context, row) for row in self._vectors)
         self.__dict__["generators"] = tuple(sorted(points))
         return self.generators
 
@@ -91,11 +92,12 @@ class PureHeightOneIdeal:
     ray indices and multiplicities >= 1; they are kept sorted by ray.
     """
 
-    context: SemigroupData
+    context: Cone
     components: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        comps = _checked_components(self.components, len(self.context.cone.rays))
+        self.context._dual  # rejects a cone that is not simplicial and full
+        comps = _checked_components(self.components, len(self.context.rays))
         object.__setattr__(self, "components", comps)
 
     @cached_property
@@ -103,7 +105,7 @@ class PureHeightOneIdeal:
         """Order m of the divisor class b and the character u with <u, v_j> =
         m * b_j on each ray v_j, solved once; equality, hash and repr ignore it."""
         b = divisor_class(self)
-        m, u = _divisor_period(self.context.cone, b)
+        m, u = _divisor_period(self.context, b)
         if _pairings(u, self.context) != tuple(m * c for c in b):
             raise RuntimeError("the period character does not pair to m times the divisor")
         return m, u
@@ -113,7 +115,7 @@ def _checked_components(
     components: Iterable[tuple[int, int]], nrays: int
 ) -> tuple[tuple[int, int], ...]:
     """(ray index, multiplicity) pairs sorted by ray and checked against
-    nrays rays, with no semigroup: the CLI checks before it builds one."""
+    nrays rays, with no dual cone: the CLI checks before one is built."""
     comps = tuple(sorted(tuple(c) for c in components))
     if not comps:
         raise ValueError("at least one ray component is required")
@@ -129,17 +131,17 @@ def _checked_components(
     return comps
 
 
-def _pairings(point: Vector, data: SemigroupData) -> tuple[int, ...]:
-    return tuple(dot(point, ray) for ray in data.cone.rays)
+def _pairings(point: Vector, cone: Cone) -> tuple[int, ...]:
+    return tuple(dot(point, ray) for ray in cone.rays)
 
 
 def _library_ideal(
-    data: SemigroupData, bounds: tuple[tuple[int, int], ...] | None, vectors: tuple[Vector, ...]
+    cone: Cone, bounds: tuple[tuple[int, int], ...] | None, vectors: tuple[Vector, ...]
 ) -> MonomialIdeal:
     """Ideal holding a reduction's kept pairing vectors alone; its rays are in
     range, so it skips ``__post_init__``.  ``generators`` is solved on first read."""
     ideal = object.__new__(MonomialIdeal)
-    ideal.__dict__.update(context=data, valuation_bounds=bounds, _vectors=vectors)
+    ideal.__dict__.update(context=cone, valuation_bounds=bounds, _vectors=vectors)
     return ideal
 
 
@@ -148,7 +150,7 @@ def _in_ideal(row: Sequence[int], ideal: MonomialIdeal) -> bool:
     return any(all(map(ge, row, low)) for low in ideal._vectors)
 
 
-def _valuation_ideal(data: SemigroupData, bounds: dict[int, int]) -> MonomialIdeal:
+def _valuation_ideal(cone: Cone, bounds: dict[int, int]) -> MonomialIdeal:
     """The valuation ideal {m in the semigroup : <m, ray_i> >= bounds[i]},
     holding the pairing vectors of its minimal generators in key order.
 
@@ -159,18 +161,18 @@ def _valuation_ideal(data: SemigroupData, bounds: dict[int, int]) -> MonomialIde
     the minimal generators are the minimal ones among the |det W| points y
     raised along w_i, for each bounded ray i, to the least pairing
     b_i + (y_i - b_i) mod c_i >= b_i: their pairing columns are reduced."""
-    columns = list(data._columns)
+    columns = list(cone._columns)
     for i, bound in bounds.items():
         if bound > 0:
-            c = max(dot(w, data.cone.rays[i]) for w in data.dual_rays)
+            c = max(dot(w, cone.rays[i]) for w in cone.dual_rays)
             columns[i] = [bound + (p - bound) % c for p in columns[i]]
-    return _library_ideal(data, tuple(sorted(bounds.items())), _minimal_sums(columns, 1))
+    return _library_ideal(cone, tuple(sorted(bounds.items())), _minimal_sums(columns, 1))
 
 
-def ray_prime(data: SemigroupData, ray_index: int) -> MonomialIdeal:
+def ray_prime(cone: Cone, ray_index: int) -> MonomialIdeal:
     """Prime of the divisor on one ray: monomials with positive pairing
     there, the first symbolic power of that ray's valuation ideal."""
-    return symbolic_power(PureHeightOneIdeal(data, ((ray_index, 1),)), 1)
+    return symbolic_power(PureHeightOneIdeal(cone, ((ray_index, 1),)), 1)
 
 
 def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
@@ -208,12 +210,10 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
     """Membership: the point's ray pairings dominate some generator's
     componentwise, read from the ideal's stored vectors."""
-    data = ideal.context
-    if len(point) != data.cone.ambient_dim:
-        raise DimensionError(
-            f"point length {len(point)} != ambient dimension {data.cone.ambient_dim}"
-        )
-    return _in_ideal(_pairings(point, data), ideal)
+    cone = ideal.context
+    if len(point) != cone.ambient_dim:
+        raise DimensionError(f"point length {len(point)} != ambient dimension {cone.ambient_dim}")
+    return _in_ideal(_pairings(point, cone), ideal)
 
 
 def is_principal(ideal: MonomialIdeal) -> bool:
@@ -228,21 +228,21 @@ def intersect_valuation_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal
     """
     if not ideals:
         raise ValueError("nothing to intersect")
-    data = ideals[0].context
+    cone = ideals[0].context
     merged: dict[int, int] = {}
     for ideal in ideals:
-        if ideal.context != data:
+        if ideal.context != cone:
             raise ValueError("ideals live in different semigroups")
         if ideal.valuation_bounds is None:
             raise ValueError("intersection needs ideals with a recorded valuation description")
         for ray, bound in ideal.valuation_bounds:
             merged[ray] = max(bound, merged.get(ray, 0))
-    return _valuation_ideal(data, merged)
+    return _valuation_ideal(cone, merged)
 
 
 def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:
     """Ray-coefficient vector of the divisor underlying q."""
-    coeffs = [0] * len(q.context.cone.rays)
+    coeffs = [0] * len(q.context.rays)
     for ray, mult in q.components:
         coeffs[ray] = mult
     return tuple(coeffs)
@@ -250,11 +250,14 @@ def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LevelCheck:
-    """Containment verdict at one power level."""
+    """Containment verdict at one power level: a pass exactly when no witness."""
 
     level: int
-    passed: bool
     witness: Vector | None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -286,8 +289,8 @@ def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Ite
         sym = symbolic_power(q, multiplier * a)
         ordinary = ordinary_power(base, a)
         failing = [row for row in sym._vectors if not _in_ideal(row, ordinary)]
-        witness = min((_lattice_point(q.context.cone, row) for row in failing), default=None)
-        yield LevelCheck(a, witness is None, witness)
+        witness = min((_lattice_point(q.context, row) for row in failing), default=None)
+        yield LevelCheck(a, witness)
 
 
 def verify_containment(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> ContainmentReport:

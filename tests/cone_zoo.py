@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from symtoric import Cone, SemigroupData, hilbert_basis, make_cone
+from symtoric import Cone, hilbert_basis, make_cone
 from symtoric.cones import dot
 
 CONE_FIXTURES: list[tuple[str, list[tuple[int, ...]]]] = [
@@ -62,7 +62,7 @@ def all_cones() -> list[tuple[str, Cone]]:
     return [(name, make_cone(rays, len(rays[0]))) for name, rays in CONE_FIXTURES]
 
 
-def all_semigroups() -> list[tuple[str, SemigroupData]]:
+def all_semigroups() -> list[tuple[str, Cone]]:
     return [(name, hilbert_basis(cone)) for name, cone in all_cones()]
 
 
@@ -84,7 +84,7 @@ def lattice_box(vertices: list[tuple[Fraction, ...]]) -> list[tuple[int, ...]]:
     ]
 
 
-def splits_of(h: tuple[int, ...], data: SemigroupData) -> list[tuple[int, ...]]:
+def splits_of(h: tuple[int, ...], data: Cone) -> list[tuple[int, ...]]:
     """All x with x and h - x both nonzero semigroup members.
 
     Candidates are enumerated from the exact vertex set of the polytope
@@ -93,8 +93,8 @@ def splits_of(h: tuple[int, ...], data: SemigroupData) -> list[tuple[int, ...]]:
     """
     from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant
 
-    rays = data.cone.rays
-    n = data.cone.ambient_dim
+    rays = data.rays
+    n = data.ambient_dim
     mat = IntegerMatrix.from_rows(rays)
     det = determinant(mat)
     adj = adjugate(mat)

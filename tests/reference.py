@@ -62,7 +62,7 @@ from math import gcd
 from typing import Sequence
 
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
-from symtoric.cones import Cone, SemigroupData, Vector, dot, primitive
+from symtoric.cones import Cone, Vector, dot, primitive
 from symtoric.exact_linalg import IntegerMatrix, SmithDecomposition, adjugate, determinant
 from symtoric.ideals import MonomialIdeal
 
@@ -142,7 +142,7 @@ def box_scan_size(cone: Cone) -> int:
     return size
 
 
-def quadratic_minimalize(points: Sequence[Vector], data: SemigroupData) -> tuple[Vector, ...]:
+def quadratic_minimalize(points: Sequence[Vector], data: Cone) -> tuple[Vector, ...]:
     """Drop every point that is a semigroup translate of another one.
 
     Translation by a semigroup element only raises ray pairings, so p is
@@ -150,7 +150,7 @@ def quadratic_minimalize(points: Sequence[Vector], data: SemigroupData) -> tuple
     by p's componentwise.
     """
     unique = sorted(set(points))
-    pairs = {p: tuple(dot(p, ray) for ray in data.cone.rays) for p in unique}
+    pairs = {p: tuple(dot(p, ray) for ray in data.rays) for p in unique}
     kept = []
     for p in unique:
         pp = pairs[p]
@@ -165,14 +165,14 @@ def difference_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
     """Membership in a monomial ideal: the point is a semigroup translate
     of a generator, so its difference with that generator pairs
     nonnegatively with every ray."""
-    rays = ideal.context.cone.rays
+    rays = ideal.context.rays
     return any(
         all(dot([a - b for a, b in zip(point, g)], ray) >= 0 for ray in rays)
         for g in ideal.generators
     )
 
 
-def basis_ray_prime(data: SemigroupData, ray_index: int) -> tuple[Vector, ...]:
+def basis_ray_prime(data: Cone, ray_index: int) -> tuple[Vector, ...]:
     """Minimal generators of the prime of the divisor on one ray.
 
     A monomial pairing positively with the ray is a sum of Hilbert basis
@@ -193,7 +193,7 @@ def combination_ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdea
 
 
 def reference_sweep(
-    data: SemigroupData, components: Sequence[tuple[int, int]], multiplier: int, max_level: int
+    data: Cone, components: Sequence[tuple[int, int]], multiplier: int, max_level: int
 ) -> list[tuple[int, bool, Vector | None]]:
     """(level, passed, witness) for the symbolic power D*a of the ideal with
     these (ray, multiplicity) components inside the a-th ordinary power of
@@ -210,7 +210,7 @@ def reference_sweep(
     return levels
 
 
-def closure_minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> tuple[Vector, ...]:
+def closure_minimal_generators(data: Cone, bounds: dict[int, int]) -> tuple[Vector, ...]:
     """Minimal generators of {m in the semigroup : <m, ray_i> >= bounds[i]}.
 
     Search bound: a minimal generator stays strictly below bound + C on
@@ -222,7 +222,7 @@ def closure_minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> t
     of positively paired Hilbert basis elements inside the cap box
     therefore visits every minimal generator.
     """
-    rays = data.cone.rays
+    rays = data.rays
     caps = tuple(
         bounds.get(i, 0) + max(row[i] for row in data.pairing_table)
         for i in range(len(rays))
@@ -232,7 +232,7 @@ def closure_minimal_generators(data: SemigroupData, bounds: dict[int, int]) -> t
         for h, row in zip(data.hilbert_basis, data.pairing_table)
         if any(row[i] > 0 for i in bounds)
     ]
-    zero = (0,) * data.cone.ambient_dim
+    zero = (0,) * data.ambient_dim
     seen = {zero}
     frontier: list[tuple[Vector, tuple[int, ...]]] = [(zero, (0,) * len(rays))]
     members = []

@@ -97,8 +97,8 @@ def test_criterion_4_headline_containment():
     start = time.monotonic()
     failures = []
     for name, data in all_semigroups():
-        det = abs(determinant(data.cone.ray_matrix()))
-        for i in range(len(data.cone.rays)):
+        det = abs(determinant(data.ray_matrix()))
+        for i in range(len(data.rays)):
             q = PureHeightOneIdeal(data, ((i, 1),))
             if not verify_containment(q, det, 3).passed:
                 failures.append((name, i))
@@ -139,8 +139,8 @@ def test_criterion_5_sharpness_schedule():
 def test_criterion_6_symbolic_power_structure():
     failures = []
     for name, data in all_semigroups():
-        group = class_group_of(data.cone)
-        nrays = len(data.cone.rays)
+        group = class_group_of(data)
+        nrays = len(data.rays)
         # (a) valuation ideal of the joint bounds equals the intersection
         # of the single-ray valuation ideals, for E = 1..3
         q_mixed = PureHeightOneIdeal(data, ((0, 1), (1, 2)))
@@ -211,7 +211,7 @@ def test_criterion_7_smith_form_random_sweep():
 def test_criterion_8_hilbert_basis_completeness():
     failures = []
     for name, data in all_semigroups():
-        if data.cone.ambient_dim != 2:
+        if data.ambient_dim != 2:
             continue
         u0, u1 = data.dual_rays
         vertices = [

@@ -22,6 +22,7 @@ SQUARE_TEXT = "dim 3\n0 0 1\n1 0 1\n0 1 1\n1 1 1\n"
 FLAT_TEXT = "dim 3\n1 0 0\n0 1 0\n"
 DET11_TEXT = "dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 2 3 11\n"
 CUBE_TEXT = "dim 4\n" + "".join(" ".join(map(str, ray)) + "\n" for ray in CUBE_RAYS)
+SWEEP_OPTIONS = ("--ray", "0", "--D", "1", "--amax", "1")
 
 
 @pytest.fixture()
@@ -248,18 +249,18 @@ class TestHilbertBasisCalls:
     )
     def test_only_cone_hilbert_builds_a_basis(self, capsys, det11_file, monkeypatch, argv, calls):
         # the ideal layer reads the dual rays and the parallelotope alone;
-        # every basis is computed by the context's cached property
+        # every basis is computed by the cone's cached property
         expected = run_cli(capsys, *argv, det11_file)
-        basis = cones.SemigroupData.__dict__["hilbert_basis"]
+        basis = cones.Cone.__dict__["hilbert_basis"]
         computed = []
 
-        def counting(data):
-            computed.append(data.cone)
-            return basis.func(data)
+        def counting(cone):
+            computed.append(cone)
+            return basis.func(cone)
 
         counted = cached_property(counting)
-        counted.__set_name__(cones.SemigroupData, "hilbert_basis")
-        monkeypatch.setattr(cones.SemigroupData, "hilbert_basis", counted)
+        counted.__set_name__(cones.Cone, "hilbert_basis")
+        monkeypatch.setattr(cones.Cone, "hilbert_basis", counted)
         assert run_cli(capsys, *argv, det11_file) == expected
         assert len(computed) == calls
 
@@ -405,11 +406,22 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "command, options",
-        [(("cone", "hilbert"), ()), (("verify",), ("--ray", "0", "--D", "1", "--amax", "1"))],
+        [(("cone", "hilbert"), ()), (("verify",), SWEEP_OPTIONS),
+         (("sharpness",), SWEEP_OPTIONS), (("cone", "dual"), ())],
     )
     def test_flat_cone_not_dualized(self, capsys, tmp_path, command, options):
         path = tmp_path / "flat.cone"
         path.write_text(FLAT_TEXT)
+        err = self.check_error(capsys, *command, str(path), *options)
+        assert err == "error: dualization needs a simplicial full-dimensional cone\n"
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [(("verify",), SWEEP_OPTIONS), (("sharpness",), SWEEP_OPTIONS), (("cone", "dual"), ())],
+    )
+    def test_square_cone_not_dualized(self, capsys, tmp_path, command, options):
+        path = tmp_path / "square.cone"
+        path.write_text(SQUARE_TEXT)
         err = self.check_error(capsys, *command, str(path), *options)
         assert err == "error: dualization needs a simplicial full-dimensional cone\n"
 

@@ -200,7 +200,7 @@ class TestHilbertBasis:
         # every lattice point of a box around twice the fundamental
         # parallelotope that passes the facet test must decompose
         for name, data in zoo_semigroups:
-            if data.cone.ambient_dim != 2:
+            if data.ambient_dim != 2:
                 continue
             w = data.dual_rays
             corners = [
@@ -238,7 +238,7 @@ class TestSemigroupMember:
 
     def test_membership_matches_facet_test(self, zoo_semigroups):
         for name, data in zoo_semigroups:
-            n = data.cone.ambient_dim
+            n = data.ambient_dim
             for pt in itertools.product(range(-2, 5), repeat=n):
                 member = in_semigroup(pt, data)
                 decomposition = semigroup_member(pt, data)
@@ -282,12 +282,12 @@ def test_random_basis_sums_decompose(name, data_strategy):
     )
     point = tuple(
         sum(c * h[i] for c, h in zip(coeffs, data.hilbert_basis))
-        for i in range(data.cone.ambient_dim)
+        for i in range(data.ambient_dim)
     )
     counts = semigroup_member(point, data)
     assert counts is not None
     rebuilt = tuple(
         sum(c * h[i] for c, h in zip(counts, data.hilbert_basis))
-        for i in range(data.cone.ambient_dim)
+        for i in range(data.ambient_dim)
     )
     assert rebuilt == point

@@ -12,12 +12,12 @@ from cone_zoo import all_semigroups, an_cone, build_cone
 from symtoric import cones, ideals
 from symtoric.class_group import class_group_of, order_of_class
 from symtoric.cones import (
-    SemigroupData,
     UnsupportedConeError,
     dot,
     hilbert_basis,
     in_semigroup,
     make_cone,
+    semigroup_member,
 )
 from symtoric.exact_linalg import DimensionError
 from symtoric.ideals import (
@@ -55,7 +55,7 @@ def single_prime(data, ray_index):
 
 def satisfies_bounds(point, ideal):
     return all(
-        dot(point, ideal.context.cone.rays[ray]) >= bound
+        dot(point, ideal.context.rays[ray]) >= bound
         for ray, bound in ideal.valuation_bounds
     )
 
@@ -100,7 +100,7 @@ class TestRayPrime:
 
     def test_matches_first_symbolic_power(self, zoo_semigroups):
         for name, data in zoo_semigroups:
-            for i in range(len(data.cone.rays)):
+            for i in range(len(data.rays)):
                 prime = ray_prime(data, i)
                 sym = symbolic_power(single_prime(data, i), 1)
                 assert prime.generators == sym.generators, (name, i)
@@ -135,7 +135,7 @@ class TestSymbolicPower:
 
     def test_generators_satisfy_bounds(self, zoo_semigroups):
         for name, data in zoo_semigroups:
-            for i in range(len(data.cone.rays)):
+            for i in range(len(data.rays)):
                 for power in (1, 2, 3):
                     sym = symbolic_power(single_prime(data, i), power)
                     assert sym.generators, (name, i, power)
@@ -145,7 +145,7 @@ class TestSymbolicPower:
 
     def test_agrees_with_componentwise_intersection(self, zoo_semigroups):
         for name, data in zoo_semigroups:
-            nrays = len(data.cone.rays)
+            nrays = len(data.rays)
             if nrays < 2:
                 continue
             q = PureHeightOneIdeal(data, ((0, 1), (1, 2)))
@@ -187,8 +187,8 @@ class TestSymbolicPower:
         vector E b at a multiple of the period and the reduced ones past it,
         and no generators until they are read."""
         for name, data in zoo_semigroups:
-            rays = data.cone.rays
-            group = class_group_of(data.cone)
+            rays = data.rays
+            group = class_group_of(data)
             for i in range(len(rays)):
                 q = single_prime(data, i)
                 m = order_of_class(divisor_class(q), group)
@@ -247,9 +247,9 @@ class TestGeneratorCompleteness:
 
     def test_two_dim_zoo(self, zoo_semigroups):
         for name, data in zoo_semigroups:
-            if data.cone.ambient_dim != 2:
+            if data.ambient_dim != 2:
                 continue
-            for i in range(len(data.cone.rays)):
+            for i in range(len(data.rays)):
                 for power in (1, 2, 3):
                     sym = symbolic_power(single_prime(data, i), power)
                     for m in box_points(2, 8):
@@ -260,9 +260,9 @@ class TestGeneratorCompleteness:
 
     def test_three_dim_zoo(self, zoo_semigroups):
         for name, data in zoo_semigroups:
-            if data.cone.ambient_dim != 3:
+            if data.ambient_dim != 3:
                 continue
-            for i in range(len(data.cone.rays)):
+            for i in range(len(data.rays)):
                 for power in (1, 2):
                     sym = symbolic_power(single_prime(data, i), power)
                     for m in box_points(3, 4):
@@ -305,7 +305,7 @@ class TestOrdinaryPower:
 
     def test_contained_in_symbolic(self, zoo_semigroups):
         for name, data in zoo_semigroups:
-            for i in range(len(data.cone.rays)):
+            for i in range(len(data.rays)):
                 q = single_prime(data, i)
                 base = ray_prime(data, i)
                 for a in (1, 2, 3):
@@ -336,7 +336,7 @@ class TestOrdinaryPowerSolvesOnRead:
     @pytest.fixture(scope="class")
     def base(self):
         # class order 4, ten generators in the first symbolic power
-        data = SemigroupData(make_cone([(1, 1, 2), (1, 2, 1), (2, 1, 1)], 3))
+        data = make_cone([(1, 1, 2), (1, 2, 1), (2, 1, 1)], 3)
         base = symbolic_power(single_prime(data, 0), 1)
         base.generators  # solved here, before any test counts solves
         return base
@@ -368,7 +368,7 @@ class TestOrdinaryPowerSolvesOnRead:
         assert sorted(solves) == sorted(square._vectors)
         assert len(set(solves)) == len(solves) == len(gens)
         # the pairings follow the solved generators and solve nothing more
-        rays = base.context.cone.rays
+        rays = base.context.rays
         assert square.pairings == tuple(tuple(dot(g, ray) for ray in rays) for g in gens)
         assert len(solves) == len(gens)
 
@@ -380,7 +380,7 @@ class TestOrdinaryPowerSolvesOnRead:
 
     def test_passing_sweep_on_a_smooth_cone_solves_nothing(self, solves):
         # every class is trivial: each symbolic power is a translate of R
-        data = SemigroupData(make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
+        data = make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
         assert verify_containment(single_prime(data, 0), 1, 3).passed
         assert solves == []
 
@@ -417,13 +417,13 @@ class TestOrdinaryPowerSolvesOnRead:
     def test_failing_sweep_solves_only_its_failing_vectors(self, solves):
         # on the A_1 cone D = 1 fails at levels 2 and 3; the witness is the
         # lex-least point of the failing ones, whatever order they are in
-        data = SemigroupData(make_cone([(1, 0), (1, 2)], 2))
+        data = make_cone([(1, 0), (1, 2)], 2)
         q = single_prime(data, 0)
         failing = []
         for a in (1, 2, 3):
             ordinary = ordinary_power(ray_prime(data, 0), a)
             points = [g for g in symbolic_power(q, a).generators if not ideal_member(g, ordinary)]
-            failing += [tuple(dot(g, ray) for ray in data.cone.rays) for g in points]
+            failing += [tuple(dot(g, ray) for ray in data.rays) for g in points]
         assert len(failing) == 3
         solves.clear()
         report = verify_containment(q, 1, 3)
@@ -447,7 +447,7 @@ class TestIdealMember:
 
     def test_generator_dimension_checked(self):
         # pairings zip a generator with each ray, which would cut a wrong length silently
-        data = SemigroupData(make_cone([(1, 0), (1, 2)], 2))
+        data = make_cone([(1, 0), (1, 2)], 2)
         with pytest.raises(DimensionError):
             MonomialIdeal(data, ((1, 0, 5),))
         with pytest.raises(DimensionError):
@@ -459,7 +459,7 @@ class TestIdealMember:
     @settings(max_examples=60, deadline=None)
     def test_translates_stay_inside(self, data):
         name, sg = data.draw(st.sampled_from(_ZOO_SEMIGROUPS))
-        ray = data.draw(st.integers(0, len(sg.cone.rays) - 1))
+        ray = data.draw(st.integers(0, len(sg.rays) - 1))
         power = data.draw(st.integers(1, 3))
         ideal = symbolic_power(single_prime(sg, ray), power)
         gen = data.draw(st.sampled_from(ideal.generators))
@@ -484,7 +484,7 @@ class TestIntersect:
     def test_recorded_ray_indices_checked(self):
         # unchecked, a negative index would read the last ray's pairing
         # column, and a large one would fail inside the reduction
-        data = SemigroupData(make_cone([(1, 0), (1, 2)], 2))
+        data = make_cone([(1, 0), (1, 2)], 2)
         for bounds in (((-1, 2),), ((5, 1),)):
             with pytest.raises(IndexError, match="out of range for 2 rays"):
                 intersect_valuation_ideals([MonomialIdeal(data, ((1, 0),), bounds)])
@@ -522,7 +522,7 @@ class TestEmptyCandidates:
 
     @pytest.fixture(scope="class")
     def det61_data(self):
-        return SemigroupData(make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3))
+        return make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3)
 
     def test_intersect_of_no_bounds_is_the_unit_ideal(self, det61_data):
         ideal = MonomialIdeal(det61_data, ((1, 0, 0),), ())
@@ -568,8 +568,8 @@ class TestVerifyContainment:
 
     def test_group_order_multiplier_passes_everywhere(self, zoo_semigroups):
         for name, data in zoo_semigroups:
-            group = class_group_of(data.cone)
-            for i in range(len(data.cone.rays)):
+            group = class_group_of(data)
+            for i in range(len(data.rays)):
                 q = single_prime(data, i)
                 order = order_of_class(divisor_class(q), group)
                 assert order is not None, name
@@ -604,9 +604,9 @@ class TestSharpness:
         cones = [make_cone([(0, 1), (d, -k)], 2) for d, k in pairs]
         checked = 0
         for cone in cones + [cone for _, cone in zoo_cones]:
-            data, group = SemigroupData(cone), class_group_of(cone)
+            group = class_group_of(cone)
             for i in range(len(cone.rays)):
-                q = single_prime(data, i)
+                q = single_prime(cone, i)
                 m = order_of_class(divisor_class(q), group)
                 for multiplier in range(1, m):
                     checked += 1
@@ -615,7 +615,7 @@ class TestSharpness:
         assert checked == 458
         # on A_n both ray primes have m = n + 1, and D = n first fails there
         for n in range(1, 11):
-            data = SemigroupData(an_cone(n))
+            data = an_cone(n)
             for i in (0, 1):
                 assert find_sharpness_witness(single_prime(data, i), n, n + 1)[0] == n + 1, (n, i)
 
@@ -636,7 +636,7 @@ class TestPrincipalAtGroupOrder:
         for n in range(1, 6):
             data = hilbert_basis(an_cone(n))
             q = single_prime(data, 0)
-            group = class_group_of(data.cone)
+            group = class_group_of(data)
             order = order_of_class(divisor_class(q), group)
             assert order == n + 1
             collapsed = symbolic_power(q, order)
@@ -648,8 +648,8 @@ class TestPrincipalAtGroupOrder:
 
     def test_zoo_primes(self, zoo_semigroups):
         for name, data in zoo_semigroups:
-            group = class_group_of(data.cone)
-            for i in range(len(data.cone.rays)):
+            group = class_group_of(data)
+            for i in range(len(data.rays)):
                 q = single_prime(data, i)
                 order = order_of_class(divisor_class(q), group)
                 collapsed = symbolic_power(q, order)
@@ -677,31 +677,41 @@ class TestMonomialIdealEquality:
         assert b.pairings == ((1, 3),)
         assert b.valuation_bounds == a.valuation_bounds
 
-    def test_contexts_of_one_cone_mix(self):
-        # a context's one field is its cone, so contexts built with or
-        # without a Hilbert basis are equal and their ideals intersect
-        cone = make_cone([(1, 0), (1, 2)], 2)
-        lattice, basis = SemigroupData(cone), hilbert_basis(cone)
-        assert lattice == basis and basis == lattice and hash(lattice) == hash(basis)
-        assert [f.name for f in dataclasses.fields(SemigroupData)] == ["cone"]
-        assert dataclasses.replace(lattice) == lattice
-        assert repr(lattice) == f"SemigroupData(cone={cone!r})"
-        assert lattice.dual_rays == basis.dual_rays
-        assert lattice.parallelotope == basis.parallelotope
-        assert lattice.hilbert_basis == basis.hilbert_basis == ((0, 1), (1, 0), (2, -1))
-        assert lattice != SemigroupData(make_cone([(1, 0), (1, 3)], 2))
-        assert ray_prime(lattice, 0) == ray_prime(basis, 0)
-        meet = intersect_valuation_ideals([ray_prime(lattice, 0), ray_prime(basis, 1)])
+    def test_equal_cones_mix(self):
+        # an ideal's context is its cone: hilbert_basis returns the cone it
+        # was given, and the ideals of equal cones, one with its basis read
+        # and one without, compare equal and intersect
+        cone, twin = make_cone([(1, 0), (1, 2)], 2), make_cone([(1, 2), (1, 0)], 2)
+        assert hilbert_basis(cone) is cone
+        assert "hilbert_basis" in vars(cone) and "hilbert_basis" not in vars(twin)
+        assert cone == twin and hash(cone) == hash(twin) and repr(cone) == repr(twin)
+        assert ray_prime(cone, 0) == ray_prime(twin, 0)
+        meet = intersect_valuation_ideals([ray_prime(cone, 0), ray_prime(twin, 1)])
         assert meet.generators == ((1, 0),)
-        assert meet == intersect_valuation_ideals([ray_prime(basis, 0), ray_prime(lattice, 1)])
-        # the dual cone is built with the context, so an unsupported cone
-        # raises there, before any attribute is read
+        assert meet == intersect_valuation_ideals([ray_prime(twin, 0), ray_prime(cone, 1)])
+
+
+class TestUnsupportedCone:
+    def test_every_semigroup_reader_raises(self):
+        # the square cone is not simplicial and the flat one not full: each
+        # builds, and every reader of its dual semigroup raises the dual
+        # cone's error and keeps nothing
         square = make_cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
         flat = make_cone([(1, 0, 0), (0, 1, 0)], 3)
         for cone in (square, flat):
-            with pytest.raises(UnsupportedConeError, match="^dualization needs a simplicial "
-                               "full-dimensional cone$"):
-                SemigroupData(cone)
+            readers = [
+                lambda: MonomialIdeal(cone, ((0, 0, 1),)),
+                lambda: PureHeightOneIdeal(cone, ((0, 1),)),
+                lambda: ray_prime(cone, 0),
+                lambda: in_semigroup((0, 0, 1), cone),
+                lambda: semigroup_member((0, 0, 1), cone),
+            ] + [lambda name=name: getattr(cone, name)
+                 for name in ("dual_rays", "parallelotope", "hilbert_basis", "pairing_table")]
+            for read in readers:
+                with pytest.raises(UnsupportedConeError, match="^dualization needs a simplicial "
+                                   "full-dimensional cone$"):
+                    read()
+            assert vars(cone).keys() == {f.name for f in dataclasses.fields(cone)}
 
 
 class TestParallelotopeOnRead:
@@ -712,7 +722,7 @@ class TestParallelotopeOnRead:
             pytest.fail("the parallelotope was enumerated")
 
         monkeypatch.setattr(cones, "_parallelotope", unexpected)
-        data = SemigroupData(make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3))
+        data = make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3)
         q = single_prime(data, 2)
         m = q._period[0]
         power = symbolic_power(q, m)

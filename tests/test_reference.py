@@ -79,7 +79,7 @@ def small_cones(draw):
 @settings(deadline=None)
 @given(small_cones())
 def test_dual_cone_matches_adjugate(data):
-    assert dual_cone(data.cone).rays == adjugate_dual_rays(data.cone)
+    assert dual_cone(data).rays == adjugate_dual_rays(data)
 
 
 @pytest.mark.parametrize("name, cone", all_cones())
@@ -89,19 +89,17 @@ def test_dual_cone_matches_adjugate_on_zoo(name, cone):
 
 @settings(deadline=None)
 @given(small_cones(), st.data())
-def test_divisor_period_inverts_the_pairings(data, draw):
-    cone = data.cone
+def test_divisor_period_inverts_the_pairings(cone, draw):
     x = draw.draw(st.tuples(*[st.integers(-20, 20)] * cone.ambient_dim))
     assert _divisor_period(cone, [dot(x, ray) for ray in cone.rays]) == (1, x)
 
 
 @settings(deadline=None)
 @given(small_cones(), st.data())
-def test_divisor_period_is_the_class_order_and_its_character(data, draw):
+def test_divisor_period_is_the_class_order_and_its_character(cone, draw):
     """m is the order of the divisor's class in the cokernel of the pairing
     map, 1 exactly on the trivial class, and u pairs to m times the
     divisor; for the divisor e_j of ray j, u is the dual ray of ray j."""
-    cone = data.cone
     group = class_group_of(cone)
     n = len(cone.rays)
     j = draw.draw(st.integers(0, n - 1))
@@ -115,7 +113,7 @@ def test_divisor_period_is_the_class_order_and_its_character(data, draw):
 
 
 def check_ray_primes_match_basis_filter(data):
-    for i in range(len(data.cone.rays)):
+    for i in range(len(data.rays)):
         assert ray_prime(data, i).generators == basis_ray_prime(data, i), i
 
 
@@ -132,16 +130,15 @@ def test_ray_prime_matches_basis_filter_on_zoo(name, data):
 
 @settings(deadline=None)
 @given(small_cones())
-def test_hilbert_basis_matches_box_scan(data):
-    cone = data.cone
-    assert data.hilbert_basis == box_scan_hilbert_basis(cone)
-    dual = IntegerMatrix.from_rows(data.dual_rays)
-    points = [p for _, p in data.parallelotope]
+def test_hilbert_basis_matches_box_scan(cone):
+    assert cone.hilbert_basis == box_scan_hilbert_basis(cone)
+    dual = IntegerMatrix.from_rows(cone.dual_rays)
+    points = [p for _, p in cone.parallelotope]
     assert len(set(points)) == len(points) == abs(determinant(dual))
-    for pairs, point in data.parallelotope:
+    for pairs, point in cone.parallelotope:
         assert pairs == tuple(dot(point, ray) for ray in cone.rays)
         # half-open: below the dual ray's own pairing on every ray
-        caps = [max(dot(w, ray) for w in data.dual_rays) for ray in cone.rays]
+        caps = [max(dot(w, ray) for w in cone.dual_rays) for ray in cone.rays]
         assert all(0 <= y < c for y, c in zip(pairs, caps))
 
 
@@ -151,7 +148,7 @@ def test_minimal_generators_match_closure(data, draw):
     """Bounds on any set of rays, up to every ray, each up to three times
     the pairing c_i of its ray with its dual ray, so candidates are raised
     by up to three periods."""
-    rays = data.cone.rays
+    rays = data.rays
     chosen = draw.draw(
         st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=len(rays), unique=True)
     )
@@ -160,7 +157,7 @@ def test_minimal_generators_match_closure(data, draw):
     rows = _valuation_ideal(data, bounds)._vectors
     expected = closure_minimal_generators(data, bounds)
     assert sorted(rows) == sorted(_pairings(g, data) for g in expected)
-    assert tuple(sorted(_lattice_point(data.cone, row) for row in rows)) == expected
+    assert tuple(sorted(_lattice_point(data, row) for row in rows)) == expected
 
 
 def test_lattice_point_rejects_a_vector_outside_the_pairing_image():
@@ -174,7 +171,7 @@ def test_lattice_point_rejects_a_vector_outside_the_pairing_image():
 def check_symbolic_powers_match_closure(q):
     """q^(E) against the closure search for E = 1..2m+1, m the class order:
     two whole periods and the first level of the third."""
-    m = order_of_class(divisor_class(q), class_group_of(q.context.cone))
+    m = order_of_class(divisor_class(q), class_group_of(q.context))
     for power in range(1, 2 * m + 2):
         bounds = {ray: power * mult for ray, mult in q.components}
         sym = symbolic_power(q, power)
@@ -185,7 +182,7 @@ def check_symbolic_powers_match_closure(q):
 @settings(deadline=None)
 @given(small_cones(), st.data())
 def test_symbolic_power_matches_closure(data, draw):
-    nrays = len(data.cone.rays)
+    nrays = len(data.rays)
     rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
     check_symbolic_powers_match_closure(
         PureHeightOneIdeal(data, tuple((ray, draw.draw(st.integers(1, 3))) for ray in rays))
@@ -218,7 +215,7 @@ def test_symbolic_power_matches_closure_on_fixed_cones(data, components):
 def zoo_ideals():
     """Every ray prime of every zoo cone, and one two-ray ideal each."""
     for name, data in all_semigroups():
-        nrays = len(data.cone.rays)
+        nrays = len(data.rays)
         for components in [((i, 1),) for i in range(nrays)] + [((0, 1), (nrays - 1, 2))]:
             yield pytest.param(data, components, id=f"{name}-{components}")
 
@@ -228,7 +225,7 @@ def test_period_pairs_to_class_order(data, components):
     q = PureHeightOneIdeal(data, components)
     m, u = q._period
     b = divisor_class(q)
-    assert m == search_order_of_class(b, class_group_of(data.cone))
+    assert m == search_order_of_class(b, class_group_of(data))
     # m * b_i on q's rays, 0 on the others
     assert _pairings(u, data) == tuple(m * c for c in b)
     assert symbolic_power(q, m).generators == (u,)
@@ -253,7 +250,7 @@ def test_minimalize_matches_quadratic(data, draw):
     ]
     rows = [_pairings(p, data) for p in points]
     minimal = _minimal_sums(list(zip(*rows)), power)
-    solved = sorted((_lattice_point(data.cone, row), row) for row in minimal)
+    solved = sorted((_lattice_point(data, row), row) for row in minimal)
     assert tuple(g for g, _ in solved) == quadratic_minimalize(sums, data)
     assert [row for _, row in solved] == [_pairings(g, data) for g, _ in solved]
 
@@ -263,7 +260,7 @@ def test_minimalize_matches_quadratic(data, draw):
 def test_stored_pairings_match_generators(data, draw):
     """Every ideal's stored pairing vectors are its generators' own, and
     membership read from them agrees with the difference-vector test."""
-    nrays = len(data.cone.rays)
+    nrays = len(data.rays)
     rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
     q = PureHeightOneIdeal(data, tuple((ray, draw.draw(st.integers(1, 3))) for ray in rays))
     m = q._period[0]
@@ -280,7 +277,7 @@ def test_stored_pairings_match_generators(data, draw):
     for ideal in ideals:
         assert ideal.pairings == tuple(_pairings(g, data) for g in ideal.generators)
     # each generator, and its steps up and down along every dual ray
-    zero = (0,) * data.cone.ambient_dim
+    zero = (0,) * data.ambient_dim
     offsets = [zero, *data.dual_rays, *(tuple(-c for c in w) for w in data.dual_rays)]
     points = {
         tuple(a + b for a, b in zip(g, w))
@@ -296,7 +293,7 @@ def test_stored_pairings_match_generators(data, draw):
 @settings(deadline=None)
 @given(small_cones(), st.data())
 def test_ordinary_power_matches_combinations(data, draw):
-    nrays = len(data.cone.rays)
+    nrays = len(data.rays)
     rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
     q = PureHeightOneIdeal(data, tuple((ray, draw.draw(st.integers(1, 3))) for ray in rays))
     ideal = symbolic_power(q, draw.draw(st.integers(1, 2)))
@@ -311,14 +308,14 @@ def test_sweep_matches_reference(data, draw):
     """verify_containment and find_sharpness_witness against the
     brute-force sweep, at every multiplier from 1 to |det|, so that
     levels fail and witnesses are compared."""
-    nrays = len(data.cone.rays)
+    nrays = len(data.rays)
     rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=2, unique=True))
     components = tuple((ray, draw.draw(st.integers(1, 2))) for ray in rays)
     q = PureHeightOneIdeal(data, components)
     max_level = draw.draw(st.integers(1, 3))
     base = len(symbolic_power(q, 1).generators)
     assume(comb(base + max_level - 1, max_level) <= 2000)
-    for multiplier in range(1, abs(determinant(data.cone.ray_matrix())) + 1):
+    for multiplier in range(1, abs(determinant(data.ray_matrix())) + 1):
         expected = reference_sweep(data, q.components, multiplier, max_level)
         report = verify_containment(q, multiplier, max_level)
         assert [(c.level, c.passed, c.witness) for c in report.levels] == expected

@@ -42,3 +42,13 @@ def test_containment_sweep_report_unchanged():
     assert proc.returncode == 0, proc.stderr
     expected = (ROOT / "tests" / "data" / "containment_sweep_3.txt").read_text()
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("name", ["containment_sweep.py", "duval_table.py"])
+@pytest.mark.parametrize("arg", ["0", "-2", "x", "1.5"])
+def test_bad_argument_is_one_error_line(name, arg):
+    """Rejected before any report line: exit 1 and one ``error:`` line."""
+    proc = run_script(name, arg)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
