@@ -1,7 +1,8 @@
 """Command line frontend.
 
 Subcommands: cone info/dual/hilbert, classgroup, multiplier, verify,
-sharpness, duval; each subparser names its handler in its defaults.
+sharpness, duval; each has one subparser, which names its handler in its
+defaults.
 Reports go to stdout and are byte-identical across runs for identical
 inputs; diagnostics go to stderr as a single line with an ``error:``
 prefix and exit code 1.  ``verify`` (and ``duval check-an``) exit 0
@@ -20,8 +21,7 @@ from typing import Sequence
 from .class_group import class_group_of, det_multiplier, group_exponent, group_order
 from .cones import Cone, dual_cone, hilbert_basis, make_cone
 from .duval import cross_check_an, lookup
-from .ideals import PureHeightOneIdeal, _checked_components
-from .ideals import find_sharpness_witness, verify_containment
+from .ideals import PureHeightOneIdeal, find_sharpness_witness, verify_containment
 
 __all__ = ["main"]
 
@@ -44,26 +44,18 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cone = sub.add_parser("cone", help="cone reports")
-    cone.set_defaults(handler=_cmd_cone)
-    cone_sub = cone.add_subparsers(dest="action", required=True)
-    for action in ("info", "dual", "hilbert"):
-        p = cone_sub.add_parser(action)
-        p.add_argument("file")
-        p.add_argument("--json", action="store_true", dest="as_json")
-
-    for name, handler in (("classgroup", _cmd_classgroup), ("multiplier", _cmd_multiplier)):
-        p = sub.add_parser(name)
+    cone.add_argument("action", choices=("info", "dual", "hilbert"))
+    classgroup = sub.add_parser("classgroup")
+    multiplier = sub.add_parser("multiplier")
+    verify = sub.add_parser("verify", help="symbolic-into-ordinary containment sweep")
+    sharp = sub.add_parser("sharpness", help="search for a failing level of a candidate multiplier")
+    for p, handler in ((cone, _cmd_cone), (classgroup, _cmd_classgroup),
+                       (multiplier, _cmd_multiplier), (verify, _cmd_verify),
+                       (sharp, _cmd_sharpness)):
         p.set_defaults(handler=handler)
         p.add_argument("file")
         p.add_argument("--json", action="store_true", dest="as_json")
-
-    verify = sub.add_parser("verify", help="symbolic-into-ordinary containment sweep")
-    sharp = sub.add_parser("sharpness", help="search for a failing level of a candidate multiplier")
-    verify.set_defaults(handler=_cmd_verify)
-    sharp.set_defaults(handler=_cmd_sharpness)
     for p in (verify, sharp):
-        p.add_argument("file")
-        p.add_argument("--json", action="store_true", dest="as_json")
         p.add_argument("--ray", action="append", type=int, required=True,
                        help="ray index; repeat to intersect several ray primes")
         p.add_argument("--b", default=None,
@@ -126,7 +118,7 @@ def _parse_cone_json(text: str) -> tuple[int, list[tuple[int, ...]]]:
 
 def _load_cone(path: str, as_json: bool) -> Cone:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
@@ -205,7 +197,9 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
             raise CliError(f"--b {ns.b!r} is not a comma separated integer list") from None
         if len(mults) != len(rays):
             raise CliError(f"--b lists {len(mults)} multiplicities for {len(rays)} rays")
-    # checked before a sweep enumerates the |det W| dual parallelotope points, W the dual rays
+    # checked here rather than in the library so that the messages name
+    # --D and --amax; an out-of-range --ray would reach the library's
+    # IndexError, which is not a ValueError, so main would not report it
     if ns.multiplier < 1:
         raise CliError(f"--D must be >= 1, got {ns.multiplier}")
     if ns.amax < 1:
@@ -214,8 +208,7 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
     for ray in sorted(rays):
         if not 0 <= ray < nrays:
             raise CliError(f"ray index {ray} out of range for {nrays} rays")
-    components = _checked_components(zip(rays, mults), nrays)
-    return PureHeightOneIdeal(cone, components)
+    return PureHeightOneIdeal(cone, tuple(zip(rays, mults)))
 
 
 def _fmt_components(q: PureHeightOneIdeal) -> str:

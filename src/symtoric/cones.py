@@ -51,6 +51,12 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _pairings(point: Sequence[int], cone: Cone) -> tuple[int, ...]:
+    """The point's pairing with each ray, in ray order: its valuations along
+    the ray divisors, the coordinates every semigroup and ideal test reads."""
+    return tuple(dot(point, ray) for ray in cone.rays)
+
+
 def primitive(vector: Sequence[int]) -> Vector:
     """Divide out the gcd of the coordinates; rejects the zero vector."""
     vec = tuple(vector)
@@ -95,7 +101,7 @@ class Cone:
 
     @cached_property
     def parallelotope(self) -> tuple[tuple[tuple[int, ...], Vector], ...]:
-        return _parallelotope(self._dual, self.rays)
+        return _parallelotope(self)
 
     @cached_property
     def _columns(self) -> list[tuple[int, ...]]:
@@ -128,7 +134,7 @@ class Cone:
     @cached_property
     def pairing_table(self) -> tuple[tuple[int, ...], ...]:
         """``pairing_table[i][j]``: the pairing of basis element i with ray j."""
-        return tuple(tuple(dot(h, ray) for ray in self.rays) for h in self.hilbert_basis)
+        return tuple(_pairings(h, self) for h in self.hilbert_basis)
 
 
 def make_cone(rays: Iterable[Sequence[int]], ambient_dim: int) -> Cone:
@@ -211,11 +217,9 @@ def dual_cone(cone: Cone) -> Cone:
     return make_cone([_divisor_period(cone, e)[1] for e in units], n)
 
 
-def _parallelotope(
-    dual: Cone, rays: Sequence[Vector]
-) -> tuple[tuple[tuple[int, ...], Vector], ...]:
+def _parallelotope(cone: Cone) -> tuple[tuple[tuple[int, ...], Vector], ...]:
     """(pairing vector, point) for each lattice point of the half-open
-    parallelotope {W t : 0 <= t_j < 1} spanned by the dual rays.
+    parallelotope {W t : 0 <= t_j < 1} spanned by the cone's dual rays.
 
     W, whose columns are the dual rays, is the transpose of the dual
     cone's ray matrix, so that cone's Smith form U' W^T V' = S gives
@@ -224,6 +228,7 @@ def _parallelotope(
     representatives U^-1 k with W-coordinates t = frac(V S^-1 k), integers
     mod s_n once scaled by s_n, and W t is the point: |det W| of them.
     """
+    dual = cone._dual
     duals = dual.rays
     n = len(duals)
     factors = dual.smith.invariant_factors
@@ -234,7 +239,7 @@ def _parallelotope(
         scaled = [kj * (top // s) for kj, s in zip(k, factors)]
         t = [sum(a * b for a, b in zip(row, scaled)) % top for row in v]
         point = tuple(sum(w[i] * tj for w, tj in zip(duals, t)) // top for i in range(n))
-        points.append((tuple(dot(point, ray) for ray in rays), point))
+        points.append((_pairings(point, cone), point))
     return tuple(points)
 
 
@@ -296,7 +301,7 @@ def in_semigroup(point: Sequence[int], cone: Cone) -> bool:
     cone._dual  # rejects a cone that is not simplicial and full
     if len(point) != cone.ambient_dim:
         raise DimensionError(f"point length {len(point)} != ambient dimension {cone.ambient_dim}")
-    return all(dot(point, ray) >= 0 for ray in cone.rays)
+    return all(p >= 0 for p in _pairings(point, cone))
 
 
 def semigroup_member(point: Sequence[int], cone: Cone) -> tuple[int, ...] | None:
@@ -315,7 +320,7 @@ def semigroup_member(point: Sequence[int], cone: Cone) -> tuple[int, ...] | None
     table = cone.pairing_table
     counts = [0] * len(table)
     # rests[i]: what is left to cover before basis element i is counted
-    rests = [tuple(dot(vec, ray) for ray in cone.rays)]
+    rests = [_pairings(vec, cone)]
     while any(rests[-1]):
         idx = len(rests) - 1
         if idx < len(table):

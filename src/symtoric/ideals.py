@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import ge
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .cones import Cone, Vector, _divisor_period, _lattice_point, _minimal_sums, dot
+from .cones import Cone, Vector, _divisor_period, _lattice_point, _minimal_sums, _pairings, dot
 from .exact_linalg import DimensionError
 
 __all__ = [
@@ -50,10 +50,11 @@ class MonomialIdeal:
     ``valuation_bounds`` records, when the ideal was produced as a
     valuation ideal, the (ray index, lower bound) pairs defining it;
     ordinary powers drop it since they are not valuation ideals in
-    general.  Equality compares context and generators only.  ``_vectors``
-    holds the generators' pairing vectors from construction: ``pairings`` for
-    an ideal built from generators, and for a library ideal the ones its
-    reduction kept, whose points ``__getattr__`` solves on first read.
+    general.  Equality compares context and generators only.  ``_vectors``,
+    not a field, holds the generators' pairing vectors from construction: in
+    generator order for an ideal built from generators, and for a library
+    ideal the ones its reduction kept, whose points ``__getattr__`` solves
+    on first read.
     """
 
     context: Cone
@@ -67,14 +68,8 @@ class MonomialIdeal:
             raise DimensionError(f"generator length {min(lengths)} != ambient dimension {dim}")
         if bad := [ray for ray, _ in self.valuation_bounds or () if not 0 <= ray < nrays]:
             raise IndexError(f"ray index {bad[0]} out of range for {nrays} rays")
-        object.__setattr__(self, "_vectors", self.pairings)
-
-    @cached_property
-    def pairings(self) -> tuple[tuple[int, ...], ...]:
-        """Each generator's ray pairings, in generator order, computed on
-        first use.  Not a field, so equality, hash and repr ignore it and no
-        caller can pass it in."""
-        return tuple(_pairings(g, self.context) for g in self.generators)
+        vectors = tuple(_pairings(g, self.context) for g in self.generators)
+        object.__setattr__(self, "_vectors", vectors)
 
     def __getattr__(self, name: str) -> tuple[Vector, ...]:
         if name != "generators":
@@ -89,16 +84,29 @@ class PureHeightOneIdeal:
     """Formal intersection of ray primes with multiplicities.
 
     ``components`` holds (ray index, multiplicity) pairs with distinct
-    ray indices and multiplicities >= 1; they are kept sorted by ray.
+    ray indices and multiplicities >= 1; they are kept sorted by ray, and
+    checked against the rays before the cone is, so a bad component is
+    named even on a cone with no dual semigroup.
     """
 
     context: Cone
     components: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        self.context._dual  # rejects a cone that is not simplicial and full
-        comps = _checked_components(self.components, len(self.context.rays))
+        comps = tuple(sorted(tuple(c) for c in self.components))
+        if not comps:
+            raise ValueError("at least one ray component is required")
+        nrays, seen = len(self.context.rays), set()
+        for ray_index, mult in comps:
+            if not 0 <= ray_index < nrays:
+                raise IndexError(f"ray index {ray_index} out of range for {nrays} rays")
+            if mult < 1:
+                raise ValueError(f"multiplicity {mult} on ray {ray_index} must be >= 1")
+            if ray_index in seen:
+                raise ValueError(f"ray index {ray_index} appears twice")
+            seen.add(ray_index)
         object.__setattr__(self, "components", comps)
+        self.context._dual  # rejects a cone that is not simplicial and full
 
     @cached_property
     def _period(self) -> tuple[int, Vector]:
@@ -109,30 +117,6 @@ class PureHeightOneIdeal:
         if _pairings(u, self.context) != tuple(m * c for c in b):
             raise RuntimeError("the period character does not pair to m times the divisor")
         return m, u
-
-
-def _checked_components(
-    components: Iterable[tuple[int, int]], nrays: int
-) -> tuple[tuple[int, int], ...]:
-    """(ray index, multiplicity) pairs sorted by ray and checked against
-    nrays rays, with no dual cone: the CLI checks before one is built."""
-    comps = tuple(sorted(tuple(c) for c in components))
-    if not comps:
-        raise ValueError("at least one ray component is required")
-    seen = set()
-    for ray_index, mult in comps:
-        if not 0 <= ray_index < nrays:
-            raise IndexError(f"ray index {ray_index} out of range for {nrays} rays")
-        if mult < 1:
-            raise ValueError(f"multiplicity {mult} on ray {ray_index} must be >= 1")
-        if ray_index in seen:
-            raise ValueError(f"ray index {ray_index} appears twice")
-        seen.add(ray_index)
-    return comps
-
-
-def _pairings(point: Vector, cone: Cone) -> tuple[int, ...]:
-    return tuple(dot(point, ray) for ray in cone.rays)
 
 
 def _library_ideal(

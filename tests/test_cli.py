@@ -136,6 +136,21 @@ class TestConeReports:
         assert "input: sha256:45cb2093a4bb" in json_out
         assert text_out.split("\n", 1)[1] == json_out.split("\n", 1)[1]
 
+    @pytest.mark.parametrize(
+        "name, text, options",
+        [("a1.cone", A1_TEXT, ()), ("a1.json", A1_JSON, ("--json",))],
+        ids=["text", "json"],
+    )
+    def test_byte_order_mark_ignored(self, capsys, tmp_path, a1_file, name, text, options):
+        # an editor may start a UTF-8 file with U+FEFF; the report is the plain file's
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        _, plain, _ = run_cli(capsys, "cone", "info", a1_file)
+        code, out, err = run_cli(capsys, "cone", "info", str(path), *options)
+        assert code == 0 and err == ""
+        assert "input: sha256:45cb2093a4bb" in out
+        assert out.split("\n", 1)[1] == plain.split("\n", 1)[1]
+
     def test_comments_and_blanks_ignored(self, capsys, tmp_path):
         path = tmp_path / "c.cone"
         path.write_text("# header\n\ndim 2\n1 0  # x axis\n\n1 2\n")
@@ -481,7 +496,7 @@ class TestErrorPaths:
         ],
     )
     def test_bad_ideal(self, capsys, a1_file, monkeypatch, options, message):
-        def unexpected(dual, rays):
+        def unexpected(cone):
             pytest.fail("the parallelotope was enumerated before the ideal was checked")
 
         monkeypatch.setattr(cones, "_parallelotope", unexpected)
@@ -509,7 +524,7 @@ class TestErrorPaths:
     def test_bad_multiplier_before_hilbert_basis(
         self, capsys, a1_file, monkeypatch, multiplier, amax, option
     ):
-        def unexpected(dual, rays):
+        def unexpected(cone):
             pytest.fail(f"the parallelotope was enumerated before {option} was checked")
 
         monkeypatch.setattr(cones, "_parallelotope", unexpected)
@@ -520,7 +535,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("ray", ["9", "-1"])
     def test_bad_ray_index_before_hilbert_basis(self, capsys, klein4_file, monkeypatch, ray):
-        def unexpected(dual, rays):
+        def unexpected(cone):
             pytest.fail("the parallelotope was enumerated before the ray index was checked")
 
         monkeypatch.setattr(cones, "_parallelotope", unexpected)
@@ -534,6 +549,11 @@ class TestErrorPaths:
 
     def test_unknown_command(self, capsys):
         self.check_error(capsys, "frobnicate")
+
+    def test_cone_without_arguments(self, capsys):
+        # one parser takes the action and the file, so both are named
+        err = self.check_error(capsys, "cone")
+        assert err == "error: the following arguments are required: action, file\n"
 
 
 class TestEntryPoint:

@@ -13,6 +13,7 @@ from symtoric import cones, ideals
 from symtoric.class_group import class_group_of, order_of_class
 from symtoric.cones import (
     UnsupportedConeError,
+    _pairings,
     dot,
     hilbert_basis,
     in_semigroup,
@@ -175,12 +176,14 @@ class TestSymbolicPower:
             (rows,) = built
             assert sym._vectors is rows, power
             assert len(rows) == len(sym.generators) > 1, power
-            assert sorted(rows) == sorted(sym.pairings), power
-        # an ideal built from generators holds their pairings from the start
+            solved = tuple(_pairings(g, a2_data) for g in sym.generators)
+            assert sorted(rows) == sorted(solved), power
+        # an ideal built from generators holds their pairings from the start,
+        # in generator order
         made = MonomialIdeal(a2_data, sym.generators, sym.valuation_bounds)
-        assert "_vectors" in vars(made) and made._vectors == made.pairings == sym.pairings
+        assert "_vectors" in vars(made) and made._vectors == solved
         replaced = dataclasses.replace(made, generators=sym.generators[:1])
-        assert "_vectors" in vars(replaced) and replaced._vectors == (sym.pairings[0],)
+        assert "_vectors" in vars(replaced) and replaced._vectors == (solved[0],)
 
     def test_pairings_stored_at_and_past_the_period(self, zoo_semigroups):
         """Powers at and past the period store pairing vectors, the one
@@ -359,7 +362,8 @@ class TestOrdinaryPowerSolvesOnRead:
         cube_of_square = ordinary_power(square, 3)
         assert not is_principal(cube_of_square)
         assert solves == []
-        assert "generators" not in vars(square) and "pairings" not in vars(square)
+        # the one stored list is the vectors: no generators are solved
+        assert vars(square).keys() == {"context", "valuation_bounds", "_vectors"}
 
     def test_generators_solve_each_vector_once(self, base, solves):
         square = ordinary_power(base, 2)
@@ -367,9 +371,9 @@ class TestOrdinaryPowerSolvesOnRead:
         assert square.generators is gens and list(gens) == sorted(gens)
         assert sorted(solves) == sorted(square._vectors)
         assert len(set(solves)) == len(solves) == len(gens)
-        # the pairings follow the solved generators and solve nothing more
+        # the stored vectors are the solved generators' pairings
         rays = base.context.rays
-        assert square.pairings == tuple(tuple(dot(g, ray) for ray in rays) for g in gens)
+        assert sorted(square._vectors) == sorted(tuple(dot(g, ray) for ray in rays) for g in gens)
         assert len(solves) == len(gens)
 
     def test_solved_power_equals_a_caller_built_ideal(self, base):
@@ -411,7 +415,8 @@ class TestOrdinaryPowerSolvesOnRead:
             solves.clear()
             gens = ideal.generators
             assert ideal.generators is gens and list(gens) == sorted(gens)
-            assert sorted(solves) == sorted(ideal._vectors) == sorted(ideal.pairings)
+            paired = (_pairings(g, base.context) for g in gens)
+            assert sorted(solves) == sorted(ideal._vectors) == sorted(paired)
             assert len(set(solves)) == len(solves) == len(gens)
 
     def test_failing_sweep_solves_only_its_failing_vectors(self, solves):
@@ -528,19 +533,19 @@ class TestEmptyCandidates:
         ideal = MonomialIdeal(det61_data, ((1, 0, 0),), ())
         meet = intersect_valuation_ideals([ideal])
         assert meet.generators == ((0, 0, 0),)
-        assert meet.pairings == ((0, 0, 0),)
+        assert meet._vectors == ((0, 0, 0),)
         assert meet.valuation_bounds == ()
 
     def test_power_of_the_zero_ideal_has_no_generators(self, det61_data):
         square = ordinary_power(MonomialIdeal(det61_data, ()), 2)
         assert square.generators == ()
-        assert square.pairings == ()
+        assert square._vectors == ()
 
     def test_power_of_the_unit_ideal_is_the_unit_ideal(self, det61_data):
         unit = MonomialIdeal(det61_data, ((0, 0, 0),))
         cube = ordinary_power(unit, 3)
         assert cube == unit
-        assert cube.pairings == ((0, 0, 0),)
+        assert cube._vectors == ((0, 0, 0),)
 
 
 class TestVerifyContainment:
@@ -669,12 +674,12 @@ class TestMonomialIdealEquality:
     def test_pairings_computed_from_generators(self, a1_data):
         # a caller cannot pass pairings in, and a replaced ideal recomputes them
         a = MonomialIdeal(a1_data, ((1, 0), (2, -1)), ((0, 1),))
-        assert a.pairings == ((1, 1), (2, 0))
-        assert "pairings" not in repr(a)
+        assert a._vectors == ((1, 1), (2, 0))
+        assert "_vectors" not in repr(a)
         with pytest.raises(TypeError):
             MonomialIdeal(a1_data, a.generators, None, ((0, 0), (0, 0)))
         b = dataclasses.replace(a, generators=((1, 1),))
-        assert b.pairings == ((1, 3),)
+        assert b._vectors == ((1, 3),)
         assert b.valuation_bounds == a.valuation_bounds
 
     def test_equal_cones_mix(self):
@@ -712,6 +717,16 @@ class TestUnsupportedCone:
                                    "full-dimensional cone$"):
                     read()
             assert vars(cone).keys() == {f.name for f in dataclasses.fields(cone)}
+
+    def test_components_checked_before_the_cone(self):
+        # a bad component is named even on a cone with no dual semigroup
+        square = make_cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
+        with pytest.raises(ValueError, match="^ray index 0 appears twice$") as raised:
+            PureHeightOneIdeal(square, ((0, 1), (0, 1)))
+        assert raised.type is ValueError
+        with pytest.raises(IndexError, match="^ray index 4 out of range for 4 rays$"):
+            PureHeightOneIdeal(square, ((4, 1),))
+        assert vars(square).keys() == {f.name for f in dataclasses.fields(square)}
 
 
 class TestParallelotopeOnRead:

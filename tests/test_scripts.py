@@ -1,5 +1,6 @@
 """Smoke tests: the experiment scripts run to completion on small inputs,
-and the containment sweep's report stays byte-identical."""
+and the containment sweep's and the du Val table's reports stay
+byte-identical."""
 
 from __future__ import annotations
 
@@ -41,6 +42,14 @@ def test_containment_sweep_report_unchanged():
     proc = run_script("containment_sweep.py", "3")
     assert proc.returncode == 0, proc.stderr
     expected = (ROOT / "tests" / "data" / "containment_sweep_3.txt").read_text()
+    assert proc.stdout == expected
+
+
+def test_duval_table_report_unchanged():
+    """Every catalog row up to index 8, with the A rows' toric cross-check."""
+    proc = run_script("duval_table.py", "8")
+    assert proc.returncode == 0, proc.stderr
+    expected = (ROOT / "tests" / "data" / "duval_table_8.txt").read_text()
     assert proc.stdout == expected
 
 

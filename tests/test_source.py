@@ -88,6 +88,19 @@ def test_ideals_import_nothing_from_class_group():
     assert found == []
 
 
+def test_cli_imports_no_private_name():
+    """The CLI reaches the layers through their public names alone: every
+    check it relies on runs inside the constructor or function it calls."""
+    found = [
+        f"cli.py:{node.lineno} {alias.name}"
+        for name, node in _source_nodes()
+        if name == "cli.py" and isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_only_cli_main_writes_output():
     """One path from request to report: inside ``cli.py`` only ``main``
     calls ``print`` or touches ``sys.stdout`` or ``sys.stderr``."""
