@@ -11,6 +11,7 @@ cone determines its semigroup, so it carries these, each on first read.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
@@ -263,11 +264,18 @@ def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[tuple[i
     other's, and then its key is the larger: in key order each key is
     tested only against those already kept (the reduction of Bruns and
     Ichim), as domination is transitive and a repeated key dominates its
-    first copy; many sums coincide, so each is tested once.  A key has
-    every field at least that of ``low`` exactly when
-    ``((key | guard) - low) & guard == guard``: with every guard bit
-    set first, no field borrows from the next, and a field keeps its guard
-    bit exactly when it did not go below zero.
+    first copy; many sums coincide, so each is tested once.  Keys sort by
+    the last pairing first, so the test reads the other fields alone.  With
+    two rays a key is kept when its pairing 0 is below every kept one.  With
+    three, it is kept when one bisection finds no point below it on the
+    staircase of kept (pairing 0, pairing 1), sorted by pairing 0 with
+    pairing 1 falling, and it goes in after those at most its pairing 0, in
+    place of the points it covers there (Kung, Luccio and Preparata, J. ACM
+    22, 1975).  With more, a key has every field at least that of ``low``
+    exactly when ``((key | guard) - low) & guard == guard``: with every
+    guard bit set first, no field borrows from the next, and a field keeps
+    its guard bit exactly when it did not go below zero.  All three tests
+    keep the same keys.
     """
     width = (power * max(map(max, columns), default=0)).bit_length() + 1
     keys = [0] * len(columns[0]) if columns else []
@@ -276,16 +284,36 @@ def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[tuple[i
     combinations = itertools.combinations_with_replacement(keys, power)
     sums = set(map(sum, combinations)) if power > 1 else keys
     fields = range(0, width * len(columns), width)
-    guard = sum(1 << (shift + width - 1) for shift in fields)
-    kept: list[int] = []
-    for key in sorted(sums):
-        high = key | guard
-        for low in kept:
-            if (high - low) & guard == guard:
-                break
-        else:
-            kept.append(key)
     mask = (1 << width) - 1
+    kept: list[int] = []
+    if len(columns) == 2:
+        least = mask + 1
+        for key in sorted(sums):
+            if key & mask < least:
+                least = key & mask
+                kept.append(key)
+    elif len(columns) == 3:
+        xs: list[int] = []
+        ys: list[int] = []
+        for key in sorted(sums):
+            x, y = key & mask, key >> width & mask
+            i = bisect_right(xs, x)
+            if i and ys[i - 1] <= y:
+                continue
+            j = i
+            while j < len(ys) and ys[j] >= y:
+                j += 1
+            xs[i:j], ys[i:j] = [x], [y]
+            kept.append(key)
+    else:
+        guard = sum(1 << (shift + width - 1) for shift in fields)
+        for key in sorted(sums):
+            high = key | guard
+            for low in kept:
+                if (high - low) & guard == guard:
+                    break
+            else:
+                kept.append(key)
     return tuple(tuple(key >> shift & mask for shift in fields) for key in kept)
 
 

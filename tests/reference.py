@@ -13,6 +13,10 @@ differently, so agreeing with them is evidence rather than a restatement:
 * ``closure_minimal_generators`` closes over sums of Hilbert basis
   elements inside a capped box of pairings;
 * ``quadratic_minimalize`` tests every candidate against every other;
+* ``guard_bit_minimal_sums`` tests each packed key, in key order, against
+  every key already kept, with one guard-bit subtraction per pair, where
+  the library sweeps the keys of two and three rays with a running
+  minimum and a bisected staircase and keeps this loop for more rays;
 * ``difference_member`` asks whether the point minus some generator lies
   in the dual semigroup, recomputing every pairing, where the library
   compares the point's pairings with the ones the ideal stores;
@@ -159,6 +163,29 @@ def quadratic_minimalize(points: Sequence[Vector], data: Cone) -> tuple[Vector, 
         ):
             kept.append(p)
     return tuple(kept)
+
+
+def guard_bit_minimal_sums(
+    columns: Sequence[Sequence[int]], power: int
+) -> tuple[tuple[int, ...], ...]:
+    """``cones._minimal_sums`` with one reduction for every number of rays:
+    a key is kept when it dominates no key already kept, tested field by
+    field at once as ``((key | guard) - low) & guard == guard``."""
+    width = (power * max(map(max, columns), default=0)).bit_length() + 1
+    keys = [0] * len(columns[0]) if columns else []
+    for column in reversed(columns):
+        keys = [key << width | p for key, p in zip(keys, column)]
+    combinations = itertools.combinations_with_replacement(keys, power)
+    sums = set(map(sum, combinations)) if power > 1 else keys
+    fields = range(0, width * len(columns), width)
+    guard = sum(1 << (shift + width - 1) for shift in fields)
+    kept: list[int] = []
+    for key in sorted(sums):
+        high = key | guard
+        if not any((high - low) & guard == guard for low in kept):
+            kept.append(key)
+    mask = (1 << width) - 1
+    return tuple(tuple(key >> shift & mask for shift in fields) for key in kept)
 
 
 def difference_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:

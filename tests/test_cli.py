@@ -23,6 +23,7 @@ FLAT_TEXT = "dim 3\n1 0 0\n0 1 0\n"
 DET11_TEXT = "dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 2 3 11\n"
 CUBE_TEXT = "dim 4\n" + "".join(" ".join(map(str, ray)) + "\n" for ray in CUBE_RAYS)
 SWEEP_OPTIONS = ("--ray", "0", "--D", "1", "--amax", "1")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
@@ -336,6 +337,18 @@ class TestSharpnessCommand:
         )
         assert code == 0
         assert out.endswith("witness: none (up to a = 4)\n")
+
+    def test_large_determinant_surface_report(self, capsys, tmp_path, monkeypatch):
+        """The whole report on the surface (0, 1), (6007, -7), as pinned in
+        ``tests/data``: its ray prime reduces 6007 parallelotope points on
+        two rays."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "det6007.cone").write_text("dim 2\n0 1\n6007 -7\n")
+        code, out, err = run_cli(
+            capsys, "sharpness", "det6007.cone", "--ray", "0", "--D", "2", "--amax", "2"
+        )
+        assert code == 0 and err == ""
+        assert out == (DATA / "sharpness_6007.txt").read_text()
 
 
 class TestDuvalCommand:

@@ -21,6 +21,7 @@ from reference import (
     combination_ordinary_power,
     difference_member,
     fourier_motzkin_contains,
+    guard_bit_minimal_sums,
     hull_hilbert_basis,
     mirrored_smith_normal_form,
     quadratic_minimalize,
@@ -253,6 +254,30 @@ def test_minimalize_matches_quadratic(data, draw):
     solved = sorted((_lattice_point(data, row), row) for row in minimal)
     assert tuple(g for g, _ in solved) == quadratic_minimalize(sums, data)
     assert [row for _, row in solved] == [_pairings(g, data) for g, _ in solved]
+
+
+@st.composite
+def pairing_columns(draw):
+    """Pairing columns of 1-60 candidates on two or three rays.  Rows are
+    drawn from a smaller pool, so keys repeat, and entries are 0, small,
+    or up to 10^3."""
+    n = draw(st.integers(2, 3))
+    entry = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 10**3))
+    pool = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=60))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    return list(zip(*rows))
+
+
+@settings(deadline=None, max_examples=300)
+@given(pairing_columns(), st.integers(1, 3))
+# on two and on three rays: a repeated key, and a key above a kept one
+# with the same pairing 0
+@example([(1, 1, 1), (0, 1, 0)], 1)
+@example([(1, 1, 1), (0, 1, 0), (0, 0, 0)], 1)
+def test_minimal_sums_sweep_matches_guard_bit_loop(columns, power):
+    """The running minimum on two rays and the bisected staircase on three
+    keep the vectors the guard-bit loop keeps, in the same key order."""
+    assert _minimal_sums(columns, power) == guard_bit_minimal_sums(columns, power)
 
 
 @settings(deadline=None)
