@@ -252,38 +252,57 @@ def _lattice_point(cone: Cone, pairs: Sequence[int]) -> Vector:
     return point
 
 
-def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[tuple[int, ...], ...]:
-    """Pairing vectors, in key order, of the minimal ``power``-fold sums of
-    candidates whose nonnegative pairings with ray i are ``columns[i]``.
+def _dominates(key: int, kept: Iterable[int], guard: int) -> bool:
+    """Whether packed ``key`` has every field at least that of a key in ``kept``: with each
+    field's top bit (``guard``) set first, none borrows, and a field keeps it unless below zero."""
+    high = key | guard
+    for low in kept:
+        if (high - low) & guard == guard:
+            return True
+    return False
 
-    A sum is compared through a packed key: pairing i in bits
-    [i w, (i + 1) w), of a width w that holds ``power`` times the largest
-    pairing plus a guard bit.  Pairings are linear, so the key of a sum is
-    the sum of the keys, and equal keys are equal points.  A point is a
-    semigroup translate of another exactly when its pairings dominate the
-    other's, and then its key is the larger: in key order each key is
-    tested only against those already kept (the reduction of Bruns and
-    Ichim), as domination is transitive and a repeated key dominates its
-    first copy; many sums coincide, so each is tested once.  Keys sort by
-    the last pairing first, so the test reads the other fields alone.  With
-    two rays a key is kept when its pairing 0 is below every kept one.  With
-    three, it is kept when one bisection finds no point below it on the
-    staircase of kept (pairing 0, pairing 1), sorted by pairing 0 with
-    pairing 1 falling, and it goes in after those at most its pairing 0, in
-    place of the points it covers there (Kung, Luccio and Preparata, J. ACM
-    22, 1975).  With more, a key has every field at least that of ``low``
-    exactly when ``((key | guard) - low) & guard == guard``: with every
-    guard bit set first, no field borrows from the next, and a field keeps
-    its guard bit exactly when it did not go below zero.  All three tests
-    keep the same keys.
-    """
+
+def _packed_member(row: Sequence[int], width: int, keys: Iterable[int]) -> bool:
+    """Whether ``row`` dominates a vector packed at ``width`` in ``keys``: no field may be
+    negative, and each is packed clamped to 2^(w-1) - 1, which no stored field exceeds."""
+    top = (1 << width - 1) - 1
+    key = sum(min(p, top) << i * width for i, p in enumerate(row))
+    guard = sum(top + 1 << i * width for i in range(len(row)))
+    return min(row, default=0) >= 0 and _dominates(key, keys, guard)
+
+
+def _unpacked(width: int, keys: Iterable[int], nfields: int) -> tuple[tuple[int, ...], ...]:
+    """The vectors packed at ``width`` in ``keys``: field i in bits [i w, (i + 1) w)."""
+    fields, mask = range(0, width * nfields, width), (1 << width) - 1
+    return tuple(tuple(key >> shift & mask for shift in fields) for key in keys)
+
+
+def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[int, tuple[int, ...]]:
+    """Field width w and packed keys, in key order, of the minimal
+    ``power``-fold sums of candidates whose nonnegative pairings with ray i
+    are ``columns[i]``: pairing i in bits [i w, (i + 1) w) of a key, w
+    holding ``power`` times the largest pairing plus a guard bit.  Pairings
+    are linear, so the key of a sum is the sum of the keys, and equal keys
+    are equal points.  A point is a semigroup translate of another exactly
+    when its pairings dominate the other's, and then its key is the larger:
+    in key order each key is tested only against those already kept (the
+    reduction of Bruns and Ichim), as domination is transitive and a
+    repeated key dominates its first copy; many sums coincide, so each is
+    tested once.  Keys sort by the last pairing first, so the test reads the
+    other fields alone.  With two rays a key is kept when its pairing 0 is
+    below every kept one.  With three, it is kept when one bisection finds
+    no point below it on the staircase of kept (pairing 0, pairing 1),
+    sorted by pairing 0 with pairing 1 falling, and it goes in after those
+    at most its pairing 0, in place of the points it covers there (Kung,
+    Luccio and Preparata, J. ACM 22, 1975).  With more, ``_dominates`` tests
+    a key against the kept ones, as ideal membership does.  All three tests
+    keep the same keys."""
     width = (power * max(map(max, columns), default=0)).bit_length() + 1
     keys = [0] * len(columns[0]) if columns else []
     for column in reversed(columns):
         keys = [key << width | p for key, p in zip(keys, column)]
     combinations = itertools.combinations_with_replacement(keys, power)
     sums = set(map(sum, combinations)) if power > 1 else keys
-    fields = range(0, width * len(columns), width)
     mask = (1 << width) - 1
     kept: list[int] = []
     if len(columns) == 2:
@@ -306,15 +325,11 @@ def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[tuple[i
             xs[i:j], ys[i:j] = [x], [y]
             kept.append(key)
     else:
-        guard = sum(1 << (shift + width - 1) for shift in fields)
+        guard = sum(1 << (shift + width - 1) for shift in range(0, width * len(columns), width))
         for key in sorted(sums):
-            high = key | guard
-            for low in kept:
-                if (high - low) & guard == guard:
-                    break
-            else:
+            if not _dominates(key, kept, guard):
                 kept.append(key)
-    return tuple(tuple(key >> shift & mask for shift in fields) for key in kept)
+    return width, tuple(kept)
 
 
 def hilbert_basis(cone: Cone) -> Cone:

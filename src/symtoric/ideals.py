@@ -10,20 +10,19 @@ detects whether a multiplier D puts every D*a-th symbolic power inside the
 a-th ordinary power.
 
 One reduction on packed pairing keys minimalizes valuation ideals and
-ordinary powers.  Every ideal holds its generators' pairing vectors from
-construction; a library ideal solves its points when its generators are
-first read.  Membership, powers and the sweep read vectors alone: a sweep
-solves witnesses.
+ordinary powers; a library ideal holds the keys it kept, and membership
+tests packed rows against them.  Vectors are unpacked and points solved on
+read: a sweep unpacks only its symbolic powers' vectors, and solves witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import ge
 from typing import Iterator, Sequence
 
-from .cones import Cone, Vector, _divisor_period, _lattice_point, _minimal_sums, _pairings, dot
+from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums,
+                    _packed_member, _pairings, _unpacked, dot)
 from .exact_linalg import DimensionError
 
 __all__ = [
@@ -50,11 +49,10 @@ class MonomialIdeal:
     ``valuation_bounds`` records, when the ideal was produced as a
     valuation ideal, the (ray index, lower bound) pairs defining it;
     ordinary powers drop it since they are not valuation ideals in
-    general.  Equality compares context and generators only.  ``_vectors``,
-    not a field, holds the generators' pairing vectors from construction: in
-    generator order for an ideal built from generators, and for a library
-    ideal the ones its reduction kept, whose points ``__getattr__`` solves
-    on first read.
+    general.  Equality compares context and generators only.  A caller's
+    ideal holds its generators' pairing vectors, ``_vectors``; a library
+    ideal only its reduction's ``_width`` and kept ``_keys``, from which
+    ``__getattr__`` unpacks ``_vectors``, and solves ``generators``, on first read.
     """
 
     context: Cone
@@ -72,11 +70,13 @@ class MonomialIdeal:
         object.__setattr__(self, "_vectors", vectors)
 
     def __getattr__(self, name: str) -> tuple[Vector, ...]:
-        if name != "generators":
+        if name == "_vectors":
+            value = _unpacked(self._width, self._keys, len(self.context.rays))
+        elif name == "generators":
+            value = tuple(sorted(_lattice_point(self.context, row) for row in self._vectors))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        points = (_lattice_point(self.context, row) for row in self._vectors)
-        self.__dict__["generators"] = tuple(sorted(points))
-        return self.generators
+        return self.__dict__.setdefault(name, value)
 
 
 @dataclass(frozen=True)
@@ -120,23 +120,28 @@ class PureHeightOneIdeal:
 
 
 def _library_ideal(
-    cone: Cone, bounds: tuple[tuple[int, int], ...] | None, vectors: tuple[Vector, ...]
+    cone: Cone, bounds: tuple[tuple[int, int], ...] | None, packed: tuple[int, tuple[int, ...]]
 ) -> MonomialIdeal:
-    """Ideal holding a reduction's kept pairing vectors alone; its rays are in
-    range, so it skips ``__post_init__``.  ``generators`` is solved on first read."""
+    """A reduction's width and kept keys as an ideal, its rays in range: no ``__post_init__``."""
     ideal = object.__new__(MonomialIdeal)
-    ideal.__dict__.update(context=cone, valuation_bounds=bounds, _vectors=vectors)
+    ideal.__dict__.update(context=cone, valuation_bounds=bounds, _width=packed[0], _keys=packed[1])
     return ideal
 
 
 def _in_ideal(row: Sequence[int], ideal: MonomialIdeal) -> bool:
-    """Whether a pairing vector dominates one of the ideal's, so its monomial lies in the ideal."""
-    return any(all(map(ge, row, low)) for low in ideal._vectors)
+    """Whether a pairing vector dominates one of the ideal's, so its monomial lies in the ideal.
+    Domination is translation-invariant: a caller's ideal is packed from its least pairings."""
+    if "_keys" in vars(ideal):
+        return _packed_member(row, ideal._width, ideal._keys)
+    columns = list(zip(*ideal._vectors))
+    low = [min(0, *column) for column in columns]
+    packed = _minimal_sums([[p - c for p in col] for col, c in zip(columns, low)], 1)
+    return _packed_member([p - c for p, c in zip(row, low)], *packed)
 
 
 def _valuation_ideal(cone: Cone, bounds: dict[int, int]) -> MonomialIdeal:
     """The valuation ideal {m in the semigroup : <m, ray_i> >= bounds[i]},
-    holding the pairing vectors of its minimal generators in key order.
+    holding the packed pairing keys of its minimal generators in key order.
 
     Every semigroup element is a parallelotope point y plus a nonnegative
     combination of the dual rays.  Dual ray w_i, the period character of
@@ -174,8 +179,8 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     bounds = {ray: power * mult for ray, mult in q.components}
     if power % q._period[0]:
         return _valuation_ideal(q.context, bounds)
-    vector = tuple(power * c for c in divisor_class(q))
-    return _library_ideal(q.context, tuple(bounds.items()), (vector,))
+    columns = [(power * c,) for c in divisor_class(q)]  # of the one vector E b
+    return _library_ideal(q.context, tuple(bounds.items()), _minimal_sums(columns, 1))
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:

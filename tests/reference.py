@@ -17,9 +17,12 @@ differently, so agreeing with them is evidence rather than a restatement:
   every key already kept, with one guard-bit subtraction per pair, where
   the library sweeps the keys of two and three rays with a running
   minimum and a bisected staircase and keeps this loop for more rays;
+  ``unpack_keys`` reads the pairing vectors back out of its keys;
 * ``difference_member`` asks whether the point minus some generator lies
-  in the dual semigroup, recomputing every pairing, where the library
-  compares the point's pairings with the ones the ideal stores;
+  in the dual semigroup, recomputing every pairing, and
+  ``tuple_in_ideal`` whether a pairing vector dominates one of the
+  ideal's tuple by tuple, where the library packs the vector and tests it
+  against the ideal's stored keys with one guard-bit subtraction each;
 * ``combination_ordinary_power`` sums every combination of generators as
   points and minimalizes those with ``quadratic_minimalize``, where the
   library sums packed pairing keys and solves points for the minimal sums
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
+from operator import ge
 from typing import Sequence
 
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
@@ -167,10 +171,11 @@ def quadratic_minimalize(points: Sequence[Vector], data: Cone) -> tuple[Vector, 
 
 def guard_bit_minimal_sums(
     columns: Sequence[Sequence[int]], power: int
-) -> tuple[tuple[int, ...], ...]:
+) -> tuple[int, tuple[int, ...]]:
     """``cones._minimal_sums`` with one reduction for every number of rays:
     a key is kept when it dominates no key already kept, tested field by
-    field at once as ``((key | guard) - low) & guard == guard``."""
+    field at once as ``((key | guard) - low) & guard == guard``.  Returns
+    the field width and the kept keys."""
     width = (power * max(map(max, columns), default=0)).bit_length() + 1
     keys = [0] * len(columns[0]) if columns else []
     for column in reversed(columns):
@@ -184,8 +189,19 @@ def guard_bit_minimal_sums(
         high = key | guard
         if not any((high - low) & guard == guard for low in kept):
             kept.append(key)
+    return width, tuple(kept)
+
+
+def unpack_keys(width: int, keys: Sequence[int], nfields: int) -> tuple[tuple[int, ...], ...]:
+    """The vectors whose field i is bits [i w, (i + 1) w) of each key."""
     mask = (1 << width) - 1
-    return tuple(tuple(key >> shift & mask for shift in fields) for key in kept)
+    return tuple(tuple(key >> (i * width) & mask for i in range(nfields)) for key in keys)
+
+
+def tuple_in_ideal(row: Sequence[int], ideal: MonomialIdeal) -> bool:
+    """Whether a pairing vector dominates one of the ideal's pairing
+    vectors, compared tuple by tuple: the library's test before it packed."""
+    return any(all(map(ge, row, low)) for low in ideal._vectors)
 
 
 def difference_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:

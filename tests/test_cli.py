@@ -320,6 +320,19 @@ class TestVerifyCommand:
         assert "ideal: P0^(1) & P1^(2)\n" in out
         assert out.endswith("verdict: PASS\n")
 
+    def test_four_ray_sweep_report(self, capsys, tmp_path, monkeypatch):
+        """The whole report on e1, e2, e3, (1, 1, 1, 3), as pinned in
+        ``tests/data``: on four rays the ordinary powers are reduced, and
+        each level tested, by the one guard-bit loop; D = 1 fails at
+        a = 2, 3 and 4."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "verify_4ray.cone").write_text("dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 1 1 3\n")
+        code, out, err = run_cli(
+            capsys, "verify", "verify_4ray.cone", "--ray", "3", "--D", "1", "--amax", "4"
+        )
+        assert code == 2 and err == ""
+        assert out == (DATA / "verify_4ray.txt").read_text()
+
 
 class TestSharpnessCommand:
     def test_witness_golden(self, capsys, a1_file):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import importlib
 import itertools
+import pickle
 from math import gcd
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone_zoo import all_semigroups, an_cone, build_cone
+from reference import unpack_keys
 from symtoric import cones, ideals
 from symtoric.class_group import class_group_of, order_of_class
 from symtoric.cones import (
@@ -38,6 +42,8 @@ from symtoric.ideals import (
 
 
 _ZOO_SEMIGROUPS = all_semigroups()
+# what a library ideal stores: its reduction's field width and kept keys
+PACKED = {"context", "valuation_bounds", "_width", "_keys"}
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +167,8 @@ class TestSymbolicPower:
 
     def test_non_principal_powers_keep_the_reduced_pairs(self, a2_data, monkeypatch):
         # the class has order 3: the powers below and past it are each one
-        # reduction at their own bounds, whose kept vectors the ideal holds
+        # reduction at their own bounds, whose width and kept keys the ideal
+        # holds as they came, and nothing else
         built = []
         reduce = ideals._minimal_sums
 
@@ -173,8 +180,12 @@ class TestSymbolicPower:
         for power in (2, 4):
             built.clear()
             sym = symbolic_power(single_prime(a2_data, 0), power)
-            (rows,) = built
-            assert sym._vectors is rows, power
+            ((width, keys),) = built
+            assert vars(sym).keys() == PACKED, power
+            assert sym._keys is keys and sym._width == width, power
+            # unpacked in key order, they are the solved generators' pairings
+            rows = sym._vectors
+            assert rows == unpack_keys(width, keys, 2), power
             assert len(rows) == len(sym.generators) > 1, power
             solved = tuple(_pairings(g, a2_data) for g in sym.generators)
             assert sorted(rows) == sorted(solved), power
@@ -186,9 +197,10 @@ class TestSymbolicPower:
         assert "_vectors" in vars(replaced) and replaced._vectors == (solved[0],)
 
     def test_pairings_stored_at_and_past_the_period(self, zoo_semigroups):
-        """Powers at and past the period store pairing vectors, the one
-        vector E b at a multiple of the period and the reduced ones past it,
-        and no generators until they are read."""
+        """Powers at and past the period store a field width and packed
+        keys alone, the one key of E b at a multiple of the period and the
+        reduced ones past it: no vectors until they are read, and no
+        generators until those are."""
         for name, data in zoo_semigroups:
             rays = data.rays
             group = class_group_of(data)
@@ -197,8 +209,12 @@ class TestSymbolicPower:
                 m = order_of_class(divisor_class(q), group)
                 for power in (m, m + 1, 2 * m, 2 * m + 1):
                     sym = symbolic_power(q, power)
+                    assert vars(sym).keys() == PACKED, (name, i, power)
+                    rows = unpack_keys(sym._width, sym._keys, len(rays))
+                    if power % m == 0:
+                        assert rows == (tuple(power * c for c in divisor_class(q)),)
+                    assert sym._vectors == rows, (name, i, power)
                     assert "generators" not in vars(sym), (name, i, power)
-                    assert "_vectors" in vars(sym), (name, i, power)
                     expected = [tuple(dot(g, ray) for ray in rays) for g in sym.generators]
                     assert sorted(sym._vectors) == sorted(expected), (name, i, power)
 
@@ -358,12 +374,14 @@ class TestOrdinaryPowerSolvesOnRead:
         square = ordinary_power(base, 2)
         assert not ideal_member((0, 0, 0), square)
         assert ideal_member(tuple(2 * c for c in base.generators[0]), square)
+        # membership reads the stored keys alone: nothing is unpacked
+        assert vars(square).keys() == PACKED
         assert not is_principal(square)
         cube_of_square = ordinary_power(square, 3)
         assert not is_principal(cube_of_square)
         assert solves == []
-        # the one stored list is the vectors: no generators are solved
-        assert vars(square).keys() == {"context", "valuation_bounds", "_vectors"}
+        # counting and powering unpack the vectors, and solve no generator
+        assert vars(square).keys() == PACKED | {"_vectors"}
 
     def test_generators_solve_each_vector_once(self, base, solves):
         square = ordinary_power(base, 2)
@@ -436,6 +454,41 @@ class TestOrdinaryPowerSolvesOnRead:
         assert sorted(solves) == sorted(failing)
 
 
+class TestLibraryIdealCopies:
+    """Pickling and deep-copying a library ideal keep what it has derived
+    so far, and let the copy derive the rest, in each of its three states:
+    keys only, vectors unpacked, and generators solved."""
+
+    READS = {"keys": (), "vectors": ("_vectors",), "generators": ("_vectors", "generators")}
+
+    @pytest.mark.parametrize("state", READS)
+    def test_pickle_and_deepcopy_round_trip(self, state):
+        # pickle finds a class by name in sys.modules, and another suite may
+        # have re-imported symtoric since this file did: build from that one
+        lib = importlib.import_module("symtoric")
+        data = lib.make_cone([(1, 1, 2), (1, 2, 1), (2, 1, 1)], 3)
+        q = lib.PureHeightOneIdeal(data, ((0, 1),))
+        # below the class order 4, an ordinary power, and at the order
+        for build in (lambda: lib.symbolic_power(q, 2), lambda: lib.symbolic_power(q, 4),
+                      lambda: lib.ordinary_power(lib.ray_prime(data, 0), 2)):
+            ideal, fresh = build(), build()
+            for name in self.READS[state]:
+                getattr(ideal, name)
+            stored = vars(ideal).keys()
+            assert stored == PACKED | set(self.READS[state])
+            copies = [pickle.loads(pickle.dumps(ideal, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies.append(copy.deepcopy(ideal))
+            assert all(vars(twin).keys() == stored for twin in copies)
+            for twin in copies:
+                assert (twin._width, twin._keys) == (fresh._width, fresh._keys)
+                assert twin.valuation_bounds == fresh.valuation_bounds
+                assert not lib.ideal_member((0, 0, 0), twin)
+                assert all(lib.ideal_member(point, twin) for point in fresh.generators)
+                assert twin._vectors == fresh._vectors and twin.generators == fresh.generators
+                assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+
+
 class TestIdealMember:
     def test_a1_examples(self, a1_data):
         p0 = ray_prime(a1_data, 0)
@@ -449,6 +502,14 @@ class TestIdealMember:
     def test_dimension_checked(self, a1_data):
         with pytest.raises(DimensionError):
             ideal_member((1, 0, 0), ray_prime(a1_data, 0))
+
+    def test_caller_ideal_with_a_negative_pairing(self, a1_data):
+        # (0, -1) pairs to (0, -2) with the rays (1, 0), (1, 2): outside the
+        # dual semigroup, yet membership answers by domination as before
+        ideal = MonomialIdeal(a1_data, ((0, -1),))
+        assert ideal_member((0, -1), ideal) and ideal_member((1, -1), ideal)
+        assert ideal_member((0, 0), ideal) and ideal_member((5, 7), ideal)
+        assert not ideal_member((0, -2), ideal) and not ideal_member((-1, 0), ideal)
 
     def test_generator_dimension_checked(self):
         # pairings zip a generator with each ray, which would cut a wrong length silently

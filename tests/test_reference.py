@@ -27,6 +27,8 @@ from reference import (
     quadratic_minimalize,
     reference_sweep,
     search_order_of_class,
+    tuple_in_ideal,
+    unpack_keys,
 )
 from symtoric.class_group import class_group_of, class_of, order_of_class
 from symtoric.cones import (
@@ -46,6 +48,7 @@ from symtoric.exact_linalg import IntegerMatrix, determinant, smith_normal_form
 from symtoric.ideals import (
     MonomialIdeal,
     PureHeightOneIdeal,
+    _in_ideal,
     _valuation_ideal,
     divisor_class,
     find_sharpness_witness,
@@ -250,7 +253,7 @@ def test_minimalize_matches_quadratic(data, draw):
         for combo in itertools.combinations_with_replacement(points, power)
     ]
     rows = [_pairings(p, data) for p in points]
-    minimal = _minimal_sums(list(zip(*rows)), power)
+    minimal = unpack_keys(*_minimal_sums(list(zip(*rows)), power), len(data.rays))
     solved = sorted((_lattice_point(data, row), row) for row in minimal)
     assert tuple(g for g, _ in solved) == quadratic_minimalize(sums, data)
     assert [row for _, row in solved] == [_pairings(g, data) for g, _ in solved]
@@ -510,3 +513,76 @@ def test_lineality_rays_match_fourier_motzkin(drawn):
 def test_lineality_rays_match_fourier_motzkin_4d(rays):
     assert rank_of(rays) < len(rays)
     check_lineality_matches_fourier_motzkin(rays, 4)
+
+
+@st.composite
+def packed_library_ideals(draw):
+    """A library ideal on a simplicial full cone of 2-5 rays whose ray and
+    dual-ray matrices have |det| <= 12: a symbolic power of one or two ray
+    primes below, at or past its period, an intersection, or an ordinary
+    power of a ray prime."""
+    n = draw(st.integers(2, 5))
+    entries = st.integers(*{2: (-4, 4), 3: (-2, 2)}.get(n, (-1, 1)))
+    rays = draw(st.lists(st.tuples(*[entries] * n), min_size=n, max_size=n))
+    assume(0 < abs(determinant(IntegerMatrix.from_rows(rays))) <= 12)
+    cone = make_cone(rays, n)
+    assume(abs(determinant(IntegerMatrix.from_rows(dual_cone(cone).rays))) <= 12)
+    chosen = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    q = PureHeightOneIdeal(cone, tuple((ray, draw(st.integers(1, 2))) for ray in chosen))
+    kind = draw(st.sampled_from(["symbolic", "meet", "ordinary"]))
+    if kind == "symbolic":
+        return symbolic_power(q, draw(st.integers(1, q._period[0] + 1)))
+    if kind == "meet":
+        return intersect_valuation_ideals([symbolic_power(q, 2), ray_prime(cone, chosen[0])])
+    prime = ray_prime(cone, chosen[0])
+    power = draw(st.integers(1, 3))
+    assume(comb(len(prime._vectors) + power - 1, power) <= 500)
+    return ordinary_power(prime, power)
+
+
+@settings(deadline=None, max_examples=200)
+@given(packed_library_ideals(), st.data())
+def test_packed_membership_matches_tuple_domination(ideal, draw):
+    """Membership packed at the ideal's width w agrees with the tuple test
+    on rows near a stored vector, at and past the clamp 2^(w-1) - 1 of a
+    field, all zero, and with a negative field."""
+    assert vars(ideal).keys() == {"context", "valuation_bounds", "_width", "_keys"}
+    n, cap = len(ideal.context.rays), 1 << (ideal._width - 1)
+    vectors = ideal._vectors
+    near = draw.draw(st.sampled_from(vectors)) if vectors else (0,) * n
+    field = st.sampled_from([0, 1, cap - 1, cap, cap + 1, 2 * cap, 10**12, -1, -cap])
+    rows = [
+        (0,) * n,
+        (cap - 1,) * n,
+        (cap,) * n,
+        tuple(draw.draw(st.one_of(st.integers(p - 2, p + 2), field)) for p in near),
+        tuple(draw.draw(field) for _ in range(n)),
+        tuple(draw.draw(st.integers(-1, 2 * cap + 1)) for _ in range(n)),
+    ]
+    for row in rows:
+        assert _in_ideal(row, ideal) == tuple_in_ideal(row, ideal), row
+    # a lattice point's membership reads the same packed test
+    point = _lattice_point(ideal.context, near)
+    for w in (0,) * n, *ideal.context.dual_rays:
+        for sign in (1, -1):
+            shifted = tuple(a + sign * b for a, b in zip(point, w))
+            row = _pairings(shifted, ideal.context)
+            assert ideal_member(shifted, ideal) == tuple_in_ideal(row, ideal), shifted
+
+
+@settings(deadline=None, max_examples=100)
+@given(simplicial_cones(2, 5, 2), st.data())
+def test_caller_ideal_membership_matches_tuple_domination(cone, draw):
+    """An ideal built from generators that may pair negatively is packed
+    relative to its least pairings, and answers as the tuple test does."""
+    assume(abs(determinant(cone.ray_matrix())) <= 40)
+    n = cone.ambient_dim
+    coords = st.tuples(*[st.integers(-3, 3)] * n)
+    ideal = MonomialIdeal(cone, tuple(draw.draw(st.lists(coords, max_size=4))))
+    points = draw.draw(st.lists(coords, min_size=1, max_size=8)) + list(ideal.generators)
+    for point in points:
+        row = _pairings(point, cone)
+        assert ideal_member(point, ideal) == tuple_in_ideal(row, ideal), point
+        assert ideal_member(point, ideal) == difference_member(point, ideal), point
+    big = tuple(10**9 for _ in range(n))
+    assert _in_ideal(big, ideal) == bool(ideal.generators)
