@@ -9,9 +9,9 @@ Ordinary powers are generated by sums of generators; comparing the two
 detects whether a multiplier D puts every D*a-th symbolic power inside the
 a-th ordinary power.
 
-One reduction on packed pairing keys minimalizes valuation ideals and
-ordinary powers; a library ideal holds the keys it kept, and membership
-tests packed rows against them.  Vectors are unpacked and points solved on
+One reduction on packed pairing keys minimalizes valuation ideals,
+ordinary powers and a caller's generators; every ideal holds the keys it
+kept, and membership tests packed rows against them.  Vectors are unpacked and points solved on
 read: a sweep unpacks only its symbolic powers' vectors, and solves witnesses.
 """
 
@@ -49,10 +49,12 @@ class MonomialIdeal:
     ``valuation_bounds`` records, when the ideal was produced as a
     valuation ideal, the (ray index, lower bound) pairs defining it;
     ordinary powers drop it since they are not valuation ideals in
-    general.  Equality compares context and generators only.  A caller's
-    ideal holds its generators' pairing vectors, ``_vectors``; a library
-    ideal only its reduction's ``_width`` and kept ``_keys``, from which
-    ``__getattr__`` unpacks ``_vectors``, and solves ``generators``, on first read.
+    general.  Equality compares context and generators only.  Every ideal
+    holds only its reduction's ``_width`` and kept ``_keys``, from which
+    ``__getattr__`` unpacks ``_vectors``, and solves ``generators``, on first
+    read: the constructor reduces the generators it is given, and rejects a
+    non-integer coordinate (TypeError) and a generator outside the dual
+    semigroup (ValueError), which pairs negatively with some ray.
     """
 
     context: Cone
@@ -64,10 +66,16 @@ class MonomialIdeal:
         dim, nrays = self.context.ambient_dim, len(self.context.rays)
         if lengths := {len(g) for g in self.generators} - {dim}:
             raise DimensionError(f"generator length {min(lengths)} != ambient dimension {dim}")
+        if bad := [g for g in self.generators if any(type(x) is not int for x in g)]:
+            raise TypeError(f"generator {tuple(bad[0])!r} has a non-integer coordinate")
         if bad := [ray for ray, _ in self.valuation_bounds or () if not 0 <= ray < nrays]:
             raise IndexError(f"ray index {bad[0]} out of range for {nrays} rays")
-        vectors = tuple(_pairings(g, self.context) for g in self.generators)
-        object.__setattr__(self, "_vectors", vectors)
+        vectors = [_pairings(g, self.context) for g in self.generators]
+        if bad := [g for g, row in zip(self.generators, vectors) if min(row) < 0]:
+            raise ValueError(f"generator {tuple(bad[0])!r} lies outside the dual semigroup")
+        width, keys = _minimal_sums(list(zip(*vectors)), 1)
+        vars(self).update(_width=width, _keys=keys)
+        del vars(self)["generators"]  # solved again, minimal and sorted, on read
 
     def __getattr__(self, name: str) -> tuple[Vector, ...]:
         if name == "_vectors":
@@ -128,17 +136,6 @@ def _library_ideal(
     return ideal
 
 
-def _in_ideal(row: Sequence[int], ideal: MonomialIdeal) -> bool:
-    """Whether a pairing vector dominates one of the ideal's, so its monomial lies in the ideal.
-    Domination is translation-invariant: a caller's ideal is packed from its least pairings."""
-    if "_keys" in vars(ideal):
-        return _packed_member(row, ideal._width, ideal._keys)
-    columns = list(zip(*ideal._vectors))
-    low = [min(0, *column) for column in columns]
-    packed = _minimal_sums([[p - c for p in col] for col, c in zip(columns, low)], 1)
-    return _packed_member([p - c for p, c in zip(row, low)], *packed)
-
-
 def _valuation_ideal(cone: Cone, bounds: dict[int, int]) -> MonomialIdeal:
     """The valuation ideal {m in the semigroup : <m, ray_i> >= bounds[i]},
     holding the packed pairing keys of its minimal generators in key order.
@@ -186,27 +183,24 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
     """a-th ordinary power: the a-fold sums of the generators, minimalized
     by ``cones._minimal_sums`` from the generators' pairing vectors, and
-    built from the vectors it keeps.  A generator with a negative pairing
-    lies outside the dual semigroup and raises ValueError."""
+    built from the vectors it keeps."""
     if power < 1:
         raise ValueError(f"ordinary power must be >= 1, got {power}")
     columns = list(zip(*ideal._vectors))
-    if min(map(min, columns), default=0) < 0:
-        raise ValueError("ordinary power needs generators in the dual semigroup")
     return _library_ideal(ideal.context, None, _minimal_sums(columns, power))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
     """Membership: the point's ray pairings dominate some generator's
-    componentwise, read from the ideal's stored vectors."""
+    componentwise, tested on the ideal's packed keys."""
     cone = ideal.context
     if len(point) != cone.ambient_dim:
         raise DimensionError(f"point length {len(point)} != ambient dimension {cone.ambient_dim}")
-    return _in_ideal(_pairings(point, cone), ideal)
+    return _packed_member(_pairings(point, cone), ideal._width, ideal._keys)
 
 
 def is_principal(ideal: MonomialIdeal) -> bool:
-    return len(ideal._vectors) == 1
+    return len(ideal._keys) == 1
 
 
 def intersect_valuation_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
@@ -277,7 +271,8 @@ def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Ite
     for a in range(1, max_level + 1):
         sym = symbolic_power(q, multiplier * a)
         ordinary = ordinary_power(base, a)
-        failing = [row for row in sym._vectors if not _in_ideal(row, ordinary)]
+        packed = ordinary._width, ordinary._keys
+        failing = [row for row in sym._vectors if not _packed_member(row, *packed)]
         witness = min((_lattice_point(q.context, row) for row in failing), default=None)
         yield LevelCheck(a, witness)
 

@@ -189,12 +189,14 @@ class TestSymbolicPower:
             assert len(rows) == len(sym.generators) > 1, power
             solved = tuple(_pairings(g, a2_data) for g in sym.generators)
             assert sorted(rows) == sorted(solved), power
-        # an ideal built from generators holds their pairings from the start,
-        # in generator order
-        made = MonomialIdeal(a2_data, sym.generators, sym.valuation_bounds)
-        assert "_vectors" in vars(made) and made._vectors == solved
+        # an ideal built from the generators, in any order, or replaced,
+        # holds the packed keys alone, and unpacks the same vectors
+        made = MonomialIdeal(a2_data, sym.generators[::-1], sym.valuation_bounds)
+        assert vars(made).keys() == PACKED
+        assert made._vectors == rows and made == sym
         replaced = dataclasses.replace(made, generators=sym.generators[:1])
-        assert "_vectors" in vars(replaced) and replaced._vectors == (solved[0],)
+        assert vars(replaced).keys() == PACKED
+        assert replaced._vectors == (_pairings(sym.generators[0], a2_data),)
 
     def test_pairings_stored_at_and_past_the_period(self, zoo_semigroups):
         """Powers at and past the period store a field width and packed
@@ -314,7 +316,7 @@ class TestOrdinaryPower:
             ordinary_power(ray_prime(a1_data, 0), 0)
 
     def test_rejects_generator_outside_semigroup(self, a1_data):
-        # (0, -1) pairs to -2 with the ray (1, 2)
+        # (0, -1) pairs to -2 with the ray (1, 2): no ideal of it is built
         for gens in (((0, -1),), ((1, 0), (0, -1))):
             with pytest.raises(ValueError, match="dual semigroup"):
                 ordinary_power(MonomialIdeal(a1_data, gens), 2)
@@ -374,13 +376,14 @@ class TestOrdinaryPowerSolvesOnRead:
         square = ordinary_power(base, 2)
         assert not ideal_member((0, 0, 0), square)
         assert ideal_member(tuple(2 * c for c in base.generators[0]), square)
-        # membership reads the stored keys alone: nothing is unpacked
+        # membership and counting read the stored keys alone: nothing is unpacked
         assert vars(square).keys() == PACKED
         assert not is_principal(square)
+        assert vars(square).keys() == PACKED
         cube_of_square = ordinary_power(square, 3)
         assert not is_principal(cube_of_square)
         assert solves == []
-        # counting and powering unpack the vectors, and solve no generator
+        # powering unpacks the vectors, and solves no generator
         assert vars(square).keys() == PACKED | {"_vectors"}
 
     def test_generators_solve_each_vector_once(self, base, solves):
@@ -455,9 +458,10 @@ class TestOrdinaryPowerSolvesOnRead:
 
 
 class TestLibraryIdealCopies:
-    """Pickling and deep-copying a library ideal keep what it has derived
-    so far, and let the copy derive the rest, in each of its three states:
-    keys only, vectors unpacked, and generators solved."""
+    """Pickling and deep-copying an ideal, from the library or the
+    constructor, keep what it has derived so far, and let the copy derive
+    the rest, in each of its three states: keys only, vectors unpacked,
+    and generators solved."""
 
     READS = {"keys": (), "vectors": ("_vectors",), "generators": ("_vectors", "generators")}
 
@@ -468,9 +472,14 @@ class TestLibraryIdealCopies:
         lib = importlib.import_module("symtoric")
         data = lib.make_cone([(1, 1, 2), (1, 2, 1), (2, 1, 1)], 3)
         q = lib.PureHeightOneIdeal(data, ((0, 1),))
-        # below the class order 4, an ordinary power, and at the order
+        square = lib.ordinary_power(lib.ray_prime(data, 0), 2)
+        listed = square.generators[::-1] + square.generators[:1]
+        # below the class order 4, an ordinary power, at the order, and
+        # an ordinary power's generators, reversed and repeated, built anew
         for build in (lambda: lib.symbolic_power(q, 2), lambda: lib.symbolic_power(q, 4),
-                      lambda: lib.ordinary_power(lib.ray_prime(data, 0), 2)):
+                      lambda: lib.ordinary_power(lib.ray_prime(data, 0), 2),
+                      lambda: lib.MonomialIdeal(data, listed),
+                      lambda: dataclasses.replace(square, generators=listed)):
             ideal, fresh = build(), build()
             for name in self.READS[state]:
                 getattr(ideal, name)
@@ -505,11 +514,23 @@ class TestIdealMember:
 
     def test_caller_ideal_with_a_negative_pairing(self, a1_data):
         # (0, -1) pairs to (0, -2) with the rays (1, 0), (1, 2): outside the
-        # dual semigroup, yet membership answers by domination as before
-        ideal = MonomialIdeal(a1_data, ((0, -1),))
-        assert ideal_member((0, -1), ideal) and ideal_member((1, -1), ideal)
-        assert ideal_member((0, 0), ideal) and ideal_member((5, 7), ideal)
-        assert not ideal_member((0, -2), ideal) and not ideal_member((-1, 0), ideal)
+        # dual semigroup, so the constructor and replace name it and build nothing
+        prime = ray_prime(a1_data, 0)
+        for gens in (((0, -1),), ((1, 0), (0, -1), (-1, 0))):
+            with pytest.raises(ValueError, match=r"^generator \(0, -1\) lies outside the dual"):
+                MonomialIdeal(a1_data, gens)
+            with pytest.raises(ValueError, match=r"^generator \(0, -1\) lies outside the dual"):
+                dataclasses.replace(prime, generators=gens)
+
+    def test_non_integer_coordinates_rejected(self, a1_data):
+        # as for rays: a float or a bool is no lattice coordinate
+        prime = ray_prime(a1_data, 0)
+        for gens in (((1.0, 0),), ((1, 0), (True, 0)), ((2, -1), (1, 0.5))):
+            bad = repr(gens[-1]).replace("(", r"\(").replace(")", r"\)")
+            with pytest.raises(TypeError, match=f"^generator {bad} has a non-integer"):
+                MonomialIdeal(a1_data, gens)
+            with pytest.raises(TypeError, match=f"^generator {bad} has a non-integer"):
+                dataclasses.replace(prime, generators=gens)
 
     def test_generator_dimension_checked(self):
         # pairings zip a generator with each ray, which would cut a wrong length silently
@@ -733,15 +754,29 @@ class TestMonomialIdealEquality:
         assert a == b
 
     def test_pairings_computed_from_generators(self, a1_data):
-        # a caller cannot pass pairings in, and a replaced ideal recomputes them
+        # a caller cannot pass pairings in; a built or replaced ideal holds
+        # the packed keys alone, and unpacks its vectors in key order
         a = MonomialIdeal(a1_data, ((1, 0), (2, -1)), ((0, 1),))
-        assert a._vectors == ((1, 1), (2, 0))
-        assert "_vectors" not in repr(a)
+        assert vars(a).keys() == PACKED
+        assert a._vectors == ((2, 0), (1, 1))
+        assert "_vectors" not in repr(a) and "_keys" not in repr(a)
         with pytest.raises(TypeError):
             MonomialIdeal(a1_data, a.generators, None, ((0, 0), (0, 0)))
-        b = dataclasses.replace(a, generators=((1, 1),))
-        assert b._vectors == ((1, 3),)
+        b = dataclasses.replace(a, generators=((2, 2), (1, 1)))
+        assert vars(b).keys() == PACKED
+        assert b._vectors == ((1, 3),) and b.generators == ((1, 1),)
         assert b.valuation_bounds == a.valuation_bounds
+
+    def test_generators_reduced_whatever_their_order(self, a1_data):
+        # (2, 0) = (1, 0) + (1, 0) and (3, -1) = (1, 0) + (2, -1): the
+        # constructor keeps the minimal generators, lex sorted
+        assert is_principal(MonomialIdeal(a1_data, ((1, 0), (2, 0))))
+        prime = ray_prime(a1_data, 0)
+        for gens in (((1, 0), (2, -1)), ((2, -1), (1, 0)), ((3, -1), (2, -1), (1, 0), (1, 0))):
+            ideal = MonomialIdeal(a1_data, gens)
+            assert ideal.generators == ((1, 0), (2, -1)), gens
+            assert ideal == prime and hash(ideal) == hash(prime), gens
+            assert ordinary_power(ideal, 1) == ideal, gens
 
     def test_equal_cones_mix(self):
         # an ideal's context is its cone: hilbert_basis returns the cone it

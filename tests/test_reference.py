@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import add, ge
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,10 +38,12 @@ from symtoric.cones import (
     _lattice_point,
     _lineality_rays,
     _minimal_sums,
+    _packed_member,
     _pairings,
     dot,
     dual_cone,
     hilbert_basis,
+    in_semigroup,
     make_cone,
     primitive,
 )
@@ -48,7 +51,6 @@ from symtoric.exact_linalg import IntegerMatrix, determinant, smith_normal_form
 from symtoric.ideals import (
     MonomialIdeal,
     PureHeightOneIdeal,
-    _in_ideal,
     _valuation_ideal,
     divisor_class,
     find_sharpness_witness,
@@ -560,7 +562,7 @@ def test_packed_membership_matches_tuple_domination(ideal, draw):
         tuple(draw.draw(st.integers(-1, 2 * cap + 1)) for _ in range(n)),
     ]
     for row in rows:
-        assert _in_ideal(row, ideal) == tuple_in_ideal(row, ideal), row
+        assert _packed_member(row, ideal._width, ideal._keys) == tuple_in_ideal(row, ideal), row
     # a lattice point's membership reads the same packed test
     point = _lattice_point(ideal.context, near)
     for w in (0,) * n, *ideal.context.dual_rays:
@@ -573,16 +575,54 @@ def test_packed_membership_matches_tuple_domination(ideal, draw):
 @settings(deadline=None, max_examples=100)
 @given(simplicial_cones(2, 5, 2), st.data())
 def test_caller_ideal_membership_matches_tuple_domination(cone, draw):
-    """An ideal built from generators that may pair negatively is packed
-    relative to its least pairings, and answers as the tuple test does."""
+    """An ideal built from semigroup elements, small points that pair
+    nonnegatively and sums of dual rays, answers membership, also of points
+    outside the semigroup, as tuple domination of its generators' own
+    pairings does."""
     assume(abs(determinant(cone.ray_matrix())) <= 40)
     n = cone.ambient_dim
     coords = st.tuples(*[st.integers(-3, 3)] * n)
-    ideal = MonomialIdeal(cone, tuple(draw.draw(st.lists(coords, max_size=4))))
-    points = draw.draw(st.lists(coords, min_size=1, max_size=8)) + list(ideal.generators)
-    for point in points:
+    rays = st.lists(st.sampled_from(cone.dual_rays), min_size=1, max_size=2)
+    gens = [p for p in draw.draw(st.lists(coords, max_size=6)) if in_semigroup(p, cone)]
+    gens += [tuple(map(sum, zip(*ws))) for ws in draw.draw(st.lists(rays, max_size=2))]
+    ideal = MonomialIdeal(cone, tuple(gens))
+    listed = [_pairings(g, cone) for g in gens]
+    for point in draw.draw(st.lists(coords, min_size=1, max_size=8)) + gens:
         row = _pairings(point, cone)
-        assert ideal_member(point, ideal) == tuple_in_ideal(row, ideal), point
-        assert ideal_member(point, ideal) == difference_member(point, ideal), point
+        member = ideal_member(point, ideal)
+        assert member == any(all(map(ge, row, low)) for low in listed), point
+        assert member == tuple_in_ideal(row, ideal) == difference_member(point, ideal), point
     big = tuple(10**9 for _ in range(n))
-    assert _in_ideal(big, ideal) == bool(ideal.generators)
+    assert _packed_member(big, ideal._width, ideal._keys) == bool(gens)
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_caller_ideal_reduces_to_the_library_ideal(data, draw):
+    """A library ideal's generators, shuffled, repeated and joined by
+    semigroup translates of them, build that ideal: equal, equally hashed
+    and printed, and stored as its width and kept keys alone."""
+    nrays = len(data.rays)
+    ray = draw.draw(st.integers(0, nrays - 1))
+    q = PureHeightOneIdeal(data, ((ray, draw.draw(st.integers(1, 2))),))
+    if draw.draw(st.booleans()):
+        library = symbolic_power(q, draw.draw(st.integers(1, q._period[0] + 1)))
+    else:
+        library = ordinary_power(ray_prime(data, ray), 2)
+    gens = list(library.generators)
+    shifts = st.lists(st.sampled_from(data.hilbert_basis), min_size=1, max_size=2)
+    translate = st.tuples(st.sampled_from(gens), shifts).map(
+        lambda gs: tuple(map(sum, zip(gs[0], *gs[1]))))
+    extra = draw.draw(st.lists(st.one_of(st.sampled_from(gens), translate), max_size=6))
+    listed = tuple(draw.draw(st.permutations(gens + extra)))
+    ideal = MonomialIdeal(data, listed, library.valuation_bounds)
+    assert vars(ideal).keys() == {"context", "valuation_bounds", "_width", "_keys"}
+    assert ideal == library and hash(ideal) == hash(library) and repr(ideal) == repr(library)
+    assert ideal._vectors == library._vectors
+    zero = (0,) * data.ambient_dim
+    offsets = [zero, *data.dual_rays, *(tuple(-c for c in w) for w in data.dual_rays)]
+    points = {tuple(map(add, g, w)) for g in listed for w in offsets}
+    coords = st.tuples(*[st.integers(-4, 4)] * data.ambient_dim)
+    points |= set(draw.draw(st.lists(coords, max_size=6)))
+    for point in sorted(points):
+        assert ideal_member(point, ideal) == difference_member(point, library), point
