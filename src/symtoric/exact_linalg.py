@@ -29,6 +29,11 @@ class DimensionError(ValueError):
     """A matrix or vector has the wrong shape for the requested operation."""
 
 
+def _is_integer(entry: object) -> bool:
+    """An ``int`` that is not a ``bool``: a matrix entry or lattice coordinate."""
+    return isinstance(entry, int) and not isinstance(entry, bool)
+
+
 @dataclass(frozen=True)
 class IntegerMatrix:
     """Dense integer matrix with entries stored row-major."""
@@ -53,9 +58,8 @@ class IntegerMatrix:
         for row in data:
             if len(row) != ncols:
                 raise DimensionError("rows have unequal lengths")
-            for entry in row:
-                if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise TypeError(f"non-integer entry {entry!r}")
+            if bad := [entry for entry in row if not _is_integer(entry)]:
+                raise TypeError(f"non-integer entry {bad[0]!r}")
         flat = tuple(entry for row in data for entry in row)
         return cls(len(data), ncols, flat)
 

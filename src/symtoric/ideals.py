@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums,
                     _packed_member, _pairings, _unpacked, dot)
-from .exact_linalg import DimensionError
+from .exact_linalg import DimensionError, _is_integer
 
 __all__ = [
     "MonomialIdeal",
@@ -66,7 +66,7 @@ class MonomialIdeal:
         dim, nrays = self.context.ambient_dim, len(self.context.rays)
         if lengths := {len(g) for g in self.generators} - {dim}:
             raise DimensionError(f"generator length {min(lengths)} != ambient dimension {dim}")
-        if bad := [g for g in self.generators if any(type(x) is not int for x in g)]:
+        if bad := [g for g in self.generators if not all(map(_is_integer, g))]:
             raise TypeError(f"generator {tuple(bad[0])!r} has a non-integer coordinate")
         if bad := [ray for ray, _ in self.valuation_bounds or () if not 0 <= ray < nrays]:
             raise IndexError(f"ray index {bad[0]} out of range for {nrays} rays")

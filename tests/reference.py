@@ -204,14 +204,13 @@ def tuple_in_ideal(row: Sequence[int], ideal: MonomialIdeal) -> bool:
     return any(all(map(ge, row, low)) for low in ideal._vectors)
 
 
-def difference_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
-    """Membership in a monomial ideal: the point is a semigroup translate
-    of a generator, so its difference with that generator pairs
-    nonnegatively with every ray."""
-    rays = ideal.context.rays
+def difference_member(point: Sequence[int], data: Cone, generators: Sequence[Vector]) -> bool:
+    """Membership in the monomial ideal with these generators: the point
+    is a semigroup translate of a generator, so its difference with that
+    generator pairs nonnegatively with every ray."""
     return any(
-        all(dot([a - b for a, b in zip(point, g)], ray) >= 0 for ray in rays)
-        for g in ideal.generators
+        all(dot([a - b for a, b in zip(point, g)], ray) >= 0 for ray in data.rays)
+        for g in generators
     )
 
 
@@ -226,13 +225,16 @@ def basis_ray_prime(data: Cone, ray_index: int) -> tuple[Vector, ...]:
     return quadratic_minimalize(gens, data)
 
 
-def combination_ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
-    """a-th ordinary power: minimalized a-fold sums of the generators."""
+def combination_ordinary_power(
+    data: Cone, generators: Sequence[Vector], power: int
+) -> tuple[Vector, ...]:
+    """Lex-sorted minimal generators of the a-th ordinary power: the
+    minimalized a-fold sums of the generators."""
     sums = {
         tuple(sum(coords) for coords in zip(*combo))
-        for combo in itertools.combinations_with_replacement(ideal.generators, power)
+        for combo in itertools.combinations_with_replacement(generators, power)
     }
-    return MonomialIdeal(ideal.context, quadratic_minimalize(sums, ideal.context))
+    return quadratic_minimalize(sums, data)
 
 
 def reference_sweep(
@@ -242,13 +244,13 @@ def reference_sweep(
     these (ray, multiplicity) components inside the a-th ordinary power of
     its first symbolic power, a = 1..max_level.  The witness is the
     lex-least symbolic generator outside the ordinary power."""
-    base = MonomialIdeal(data, closure_minimal_generators(data, dict(components)))
+    base = closure_minimal_generators(data, dict(components))
     levels = []
     for a in range(1, max_level + 1):
-        ordinary = combination_ordinary_power(base, a)
+        ordinary = combination_ordinary_power(data, base, a)
         bounds = {ray: multiplier * a * mult for ray, mult in components}
         symbolic = closure_minimal_generators(data, bounds)
-        failing = [g for g in symbolic if not difference_member(g, ordinary)]
+        failing = [g for g in symbolic if not difference_member(g, data, ordinary)]
         levels.append((a, not failing, min(failing, default=None)))
     return levels
 

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import itertools
 import pickle
+from enum import IntEnum
 from math import gcd
 
 import pytest
@@ -531,6 +532,10 @@ class TestIdealMember:
                 MonomialIdeal(a1_data, gens)
             with pytest.raises(TypeError, match=f"^generator {bad} has a non-integer"):
                 dataclasses.replace(prime, generators=gens)
+        # an int subclass is an integer in a generator, as it is in a ray
+        one = IntEnum("One", "ONE").ONE
+        assert MonomialIdeal(a1_data, ((one, 0),)) == MonomialIdeal(a1_data, ((1, 0),))
+        assert make_cone([(one, 0), (1, 2)], 2).rays == a1_data.rays
 
     def test_generator_dimension_checked(self):
         # pairings zip a generator with each ray, which would cut a wrong length silently
