@@ -21,6 +21,7 @@ from .exact_linalg import (
     DimensionError,
     IntegerMatrix,
     SmithDecomposition,
+    _is_integer,
     smith_normal_form,
 )
 
@@ -56,6 +57,15 @@ def _pairings(point: Sequence[int], cone: Cone) -> tuple[int, ...]:
     """The point's pairing with each ray, in ray order: its valuations along
     the ray divisors, the coordinates every semigroup and ideal test reads."""
     return tuple(dot(point, ray) for ray in cone.rays)
+
+
+def _point_pairings(point: Sequence[int], cone: Cone) -> tuple[int, ...]:
+    """A caller's point's pairings: DimensionError off length, TypeError off the integers."""
+    if len(point) != cone.ambient_dim:
+        raise DimensionError(f"point length {len(point)} != ambient dimension {cone.ambient_dim}")
+    if not all(map(_is_integer, point)):
+        raise TypeError(f"point {tuple(point)!r} has a non-integer coordinate")
+    return _pairings(point, cone)
 
 
 def primitive(vector: Sequence[int]) -> Vector:
@@ -342,9 +352,7 @@ def hilbert_basis(cone: Cone) -> Cone:
 def in_semigroup(point: Sequence[int], cone: Cone) -> bool:
     """Membership in the dual semigroup: all ray pairings nonnegative."""
     cone._dual  # rejects a cone that is not simplicial and full
-    if len(point) != cone.ambient_dim:
-        raise DimensionError(f"point length {len(point)} != ambient dimension {cone.ambient_dim}")
-    return all(p >= 0 for p in _pairings(point, cone))
+    return min(_point_pairings(point, cone)) >= 0
 
 
 def semigroup_member(point: Sequence[int], cone: Cone) -> tuple[int, ...] | None:

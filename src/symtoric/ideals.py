@@ -3,26 +3,28 @@
 A monomial ideal lives in the dual semigroup of a simplicial full cone,
 stored by its minimal lattice-point generators.  Symbolic powers of pure
 height one ideals are valuation ideals: a point is in the E-th one exactly
-when its pairing with each chosen ray reaches E times its multiplicity.
-Once the period m of the divisor class divides E, the E-th is principal.
-Ordinary powers are generated by sums of generators; comparing the two
-detects whether a multiplier D puts every D*a-th symbolic power inside the
-a-th ordinary power.
+when its pairing with each chosen ray reaches E times its multiplicity, so
+each is fixed by its divisor, as an intersection of them is.  Once the
+period m of the divisor class divides E, the E-th is principal.  Ordinary
+powers are generated by sums of generators; comparing the two detects
+whether a multiplier D puts every D*a-th symbolic power inside the a-th
+ordinary power.
 
 One reduction on packed pairing keys minimalizes valuation ideals,
-ordinary powers and a caller's generators; every ideal holds the keys it
-kept, and membership tests packed rows against them.  Vectors are unpacked and points solved on
-read: a sweep unpacks only its symbolic powers' vectors, and solves witnesses.
+ordinary powers and a caller's generators; every ideal holds its cone and
+the keys it kept, nothing else, and membership tests packed rows against
+them.  Vectors are unpacked and points solved on read: a sweep unpacks
+only its symbolic powers' vectors, and solves witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums,
-                    _packed_member, _pairings, _unpacked, dot)
+                    _packed_member, _pairings, _point_pairings, _unpacked, dot)
 from .exact_linalg import DimensionError, _is_integer
 
 __all__ = [
@@ -46,30 +48,24 @@ __all__ = [
 class MonomialIdeal:
     """Monomial ideal with a minimal, lex-sorted generating set.
 
-    ``valuation_bounds`` records, when the ideal was produced as a
-    valuation ideal, the (ray index, lower bound) pairs defining it;
-    ordinary powers drop it since they are not valuation ideals in
-    general.  Equality compares context and generators only.  Every ideal
-    holds only its reduction's ``_width`` and kept ``_keys``, from which
-    ``__getattr__`` unpacks ``_vectors``, and solves ``generators``, on first
-    read: the constructor reduces the generators it is given, and rejects a
-    non-integer coordinate (TypeError) and a generator outside the dual
-    semigroup (ValueError), which pairs negatively with some ray.
+    Equality compares context and generators.  Every ideal holds its
+    ``context`` and only its reduction's ``_width`` and kept ``_keys``, from
+    which ``__getattr__`` unpacks ``_vectors``, and solves ``generators``, on
+    first read: the constructor reduces the generators it is given, and
+    rejects a non-integer coordinate (TypeError) and a generator outside the
+    dual semigroup (ValueError), which pairs negatively with some ray.
     """
 
     context: Cone
     generators: tuple[Vector, ...]
-    valuation_bounds: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.context._dual  # rejects a cone that is not simplicial and full
-        dim, nrays = self.context.ambient_dim, len(self.context.rays)
+        dim = self.context.ambient_dim
         if lengths := {len(g) for g in self.generators} - {dim}:
             raise DimensionError(f"generator length {min(lengths)} != ambient dimension {dim}")
         if bad := [g for g in self.generators if not all(map(_is_integer, g))]:
             raise TypeError(f"generator {tuple(bad[0])!r} has a non-integer coordinate")
-        if bad := [ray for ray, _ in self.valuation_bounds or () if not 0 <= ray < nrays]:
-            raise IndexError(f"ray index {bad[0]} out of range for {nrays} rays")
         vectors = [_pairings(g, self.context) for g in self.generators]
         if bad := [g for g, row in zip(self.generators, vectors) if min(row) < 0]:
             raise ValueError(f"generator {tuple(bad[0])!r} lies outside the dual semigroup")
@@ -91,10 +87,10 @@ class MonomialIdeal:
 class PureHeightOneIdeal:
     """Formal intersection of ray primes with multiplicities.
 
-    ``components`` holds (ray index, multiplicity) pairs with distinct
-    ray indices and multiplicities >= 1; they are kept sorted by ray, and
-    checked against the rays before the cone is, so a bad component is
-    named even on a cone with no dual semigroup.
+    ``components`` holds (ray index, multiplicity) pairs of integers with
+    distinct ray indices and multiplicities >= 1; they are kept sorted by
+    ray, and checked against the rays before the cone is, so a bad
+    component is named even on a cone with no dual semigroup.
     """
 
     context: Cone
@@ -106,6 +102,8 @@ class PureHeightOneIdeal:
             raise ValueError("at least one ray component is required")
         nrays, seen = len(self.context.rays), set()
         for ray_index, mult in comps:
+            if not (_is_integer(ray_index) and _is_integer(mult)):
+                raise TypeError(f"component {(ray_index, mult)!r} has a non-integer entry")
             if not 0 <= ray_index < nrays:
                 raise IndexError(f"ray index {ray_index} out of range for {nrays} rays")
             if mult < 1:
@@ -127,13 +125,19 @@ class PureHeightOneIdeal:
         return m, u
 
 
-def _library_ideal(
-    cone: Cone, bounds: tuple[tuple[int, int], ...] | None, packed: tuple[int, tuple[int, ...]]
-) -> MonomialIdeal:
-    """A reduction's width and kept keys as an ideal, its rays in range: no ``__post_init__``."""
+def _library_ideal(cone: Cone, packed: tuple[int, tuple[int, ...]]) -> MonomialIdeal:
+    """A reduction's width and kept keys as an ideal, stored as built: no ``__post_init__``."""
     ideal = object.__new__(MonomialIdeal)
-    ideal.__dict__.update(context=cone, valuation_bounds=bounds, _width=packed[0], _keys=packed[1])
+    ideal.__dict__.update(context=cone, _width=packed[0], _keys=packed[1])
     return ideal
+
+
+def _check_count(name: str, value: int) -> None:
+    """A power, multiplier or level: an integer (TypeError) that is >= 1 (ValueError)."""
+    if not _is_integer(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _valuation_ideal(cone: Cone, bounds: dict[int, int]) -> MonomialIdeal:
@@ -152,7 +156,7 @@ def _valuation_ideal(cone: Cone, bounds: dict[int, int]) -> MonomialIdeal:
         if bound > 0:
             c = max(dot(w, cone.rays[i]) for w in cone.dual_rays)
             columns[i] = [bound + (p - bound) % c for p in columns[i]]
-    return _library_ideal(cone, tuple(sorted(bounds.items())), _minimal_sums(columns, 1))
+    return _library_ideal(cone, _minimal_sums(columns, 1))
 
 
 def ray_prime(cone: Cone, ray_index: int) -> MonomialIdeal:
@@ -171,56 +175,46 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     multiplicities on the rays.  So a power that m divides holds the one
     vector E b; any other is reduced at its bounds, as an intersection is.
     """
-    if power < 1:
-        raise ValueError(f"symbolic power must be >= 1, got {power}")
-    bounds = {ray: power * mult for ray, mult in q.components}
+    _check_count("symbolic power", power)
     if power % q._period[0]:
-        return _valuation_ideal(q.context, bounds)
+        return _valuation_ideal(q.context, {ray: power * mult for ray, mult in q.components})
     columns = [(power * c,) for c in divisor_class(q)]  # of the one vector E b
-    return _library_ideal(q.context, tuple(bounds.items()), _minimal_sums(columns, 1))
+    return _library_ideal(q.context, _minimal_sums(columns, 1))
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
     """a-th ordinary power: the a-fold sums of the generators, minimalized
     by ``cones._minimal_sums`` from the generators' pairing vectors, and
     built from the vectors it keeps."""
-    if power < 1:
-        raise ValueError(f"ordinary power must be >= 1, got {power}")
+    _check_count("ordinary power", power)
     columns = list(zip(*ideal._vectors))
-    return _library_ideal(ideal.context, None, _minimal_sums(columns, power))
+    return _library_ideal(ideal.context, _minimal_sums(columns, power))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
     """Membership: the point's ray pairings dominate some generator's
     componentwise, tested on the ideal's packed keys."""
-    cone = ideal.context
-    if len(point) != cone.ambient_dim:
-        raise DimensionError(f"point length {len(point)} != ambient dimension {cone.ambient_dim}")
-    return _packed_member(_pairings(point, cone), ideal._width, ideal._keys)
+    return _packed_member(_point_pairings(point, ideal.context), ideal._width, ideal._keys)
 
 
 def is_principal(ideal: MonomialIdeal) -> bool:
     return len(ideal._keys) == 1
 
 
-def intersect_valuation_ideals(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
-    """Intersection of valuation ideals, computed on their bound descriptions.
+def intersect_valuation_ideals(ideals: Sequence[PureHeightOneIdeal]) -> MonomialIdeal:
+    """Intersection of the first symbolic powers of divisors on one cone.
 
-    Bounds are exact and intersect by taking the larger bound per ray,
-    after which minimal generators are recomputed from scratch.
+    q^(E) is the first symbolic power of the divisor E b, and a valuation
+    ideal is fixed by its divisor: the intersection is the first symbolic
+    power of the componentwise largest multiplicities.
     """
     if not ideals:
         raise ValueError("nothing to intersect")
     cone = ideals[0].context
-    merged: dict[int, int] = {}
-    for ideal in ideals:
-        if ideal.context != cone:
-            raise ValueError("ideals live in different semigroups")
-        if ideal.valuation_bounds is None:
-            raise ValueError("intersection needs ideals with a recorded valuation description")
-        for ray, bound in ideal.valuation_bounds:
-            merged[ray] = max(bound, merged.get(ray, 0))
-    return _valuation_ideal(cone, merged)
+    if any(q.context != cone for q in ideals):
+        raise ValueError("ideals live in different semigroups")
+    merged = [max(mults) for mults in zip(*map(divisor_class, ideals))]
+    return _valuation_ideal(cone, dict(enumerate(merged)))
 
 
 def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:
@@ -263,10 +257,8 @@ def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Ite
     symbolic power's vectors are tested against the ordinary power's, and
     only the failing ones are solved: the lex-least of their points is the
     level's witness."""
-    if multiplier < 1:
-        raise ValueError(f"multiplier must be >= 1, got {multiplier}")
-    if max_level < 1:
-        raise ValueError(f"max level must be >= 1, got {max_level}")
+    _check_count("multiplier", multiplier)
+    _check_count("max level", max_level)
     base = symbolic_power(q, 1)
     for a in range(1, max_level + 1):
         sym = symbolic_power(q, multiplier * a)

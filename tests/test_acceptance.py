@@ -142,13 +142,14 @@ def test_criterion_6_symbolic_power_structure():
         group = class_group_of(data)
         nrays = len(data.rays)
         # (a) valuation ideal of the joint bounds equals the intersection
-        # of the single-ray valuation ideals, for E = 1..3
+        # of the single-ray valuation ideals P0^(E) and P1^(2E), taken over
+        # their divisors E e_0 and 2E e_1, for E = 1..3
         q_mixed = PureHeightOneIdeal(data, ((0, 1), (1, 2)))
         for power in (1, 2, 3):
             joint = symbolic_power(q_mixed, power)
             pieces = [
-                symbolic_power(PureHeightOneIdeal(data, ((0, 1),)), power),
-                symbolic_power(PureHeightOneIdeal(data, ((1, 1),)), 2 * power),
+                PureHeightOneIdeal(data, ((0, power),)),
+                PureHeightOneIdeal(data, ((1, 2 * power),)),
             ]
             meet = intersect_valuation_ideals(pieces)
             if joint.generators != meet.generators:

@@ -333,6 +333,17 @@ class TestVerifyCommand:
         assert code == 2 and err == ""
         assert out == (DATA / "verify_4ray.txt").read_text()
 
+    def test_two_component_report(self, capsys, tmp_path, monkeypatch):
+        """The whole report, as pinned in ``tests/data``, for the ideal of
+        two ray primes on e1, e2, (3, 5, 13): D = 2 passes a = 1, 2 and
+        fails a = 3, 4."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "verify_2ray.cone").write_text("dim 3\n1 0 0\n0 1 0\n3 5 13\n")
+        code, out, err = run_cli(capsys, "verify", "verify_2ray.cone", "--ray", "0", "--ray",
+                                 "2", "--D", "2", "--amax", "4")
+        assert code == 2 and err == ""
+        assert out == (DATA / "verify_2ray.txt").read_text()
+
 
 class TestSharpnessCommand:
     def test_witness_golden(self, capsys, a1_file):

@@ -249,6 +249,16 @@ class TestSemigroupMember:
         with pytest.raises(DimensionError):
             semigroup_member((1, 2, 3), data)
 
+    def test_non_integer_point_rejected(self):
+        # as for rays: a float or a bool is no lattice coordinate, even one
+        # that pairs nonnegatively or equals an integer
+        data = hilbert_basis(make_cone([(1, 0), (1, 2)], 2))
+        for point in ((0.5, 0), (2.0, 0), (True, False), (1, -0.5)):
+            bad = re.escape(repr(point))
+            for test in (in_semigroup, semigroup_member):
+                with pytest.raises(TypeError, match=f"^point {bad} has a non-integer coordinate$"):
+                    test(point, data)
+
     def test_long_basis_needs_no_recursion(self):
         # the basis is (1, 0), (1, 1), ..., (1, 300) and 2 * (1, 300) is
         # reached only at the last element, so a search that took one stack

@@ -43,8 +43,8 @@ from symtoric.ideals import (
 
 
 _ZOO_SEMIGROUPS = all_semigroups()
-# what a library ideal stores: its reduction's field width and kept keys
-PACKED = {"context", "valuation_bounds", "_width", "_keys"}
+# what every ideal stores: its cone, and its reduction's field width and kept keys
+PACKED = {"context", "_width", "_keys"}
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +61,10 @@ def single_prime(data, ray_index):
     return PureHeightOneIdeal(data, ((ray_index, 1),))
 
 
-def satisfies_bounds(point, ideal):
-    return all(
-        dot(point, ideal.context.rays[ray]) >= bound
-        for ray, bound in ideal.valuation_bounds
-    )
+def satisfies_bounds(point, q, power):
+    """Whether the point lies in q^(power): its pairing with each component
+    ray reaches power times the multiplicity."""
+    return all(dot(point, q.context.rays[ray]) >= power * mult for ray, mult in q.components)
 
 
 class TestPureHeightOneIdeal:
@@ -82,6 +81,13 @@ class TestPureHeightOneIdeal:
             PureHeightOneIdeal(a1_data, ((0, 1), (0, 2)))
         with pytest.raises(IndexError):
             PureHeightOneIdeal(a1_data, ((2, 1),))
+
+    def test_non_integer_components_rejected(self, a1_data):
+        # a float or a bool is no ray index and no multiplicity
+        for comps in (((0, 1.5),), ((0.0, 1),), ((True, 1),), ((1, 1), (0, False))):
+            bad = repr(comps[-1]).replace("(", r"\(").replace(")", r"\)")
+            with pytest.raises(TypeError, match=f"^component {bad} has a non-integer entry$"):
+                PureHeightOneIdeal(a1_data, comps)
 
     def test_divisor_class_vector(self, a1_data):
         q = PureHeightOneIdeal(a1_data, ((0, 2), (1, 1)))
@@ -113,8 +119,9 @@ class TestRayPrime:
                 sym = symbolic_power(single_prime(data, i), 1)
                 assert prime.generators == sym.generators, (name, i)
 
-    def test_records_valuation_bounds(self, a1_data):
-        assert ray_prime(a1_data, 0).valuation_bounds == ((0, 1),)
+    def test_stores_its_cone_and_keys_alone(self, a1_data):
+        assert [f.name for f in dataclasses.fields(MonomialIdeal)] == ["context", "generators"]
+        assert vars(ray_prime(a1_data, 0)).keys() == PACKED
 
 
 class TestSymbolicPower:
@@ -123,7 +130,6 @@ class TestSymbolicPower:
         sym = symbolic_power(q, 2)
         assert sym.generators == ((2, -1),)
         assert is_principal(sym)
-        assert sym.valuation_bounds == ((0, 2),)
 
     def test_a1_cube(self, a1_data):
         q = single_prime(a1_data, 0)
@@ -140,16 +146,20 @@ class TestSymbolicPower:
     def test_rejects_bad_power(self, a1_data):
         with pytest.raises(ValueError):
             symbolic_power(single_prime(a1_data, 0), 0)
+        for power in (1.0, True):
+            with pytest.raises(TypeError, match="^symbolic power must be an integer"):
+                symbolic_power(single_prime(a1_data, 0), power)
 
     def test_generators_satisfy_bounds(self, zoo_semigroups):
         for name, data in zoo_semigroups:
             for i in range(len(data.rays)):
                 for power in (1, 2, 3):
-                    sym = symbolic_power(single_prime(data, i), power)
+                    q = single_prime(data, i)
+                    sym = symbolic_power(q, power)
                     assert sym.generators, (name, i, power)
                     for g in sym.generators:
                         assert in_semigroup(g, data), (name, i, power, g)
-                        assert satisfies_bounds(g, sym), (name, i, power, g)
+                        assert satisfies_bounds(g, q, power), (name, i, power, g)
 
     def test_agrees_with_componentwise_intersection(self, zoo_semigroups):
         for name, data in zoo_semigroups:
@@ -159,9 +169,10 @@ class TestSymbolicPower:
             q = PureHeightOneIdeal(data, ((0, 1), (1, 2)))
             for power in (1, 2):
                 joint = symbolic_power(q, power)
+                # P0^(E) and P1^(2E), as the divisors E e_0 and 2E e_1
                 pieces = [
-                    symbolic_power(single_prime(data, 0), power),
-                    symbolic_power(single_prime(data, 1), 2 * power),
+                    PureHeightOneIdeal(data, ((0, power),)),
+                    PureHeightOneIdeal(data, ((1, 2 * power),)),
                 ]
                 meet = intersect_valuation_ideals(pieces)
                 assert joint.generators == meet.generators, (name, power)
@@ -192,7 +203,7 @@ class TestSymbolicPower:
             assert sorted(rows) == sorted(solved), power
         # an ideal built from the generators, in any order, or replaced,
         # holds the packed keys alone, and unpacks the same vectors
-        made = MonomialIdeal(a2_data, sym.generators[::-1], sym.valuation_bounds)
+        made = MonomialIdeal(a2_data, sym.generators[::-1])
         assert vars(made).keys() == PACKED
         assert made._vectors == rows and made == sym
         replaced = dataclasses.replace(made, generators=sym.generators[:1])
@@ -273,11 +284,12 @@ class TestGeneratorCompleteness:
                 continue
             for i in range(len(data.rays)):
                 for power in (1, 2, 3):
-                    sym = symbolic_power(single_prime(data, i), power)
+                    q = single_prime(data, i)
+                    sym = symbolic_power(q, power)
                     for m in box_points(2, 8):
                         if not in_semigroup(m, data):
                             continue
-                        expected = satisfies_bounds(m, sym)
+                        expected = satisfies_bounds(m, q, power)
                         assert ideal_member(m, sym) == expected, (name, i, power, m)
 
     def test_three_dim_zoo(self, zoo_semigroups):
@@ -286,11 +298,12 @@ class TestGeneratorCompleteness:
                 continue
             for i in range(len(data.rays)):
                 for power in (1, 2):
-                    sym = symbolic_power(single_prime(data, i), power)
+                    q = single_prime(data, i)
+                    sym = symbolic_power(q, power)
                     for m in box_points(3, 4):
                         if not in_semigroup(m, data):
                             continue
-                        expected = satisfies_bounds(m, sym)
+                        expected = satisfies_bounds(m, q, power)
                         assert ideal_member(m, sym) == expected, (name, i, power, m)
 
     def test_mixed_bounds_box(self, a1_data, a2_data):
@@ -300,7 +313,7 @@ class TestGeneratorCompleteness:
             for m in box_points(2, 9):
                 if not in_semigroup(m, data):
                     continue
-                assert ideal_member(m, sym) == satisfies_bounds(m, sym), m
+                assert ideal_member(m, sym) == satisfies_bounds(m, q, 2), m
 
 
 class TestOrdinaryPower:
@@ -315,6 +328,9 @@ class TestOrdinaryPower:
     def test_rejects_bad_power(self, a1_data):
         with pytest.raises(ValueError):
             ordinary_power(ray_prime(a1_data, 0), 0)
+        for power in (2.0, True):
+            with pytest.raises(TypeError, match="^ordinary power must be an integer"):
+                ordinary_power(ray_prime(a1_data, 0), power)
 
     def test_rejects_generator_outside_semigroup(self, a1_data):
         # (0, -1) pairs to -2 with the ray (1, 2): no ideal of it is built
@@ -323,7 +339,11 @@ class TestOrdinaryPower:
                 ordinary_power(MonomialIdeal(a1_data, gens), 2)
 
     def test_no_valuation_bounds_recorded(self, a1_data):
-        assert ordinary_power(ray_prime(a1_data, 0), 2).valuation_bounds is None
+        # an ordinary power is in general no valuation ideal, and like every
+        # ideal it holds its cone and keys, and no description of itself
+        square = ordinary_power(ray_prime(a1_data, 0), 2)
+        assert vars(square).keys() == PACKED
+        assert square != symbolic_power(single_prime(a1_data, 0), 2)
 
     def test_contained_in_symbolic(self, zoo_semigroups):
         for name, data in zoo_semigroups:
@@ -333,7 +353,8 @@ class TestOrdinaryPower:
                 for a in (1, 2, 3):
                     sym = symbolic_power(q, a)
                     for g in ordinary_power(base, a).generators:
-                        assert satisfies_bounds(g, sym), (name, i, a, g)
+                        assert satisfies_bounds(g, q, a), (name, i, a, g)
+                        assert ideal_member(g, sym), (name, i, a, g)
 
 
 class TestOrdinaryPowerSolvesOnRead:
@@ -369,7 +390,8 @@ class TestOrdinaryPowerSolvesOnRead:
         at the class order 4 of the first ray prime: only the last is principal."""
         q = single_prime(data, 0)
         below = symbolic_power(q, 2)
-        meet = intersect_valuation_ideals([below, ray_prime(data, 1)])
+        twice = PureHeightOneIdeal(data, ((0, 2),))
+        meet = intersect_valuation_ideals([twice, single_prime(data, 1)])
         return [ray_prime(data, 0), ray_prime(data, 2), meet, below, symbolic_power(q, 5),
                 symbolic_power(q, 4)]
 
@@ -492,7 +514,6 @@ class TestLibraryIdealCopies:
             assert all(vars(twin).keys() == stored for twin in copies)
             for twin in copies:
                 assert (twin._width, twin._keys) == (fresh._width, fresh._keys)
-                assert twin.valuation_bounds == fresh.valuation_bounds
                 assert not lib.ideal_member((0, 0, 0), twin)
                 assert all(lib.ideal_member(point, twin) for point in fresh.generators)
                 assert twin._vectors == fresh._vectors and twin.generators == fresh.generators
@@ -512,6 +533,13 @@ class TestIdealMember:
     def test_dimension_checked(self, a1_data):
         with pytest.raises(DimensionError):
             ideal_member((1, 0, 0), ray_prime(a1_data, 0))
+
+    def test_non_integer_point_rejected(self, a1_data):
+        # as for generators: a float or a bool is no lattice coordinate
+        for point in ((1.0, 0), (True, False), (3, 0.5)):
+            bad = repr(point).replace("(", r"\(").replace(")", r"\)")
+            with pytest.raises(TypeError, match=f"^point {bad} has a non-integer coordinate$"):
+                ideal_member(point, ray_prime(a1_data, 0))
 
     def test_caller_ideal_with_a_negative_pairing(self, a1_data):
         # (0, -1) pairs to (0, -2) with the rays (1, 0), (1, 2): outside the
@@ -563,49 +591,74 @@ class TestIdealMember:
 
 
 class TestIntersect:
+    """The intersection of first symbolic powers of divisors is the first
+    symbolic power of their componentwise maximum."""
+
     def test_a1_frozen(self, a1_data):
         meet = intersect_valuation_ideals(
             [
-                symbolic_power(single_prime(a1_data, 0), 2),
-                ray_prime(a1_data, 1),
+                PureHeightOneIdeal(a1_data, ((0, 2),)),
+                single_prime(a1_data, 1),
             ]
         )
         assert meet.generators == ((2, 0), (3, -1))
-        assert meet.valuation_bounds == ((0, 2), (1, 1))
+        assert meet == symbolic_power(PureHeightOneIdeal(a1_data, ((0, 2), (1, 1))), 1)
 
     def test_recorded_ray_indices_checked(self):
-        # unchecked, a negative index would read the last ray's pairing
-        # column, and a large one would fail inside the reduction
+        # a divisor's ray indices are checked when it is built, so none out
+        # of range reaches the intersection; an ideal records no bounds
         data = make_cone([(1, 0), (1, 2)], 2)
-        for bounds in (((-1, 2),), ((5, 1),)):
+        for comps in (((-1, 2),), ((5, 1),)):
             with pytest.raises(IndexError, match="out of range for 2 rays"):
-                intersect_valuation_ideals([MonomialIdeal(data, ((1, 0),), bounds)])
-        with pytest.raises(IndexError, match="ray index 2 out of range for 2 rays"):
+                intersect_valuation_ideals([PureHeightOneIdeal(data, comps)])
+        with pytest.raises(TypeError):
             dataclasses.replace(ray_prime(data, 0), valuation_bounds=((0, 1), (2, 1)))
 
     def test_requires_bounds(self, a1_data):
-        p0 = ray_prime(a1_data, 0)
-        with pytest.raises(ValueError):
-            intersect_valuation_ideals([p0, ordinary_power(p0, 2)])
+        # every factor is a divisor with at least one bounded ray
+        with pytest.raises(ValueError, match="at least one ray component"):
+            intersect_valuation_ideals([single_prime(a1_data, 0), PureHeightOneIdeal(a1_data, ())])
+        meet = intersect_valuation_ideals([single_prime(a1_data, 0)])
+        assert meet == ray_prime(a1_data, 0)
 
     def test_requires_same_context(self, a1_data, a2_data):
-        with pytest.raises(ValueError):
-            intersect_valuation_ideals([ray_prime(a1_data, 0), ray_prime(a2_data, 0)])
+        with pytest.raises(ValueError, match="different semigroups"):
+            intersect_valuation_ideals([single_prime(a1_data, 0), single_prime(a2_data, 0)])
 
     def test_requires_nonempty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nothing to intersect"):
             intersect_valuation_ideals([])
 
     def test_members_lie_in_every_factor(self, a1_data, a2_data):
         for data in (a1_data, a2_data):
             factors = [
-                symbolic_power(single_prime(data, 0), 2),
-                symbolic_power(single_prime(data, 1), 3),
+                PureHeightOneIdeal(data, ((0, 2),)),
+                PureHeightOneIdeal(data, ((1, 3),)),
             ]
             meet = intersect_valuation_ideals(factors)
             for g in meet.generators:
                 for factor in factors:
-                    assert ideal_member(g, factor), (g, factor.valuation_bounds)
+                    assert ideal_member(g, symbolic_power(factor, 1)), (g, factor)
+
+    def test_equal_ideals_intersect_equally(self, a1_data):
+        """An ideal is its cone and generators: no second description of it
+        can be passed in or replaced, and equal divisors, however listed,
+        intersect to the same ideal, which holds every member common to the
+        factors: here (1, 0), on the divisor e_0 + e_1."""
+        with pytest.raises(TypeError):
+            MonomialIdeal(a1_data, ((1, 0),), ((0, 7), (1, 7)))
+        with pytest.raises(TypeError):
+            dataclasses.replace(ray_prime(a1_data, 0), valuation_bounds=((1, 5),))
+        both = PureHeightOneIdeal(a1_data, ((0, 1), (1, 1)))
+        listed = PureHeightOneIdeal(a1_data, ((1, 1), (0, 1)))
+        assert both == listed
+        meet = intersect_valuation_ideals([both])
+        assert meet == intersect_valuation_ideals([listed]) == MonomialIdeal(a1_data, ((1, 0),))
+        primes = intersect_valuation_ideals([single_prime(a1_data, 1), single_prime(a1_data, 0)])
+        assert primes == meet and ideal_member((1, 0), primes)
+        for point in box_points(2, 6):
+            common = all(ideal_member(point, ray_prime(a1_data, i)) for i in (0, 1))
+            assert ideal_member(point, primes) == common, point
 
 
 class TestEmptyCandidates:
@@ -616,12 +669,11 @@ class TestEmptyCandidates:
     def det61_data(self):
         return make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3)
 
-    def test_intersect_of_no_bounds_is_the_unit_ideal(self, det61_data):
-        ideal = MonomialIdeal(det61_data, ((1, 0, 0),), ())
-        meet = intersect_valuation_ideals([ideal])
-        assert meet.generators == ((0, 0, 0),)
-        assert meet._vectors == ((0, 0, 0),)
-        assert meet.valuation_bounds == ()
+    def test_valuation_ideal_of_no_bounds_is_the_unit_ideal(self, det61_data):
+        unit = ideals._valuation_ideal(det61_data, {})
+        assert unit.generators == ((0, 0, 0),)
+        assert unit._vectors == ((0, 0, 0),)
+        assert vars(unit).keys() == PACKED | {"_vectors", "generators"}
 
     def test_power_of_the_zero_ideal_has_no_generators(self, det61_data):
         square = ordinary_power(MonomialIdeal(det61_data, ()), 2)
@@ -657,6 +709,10 @@ class TestVerifyContainment:
             verify_containment(q, 0, 3)
         with pytest.raises(ValueError):
             verify_containment(q, 1, 0)
+        with pytest.raises(TypeError, match="^multiplier must be an integer, got 2.0$"):
+            verify_containment(q, 2.0, 2)
+        with pytest.raises(TypeError, match="^max level must be an integer, got True$"):
+            verify_containment(q, 2, True)
 
     def test_group_order_multiplier_passes_everywhere(self, zoo_semigroups):
         for name, data in zoo_semigroups:
@@ -717,6 +773,10 @@ class TestSharpness:
             find_sharpness_witness(q, 0, 3)
         with pytest.raises(ValueError):
             find_sharpness_witness(q, 1, 0)
+        with pytest.raises(TypeError, match="^multiplier must be an integer, got 1.5$"):
+            find_sharpness_witness(q, 1.5, 3)
+        with pytest.raises(TypeError, match="^max level must be an integer, got 3.0$"):
+            find_sharpness_witness(q, 1, 3.0)
 
 
 class TestPrincipalAtGroupOrder:
@@ -753,24 +813,24 @@ class TestPrincipalAtGroupOrder:
 
 class TestMonomialIdealEquality:
     def test_bounds_ignored_in_comparison(self, a1_data):
-        gens = ((1, 0), (2, -1))
-        a = MonomialIdeal(a1_data, gens, ((0, 1),))
-        b = MonomialIdeal(a1_data, gens, None)
-        assert a == b
+        # the divisor an ideal was built from is not kept: the valuation
+        # ideal of e_0 + e_1 is the caller's ideal on (1, 0) and a translate
+        built = symbolic_power(PureHeightOneIdeal(a1_data, ((0, 1), (1, 1))), 1)
+        made = MonomialIdeal(a1_data, ((3, 1), (1, 0)))
+        assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
 
     def test_pairings_computed_from_generators(self, a1_data):
         # a caller cannot pass pairings in; a built or replaced ideal holds
         # the packed keys alone, and unpacks its vectors in key order
-        a = MonomialIdeal(a1_data, ((1, 0), (2, -1)), ((0, 1),))
+        a = MonomialIdeal(a1_data, ((1, 0), (2, -1)))
         assert vars(a).keys() == PACKED
         assert a._vectors == ((2, 0), (1, 1))
         assert "_vectors" not in repr(a) and "_keys" not in repr(a)
         with pytest.raises(TypeError):
-            MonomialIdeal(a1_data, a.generators, None, ((0, 0), (0, 0)))
+            MonomialIdeal(a1_data, a.generators, ((0, 0), (0, 0)))
         b = dataclasses.replace(a, generators=((2, 2), (1, 1)))
         assert vars(b).keys() == PACKED
         assert b._vectors == ((1, 3),) and b.generators == ((1, 1),)
-        assert b.valuation_bounds == a.valuation_bounds
 
     def test_generators_reduced_whatever_their_order(self, a1_data):
         # (2, 0) = (1, 0) + (1, 0) and (3, -1) = (1, 0) + (2, -1): the
@@ -792,9 +852,9 @@ class TestMonomialIdealEquality:
         assert "hilbert_basis" in vars(cone) and "hilbert_basis" not in vars(twin)
         assert cone == twin and hash(cone) == hash(twin) and repr(cone) == repr(twin)
         assert ray_prime(cone, 0) == ray_prime(twin, 0)
-        meet = intersect_valuation_ideals([ray_prime(cone, 0), ray_prime(twin, 1)])
+        meet = intersect_valuation_ideals([single_prime(cone, 0), single_prime(twin, 1)])
         assert meet.generators == ((1, 0),)
-        assert meet == intersect_valuation_ideals([ray_prime(twin, 0), ray_prime(cone, 1)])
+        assert meet == intersect_valuation_ideals([single_prime(twin, 0), single_prime(cone, 1)])
 
 
 class TestUnsupportedCone:

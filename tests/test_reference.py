@@ -182,7 +182,6 @@ def check_symbolic_powers_match_closure(q):
         bounds = {ray: power * mult for ray, mult in q.components}
         sym = symbolic_power(q, power)
         assert sym.generators == closure_minimal_generators(q.context, bounds), power
-        assert sym.valuation_bounds == tuple(sorted(bounds.items()))
 
 
 @settings(deadline=None)
@@ -193,6 +192,35 @@ def test_symbolic_power_matches_closure(data, draw):
     check_symbolic_powers_match_closure(
         PureHeightOneIdeal(data, tuple((ray, draw.draw(st.integers(1, 3))) for ray in rays))
     )
+
+
+def scaled_divisor(q, power):
+    """The divisor E b of q = b: q^(E) is its first symbolic power."""
+    return PureHeightOneIdeal(q.context, tuple((ray, power * mult) for ray, mult in q.components))
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_intersection_is_the_first_power_of_the_largest_divisor(data, draw):
+    """The intersection of two divisors' first symbolic powers is the first
+    symbolic power of their componentwise maximum, and each of its
+    generators lies in each factor's first symbolic power."""
+    nrays = len(data.rays)
+    divisors = []
+    for _ in range(2):
+        rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=nrays,
+                                  unique=True))
+        comps = tuple((ray, draw.draw(st.integers(1, 4))) for ray in rays)
+        divisors.append(PureHeightOneIdeal(data, comps))
+    largest = {}
+    for q in divisors:
+        for ray, mult in q.components:
+            largest[ray] = max(mult, largest.get(ray, 0))
+    meet = intersect_valuation_ideals(divisors)
+    assert meet == symbolic_power(PureHeightOneIdeal(data, tuple(largest.items())), 1)
+    for g in meet.generators:
+        for q in divisors:
+            assert ideal_member(g, symbolic_power(q, 1)), (g, q)
 
 
 DOUBLE_HALF = hilbert_basis(build_cone("klein4"))
@@ -302,8 +330,10 @@ def test_stored_pairings_match_generators(data, draw):
         for a in range(1, 4):
             if comb(len(base.generators) + a - 1, a) <= 2000:
                 ideals.append(ordinary_power(base, a))
-    ideals.append(intersect_valuation_ideals([prime, symbolic_power(q, 2)]))
-    ideals.append(intersect_valuation_ideals([ray_prime(data, ray) for ray in range(nrays)]))
+    ideals.append(intersect_valuation_ideals([PureHeightOneIdeal(data, ((rays[0], 1),)),
+                                              scaled_divisor(q, 2)]))
+    primes = [PureHeightOneIdeal(data, ((ray, 1),)) for ray in range(nrays)]
+    ideals.append(intersect_valuation_ideals(primes))
     for ideal in ideals:
         assert sorted(ideal._vectors) == sorted(_pairings(g, data) for g in ideal.generators)
     # each generator, and its steps up and down along every dual ray
@@ -538,7 +568,8 @@ def packed_library_ideals(draw):
     if kind == "symbolic":
         return symbolic_power(q, draw(st.integers(1, q._period[0] + 1)))
     if kind == "meet":
-        return intersect_valuation_ideals([symbolic_power(q, 2), ray_prime(cone, chosen[0])])
+        prime = PureHeightOneIdeal(cone, ((chosen[0], 1),))
+        return intersect_valuation_ideals([scaled_divisor(q, 2), prime])
     prime = ray_prime(cone, chosen[0])
     power = draw(st.integers(1, 3))
     assume(comb(len(prime._vectors) + power - 1, power) <= 500)
@@ -551,7 +582,7 @@ def test_packed_membership_matches_tuple_domination(ideal, draw):
     """Membership packed at the ideal's width w agrees with the tuple test
     on rows near a stored vector, at and past the clamp 2^(w-1) - 1 of a
     field, all zero, and with a negative field."""
-    assert vars(ideal).keys() == {"context", "valuation_bounds", "_width", "_keys"}
+    assert vars(ideal).keys() == {"context", "_width", "_keys"}
     n, cap = len(ideal.context.rays), 1 << (ideal._width - 1)
     vectors = ideal._vectors
     near = draw.draw(st.sampled_from(vectors)) if vectors else (0,) * n
@@ -618,8 +649,8 @@ def test_caller_ideal_reduces_to_the_library_ideal(data, draw):
         lambda gs: tuple(map(sum, zip(gs[0], *gs[1]))))
     extra = draw.draw(st.lists(st.one_of(st.sampled_from(gens), translate), max_size=6))
     listed = tuple(draw.draw(st.permutations(gens + extra)))
-    ideal = MonomialIdeal(data, listed, library.valuation_bounds)
-    assert vars(ideal).keys() == {"context", "valuation_bounds", "_width", "_keys"}
+    ideal = MonomialIdeal(data, listed)
+    assert vars(ideal).keys() == {"context", "_width", "_keys"}
     assert ideal == library and hash(ideal) == hash(library) and repr(ideal) == repr(library)
     assert ideal._vectors == library._vectors
     zero = (0,) * data.ambient_dim
