@@ -2,10 +2,10 @@
 
 A cone is stored by its primitive ray generators, deduplicated and sorted,
 so equal cones compare equal regardless of input order.  For a simplicial
-full cone it computes a divisor's period (its class order m and the
-character pairing to m times it), the dual rays as the ray divisors'
-periods, and the dual semigroup's Hilbert basis with decompositions: the
-cone determines its semigroup, so it carries these, each on first read.
+full cone one solve matrix gives a divisor's period (its class order m and
+the character pairing to m times it) and the dual rays, and the dual
+semigroup's Hilbert basis comes with decompositions: the cone determines
+its semigroup, so it carries these, each on first read.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .exact_linalg import (
@@ -84,11 +84,11 @@ class Cone:
     A simplicial full cone determines its dual semigroup, whose attributes
     are derived on first read and kept; equality, hash and repr read the
     fields alone.  Every one goes through ``_dual``, which rejects any
-    other cone.  ``dual_rays`` is lex-sorted.  ``parallelotope`` holds one
-    (pairing vector, point) pair per lattice point of the half-open
+    other cone.  ``dual_rays`` is lex-sorted.  ``_columns`` holds, one tuple
+    per ray, the ray pairings of the lattice points of the half-open
     parallelotope of the dual rays, the origin included: every semigroup
-    element is exactly one of those points plus a nonnegative integer
-    combination of the dual rays.
+    element is exactly one of them plus a nonnegative integer combination
+    of the dual rays.  ``_inverse`` solves pairings back to points.
     """
 
     ambient_dim: int
@@ -111,25 +111,33 @@ class Cone:
         return self._dual.rays
 
     @cached_property
-    def parallelotope(self) -> tuple[tuple[tuple[int, ...], Vector], ...]:
-        return _parallelotope(self)
+    def _inverse(self) -> tuple[int, IntegerMatrix]:
+        """s_n and the solve matrix M = s_n A^-1 = V diag(s_n / s_i) U, by U A V = S."""
+        dec, top = self.smith, self.smith.invariant_factors[-1]
+        scaled = [[top // s * x for x in dec.U.row(i)] for i, s in enumerate(dec.invariant_factors)]
+        return top, dec.V @ IntegerMatrix.from_rows(scaled)
+
+    @cached_property
+    def _own_duals(self) -> tuple[tuple[int, int], ...]:
+        """(j, c_i) per ray i: dual ray w_j alone pairs nonzero with ray i, to c_i."""
+        pairs = ((j, dot(w, ray)) for ray in self.rays for j, w in enumerate(self.dual_rays))
+        return tuple((j, c) for j, c in pairs if c)
 
     @cached_property
     def _columns(self) -> list[tuple[int, ...]]:
-        """The parallelotope's pairing vectors transposed, one tuple per ray."""
-        return list(zip(*(pairs for pairs, _ in self.parallelotope)))
+        return _parallelotope(self)
 
     @cached_property
     def hilbert_basis(self) -> tuple[Vector, ...]:
         """The Hilbert basis, lex-sorted.
 
         Every semigroup element is a dual-ray translate of a lattice point
-        of the parallelotope, so the irreducible elements all sit among
-        those points and the dual rays themselves; a candidate is dropped
-        when subtracting another candidate leaves a semigroup element.
+        of the parallelotope, so the irreducible ones sit among the dual
+        rays and those points, solved from their pairing rows; a candidate
+        is dropped when subtracting another leaves a semigroup element.
         """
-        rays = self.rays
-        candidates = set(self.dual_rays) | {p for _, p in self.parallelotope if any(p)}
+        rays, rows = self.rays, zip(*self._columns)
+        candidates = set(self.dual_rays) | {_lattice_point(self, r) for r in rows if any(r)}
 
         def reducible(h: Vector) -> bool:
             for g in candidates:
@@ -204,54 +212,46 @@ def _divisor_period(cone: Cone, divisor: Sequence[int]) -> tuple[int, Vector]:
     """Order m of the class of a divisor b on a simplicial full cone, and
     the character u with <u, ray_i> = m * b_i on each ray.
 
-    The stored Smith form U A V = S turns A u = m b into S (V^-1 u) = m y,
-    y = U b, integral exactly when each s_i divides m y_i: the least such m,
-    the class order, is lcm_i(s_i / gcd(y_i, s_i)), and u = V (m y_i / s_i)_i.
-    """
-    dec = cone.smith
-    y = dec.U.apply(tuple(divisor))
-    m = lcm(*(s // gcd(a, s) for a, s in zip(y, dec.invariant_factors)))
-    return m, dec.V.apply(tuple(m * a // s for a, s in zip(y, dec.invariant_factors)))
+    A u = m b is solved by u = m x / s_n, x = M b for the solve matrix
+    M = s_n A^-1, integral exactly when s_n divides every m x_i: the least
+    such m, the class order, is s_n / gcd(s_n, x)."""
+    top, inverse = cone._inverse
+    x = inverse.apply(tuple(divisor))
+    m = top // gcd(top, *x)
+    return m, tuple(m * a // top for a in x)
 
 
 def dual_cone(cone: Cone) -> Cone:
-    """Dual of a simplicial full cone.
-
-    Dual ray j is the period character of ray j's divisor e_j: it pairs to
-    0 with every other ray and to the order of [e_j] with ray j, the least
-    positive pairing an integral such point can have, so it is primitive.
-    """
+    """Dual of a simplicial full cone: column j of the solve matrix s_n A^-1
+    pairs to s_n with ray j and to 0 with every other ray, and ``make_cone``
+    makes it primitive, dual ray j."""
     if not (cone.is_simplicial and cone.is_full):
         raise UnsupportedConeError("dualization needs a simplicial full-dimensional cone")
-    n = cone.ambient_dim
-    units = ([int(i == j) for i in range(n)] for j in range(n))
-    return make_cone([_divisor_period(cone, e)[1] for e in units], n)
+    return make_cone(zip(*cone._inverse[1].to_rows()), cone.ambient_dim)
 
 
-def _parallelotope(cone: Cone) -> tuple[tuple[tuple[int, ...], Vector], ...]:
-    """(pairing vector, point) for each lattice point of the half-open
-    parallelotope {W t : 0 <= t_j < 1} spanned by the cone's dual rays.
+def _parallelotope(cone: Cone) -> list[tuple[int, ...]]:
+    """Pairing columns of the half-open parallelotope {W t : 0 <= t_j < 1}
+    of the dual rays: column i holds each lattice point's pairing with ray i.
 
-    W, whose columns are the dual rays, is the transpose of the dual
-    cone's ray matrix, so that cone's Smith form U' W^T V' = S gives
-    U W V = S with V = U'^T.  The points are one per coset of W Z^n, and
-    Z^n / W Z^n is the sum of the Z/s_i: k over prod [0, s_i) gives the
-    representatives U^-1 k with W-coordinates t = frac(V S^-1 k), integers
-    mod s_n once scaled by s_n, and W t is the point: |det W| of them.
+    W, whose columns are the dual rays, is the transpose of the dual cone's
+    ray matrix, whose Smith form U' W^T V' = S gives U W V = S, V = U'^T.
+    The points are one per coset of W Z^n, and Z^n / W Z^n is the sum of
+    the Z/s_i: k over prod [0, s_i) gives their W-coordinates
+    t = frac(V S^-1 k), integers mod s_n once scaled by s_n.  Of the dual
+    rays only w_j of ``_own_duals`` pairs with ray i, to c_i, so W t pairs
+    with ray i to t_j c_i / s_n, an exact division, and no point is formed.
     """
     dual = cone._dual
-    duals = dual.rays
-    n = len(duals)
     factors = dual.smith.invariant_factors
     top = factors[-1]
     v = dual.smith.U.transpose().to_rows()
-    points = []
+    rows = []
     for k in itertools.product(*(range(s) for s in factors)):
         scaled = [kj * (top // s) for kj, s in zip(k, factors)]
         t = [sum(a * b for a, b in zip(row, scaled)) % top for row in v]
-        point = tuple(sum(w[i] * tj for w, tj in zip(duals, t)) // top for i in range(n))
-        points.append((_pairings(point, cone), point))
-    return tuple(points)
+        rows.append(tuple(t[j] * c // top for j, c in cone._own_duals))
+    return list(zip(*rows))
 
 
 def _lattice_point(cone: Cone, pairs: Sequence[int]) -> Vector:

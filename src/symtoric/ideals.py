@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums,
-                    _packed_member, _pairings, _point_pairings, _unpacked, dot)
+                    _packed_member, _pairings, _point_pairings, _unpacked)
 from .exact_linalg import DimensionError, _is_integer
 
 __all__ = [
@@ -97,8 +97,9 @@ class PureHeightOneIdeal:
     components: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(sorted(tuple(c) for c in self.components))
-        if not comps:
+        if bad := [c for c in self.components if not isinstance(c, Sequence) or len(c) != 2]:
+            raise TypeError(f"component {bad[0]!r} is not a (ray index, multiplicity) pair")
+        if not (comps := tuple(sorted(tuple(c) for c in self.components))):
             raise ValueError("at least one ray component is required")
         nrays, seen = len(self.context.rays), set()
         for ray_index, mult in comps:
@@ -145,16 +146,15 @@ def _valuation_ideal(cone: Cone, bounds: dict[int, int]) -> MonomialIdeal:
     holding the packed pairing keys of its minimal generators in key order.
 
     Every semigroup element is a parallelotope point y plus a nonnegative
-    combination of the dual rays.  Dual ray w_i, the period character of
-    ray i's divisor, is the one pairing positively with ray i: it raises
-    that pairing alone, by the class's order c_i = <w_i, ray_i> > y_i.  So
-    the minimal generators are the minimal ones among the |det W| points y
-    raised along w_i, for each bounded ray i, to the least pairing
+    combination of the dual rays, and one of them alone pairs with ray i,
+    to the class order c_i > y_i of ``Cone._own_duals``.  So the minimal
+    generators are the minimal ones among the |det W| points y raised
+    along it, for each bounded ray i, to the least pairing
     b_i + (y_i - b_i) mod c_i >= b_i: their pairing columns are reduced."""
     columns = list(cone._columns)
     for i, bound in bounds.items():
         if bound > 0:
-            c = max(dot(w, cone.rays[i]) for w in cone.dual_rays)
+            c = cone._own_duals[i][1]
             columns[i] = [bound + (p - bound) % c for p in columns[i]]
     return _library_ideal(cone, _minimal_sums(columns, 1))
 

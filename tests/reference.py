@@ -1,12 +1,19 @@
 """Earlier lattice searches of the library, kept as independent oracles.
 
 The library now builds Hilbert basis candidates and valuation-ideal
-generators from one enumeration of the dual parallelotope, minimalizes
-packed pairing keys in increasing order, and solves a valuation ideal's
-points, and an ordinary power's on first read, from their pairing
-vectors.  The algorithms it replaced search
+generators from one enumeration of the dual parallelotope's pairing
+columns, minimalizes packed pairing keys in increasing order, and solves
+a valuation ideal's points, and an ordinary power's on first read, from
+their pairing vectors.  The algorithms it replaced search
 differently, so agreeing with them is evidence rather than a restatement:
 
+* ``point_parallelotope`` forms every parallelotope point W t and pairs
+  it with every ray, where the library writes each point's pairing with
+  ray i as t_j c_i / s_n from the one dual ray w_j pairing with it, and
+  forms no point;
+* ``lcm_divisor_period`` solves a divisor's period through U and V of the
+  stored Smith form and an lcm of per-factor orders, where the library
+  applies one solve matrix s_n A^-1 and takes one gcd;
 * ``box_scan_hilbert_basis`` scans the integer bounding box of the dual
   parallelotope and keeps the points whose parallelotope coordinates lie
   in [0, 1);
@@ -50,7 +57,7 @@ differently, so agreeing with them is evidence rather than a restatement:
   and repeats each row operation on U and each column operation on V,
   where the library eliminates once on the block matrix [[M, I], [I, 0]].
   It is the same elimination, kept because any valid U would not do: the
-  residues of ``class_of`` and the point order of ``_parallelotope`` both
+  residues of ``class_of`` and the column order of ``_parallelotope`` both
   read U, so the library's U, S and V must stay exactly these.
 
 ``hull_hilbert_basis`` and ``chain_hilbert_basis`` were never library
@@ -65,7 +72,7 @@ the other.  Both find their own dual rays.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, lcm
 from operator import ge
 from typing import Sequence
 
@@ -87,6 +94,44 @@ def adjugate_dual_rays(cone: Cone) -> tuple[Vector, ...]:
     adj = adjugate(mat)
     n = cone.ambient_dim
     return tuple(sorted(primitive([sign * x for x in adj.column(j)]) for j in range(n)))
+
+
+def point_parallelotope(cone: Cone) -> tuple[tuple[tuple[int, ...], Vector], ...]:
+    """(pairing vector, point) for each lattice point of the half-open
+    parallelotope {W t : 0 <= t_j < 1} spanned by the cone's dual rays.
+
+    The dual cone's Smith form U' W^T V' = S gives U W V = S with
+    V = U'^T; k over prod [0, s_i) gives the W-coordinates
+    t = frac(V S^-1 k), integers mod s_n once scaled by s_n, and W t is
+    the point: |det W| of them, in the order of the library's columns.
+    """
+    dual = cone._dual
+    duals = dual.rays
+    n = len(duals)
+    factors = dual.smith.invariant_factors
+    top = factors[-1]
+    v = dual.smith.U.transpose().to_rows()
+    points = []
+    for k in itertools.product(*(range(s) for s in factors)):
+        scaled = [kj * (top // s) for kj, s in zip(k, factors)]
+        t = [sum(a * b for a, b in zip(row, scaled)) % top for row in v]
+        point = tuple(sum(w[i] * tj for w, tj in zip(duals, t)) // top for i in range(n))
+        points.append((tuple(dot(point, ray) for ray in cone.rays), point))
+    return tuple(points)
+
+
+def lcm_divisor_period(cone: Cone, divisor: Sequence[int]) -> tuple[int, Vector]:
+    """Order m of the class of a divisor b on a simplicial full cone, and
+    the character u with <u, ray_i> = m * b_i on each ray.
+
+    The stored Smith form U A V = S turns A u = m b into S (V^-1 u) = m y,
+    y = U b, integral exactly when each s_i divides m y_i: the least such m
+    is lcm_i(s_i / gcd(y_i, s_i)), and u = V (m y_i / s_i)_i.
+    """
+    dec = cone.smith
+    y = dec.U.apply(tuple(divisor))
+    m = lcm(*(s // gcd(a, s) for a, s in zip(y, dec.invariant_factors)))
+    return m, dec.V.apply(tuple(m * a // s for a, s in zip(y, dec.invariant_factors)))
 
 
 def box_scan_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:

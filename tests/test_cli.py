@@ -116,6 +116,18 @@ class TestConeReports:
             "(2, -1)\n"
         )
 
+    @pytest.mark.parametrize("command", ["dual", "hilbert"])
+    def test_det11_report(self, capsys, tmp_path, monkeypatch, command):
+        """The whole report on the benchmark's 4D det-11 cone, as pinned in
+        ``tests/data``: the dual rays are the columns of the cone's solve
+        matrix, and the 26 basis elements are solved from the 1331 rows of
+        the parallelotope's pairing columns."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "det11.cone").write_text(DET11_TEXT)
+        code, out, err = run_cli(capsys, "cone", command, "det11.cone")
+        assert code == 0 and err == ""
+        assert out == (DATA / f"cone_{command}_det11.txt").read_text()
+
     def test_info_round_trips(self, capsys, tmp_path, a1_file):
         code, first, _ = run_cli(capsys, "cone", "info", a1_file)
         assert code == 0

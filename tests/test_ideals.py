@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import itertools
 import pickle
+import re
 from enum import IntEnum
 from math import gcd
 
@@ -87,6 +88,13 @@ class TestPureHeightOneIdeal:
         for comps in (((0, 1.5),), ((0.0, 1),), ((True, 1),), ((1, 1), (0, False))):
             bad = repr(comps[-1]).replace("(", r"\(").replace(")", r"\)")
             with pytest.raises(TypeError, match=f"^component {bad} has a non-integer entry$"):
+                PureHeightOneIdeal(a1_data, comps)
+
+    def test_component_that_is_no_pair_rejected(self, a1_data):
+        # each is named before it is unpacked: too short, not a sequence, too long
+        for comps in (((0,),), (0, 1), ((0, 1, 2),)):
+            message = f"component {comps[0]!r} is not a (ray index, multiplicity) pair"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
                 PureHeightOneIdeal(a1_data, comps)
 
     def test_divisor_class_vector(self, a1_data):
@@ -872,7 +880,7 @@ class TestUnsupportedCone:
                 lambda: in_semigroup((0, 0, 1), cone),
                 lambda: semigroup_member((0, 0, 1), cone),
             ] + [lambda name=name: getattr(cone, name)
-                 for name in ("dual_rays", "parallelotope", "hilbert_basis", "pairing_table")]
+                 for name in ("dual_rays", "_columns", "hilbert_basis", "pairing_table")]
             for read in readers:
                 with pytest.raises(UnsupportedConeError, match="^dualization needs a simplicial "
                                    "full-dimensional cone$"):
@@ -905,4 +913,4 @@ class TestParallelotopeOnRead:
         assert is_principal(power)
         assert ideal_member(power.generators[0], power)
         assert not ideal_member((0, 0, 0), power)
-        assert "parallelotope" not in vars(data)
+        assert "_columns" not in vars(data)

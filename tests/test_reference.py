@@ -24,7 +24,9 @@ from reference import (
     fourier_motzkin_contains,
     guard_bit_minimal_sums,
     hull_hilbert_basis,
+    lcm_divisor_period,
     mirrored_smith_normal_form,
+    point_parallelotope,
     quadratic_minimalize,
     reference_sweep,
     search_order_of_class,
@@ -139,13 +141,30 @@ def test_ray_prime_matches_basis_filter_on_zoo(name, data):
 def test_hilbert_basis_matches_box_scan(cone):
     assert cone.hilbert_basis == box_scan_hilbert_basis(cone)
     dual = IntegerMatrix.from_rows(cone.dual_rays)
-    points = [p for _, p in cone.parallelotope]
+    parallelotope = point_parallelotope(cone)
+    points = [p for _, p in parallelotope]
     assert len(set(points)) == len(points) == abs(determinant(dual))
-    for pairs, point in cone.parallelotope:
+    for pairs, point in parallelotope:
         assert pairs == tuple(dot(point, ray) for ray in cone.rays)
         # half-open: below the dual ray's own pairing on every ray
         caps = [max(dot(w, ray) for w in cone.dual_rays) for ray in cone.rays]
         assert all(0 <= y < c for y, c in zip(pairs, caps))
+
+
+@settings(deadline=None)
+@given(small_cones(), st.data())
+def test_pairing_columns_match_the_point_parallelotope(cone, draw):
+    """The rows of the pairing columns are the pairing vectors of the
+    formed points, |det W| of them; one solve matrix gives the period the
+    lcm over the Smith factors gives, and solves each row to its point."""
+    expected = point_parallelotope(cone)
+    rows = list(zip(*cone._columns))
+    assert len(rows) == abs(determinant(IntegerMatrix.from_rows(cone.dual_rays)))
+    assert sorted(rows) == sorted(pairs for pairs, _ in expected)
+    assert sorted((pairs, _lattice_point(cone, pairs)) for pairs in rows) == sorted(expected)
+    for _ in range(5):
+        b = draw.draw(st.tuples(*[st.integers(-20, 20)] * len(cone.rays)))
+        assert _divisor_period(cone, b) == lcm_divisor_period(cone, b)
 
 
 @settings(deadline=None)
