@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import (
     DimensionError,
@@ -84,11 +84,9 @@ class Cone:
     A simplicial full cone determines its dual semigroup, whose attributes
     are derived on first read and kept; equality, hash and repr read the
     fields alone.  Every one goes through ``_dual``, which rejects any
-    other cone.  ``dual_rays`` is lex-sorted.  ``_columns`` holds, one tuple
-    per ray, the ray pairings of the lattice points of the half-open
-    parallelotope of the dual rays, the origin included: every semigroup
-    element is exactly one of them plus a nonnegative integer combination
-    of the dual rays.  ``_inverse`` solves pairings back to points.
+    other cone.  ``dual_rays`` is lex-sorted.  ``_packed`` holds the width
+    and pairing keys of ``_parallelotope``, whose points' translates along
+    the dual rays are the semigroup.  ``_inverse`` solves pairings to points.
     """
 
     ambient_dim: int
@@ -124,7 +122,7 @@ class Cone:
         return tuple((j, c) for j, c in pairs if c)
 
     @cached_property
-    def _columns(self) -> list[tuple[int, ...]]:
+    def _packed(self) -> tuple[int, tuple[int, ...]]:
         return _parallelotope(self)
 
     @cached_property
@@ -136,7 +134,7 @@ class Cone:
         rays and those points, solved from their pairing rows; a candidate
         is dropped when subtracting another leaves a semigroup element.
         """
-        rays, rows = self.rays, zip(*self._columns)
+        rays, rows = self.rays, _unpacked(*self._packed, len(self.rays))
         candidates = set(self.dual_rays) | {_lattice_point(self, r) for r in rows if any(r)}
 
         def reducible(h: Vector) -> bool:
@@ -230,9 +228,10 @@ def dual_cone(cone: Cone) -> Cone:
     return make_cone(zip(*cone._inverse[1].to_rows()), cone.ambient_dim)
 
 
-def _parallelotope(cone: Cone) -> list[tuple[int, ...]]:
-    """Pairing columns of the half-open parallelotope {W t : 0 <= t_j < 1}
-    of the dual rays: column i holds each lattice point's pairing with ray i.
+def _parallelotope(cone: Cone) -> tuple[int, tuple[int, ...]]:
+    """Width w and the packed pairing keys of the lattice points of the
+    half-open parallelotope {W t : 0 <= t_j < 1} of the dual rays: field i
+    of a key, bits [i w, (i + 1) w), is the point's pairing with ray i.
 
     W, whose columns are the dual rays, is the transpose of the dual cone's
     ray matrix, whose Smith form U' W^T V' = S gives U W V = S, V = U'^T.
@@ -240,18 +239,20 @@ def _parallelotope(cone: Cone) -> list[tuple[int, ...]]:
     the Z/s_i: k over prod [0, s_i) gives their W-coordinates
     t = frac(V S^-1 k), integers mod s_n once scaled by s_n.  Of the dual
     rays only w_j of ``_own_duals`` pairs with ray i, to c_i, so W t pairs
-    with ray i to t_j c_i / s_n, an exact division, and no point is formed.
+    with ray i to t_j c_i / s_n < c_i, an exact division, and no point is
+    formed.  w holds 2 max c_i and a guard bit: room to raise a field by c_i.
     """
-    dual = cone._dual
+    dual, own = cone._dual, cone._own_duals
     factors = dual.smith.invariant_factors
     top = factors[-1]
+    width = (2 * max(c for _, c in own)).bit_length() + 1
     v = dual.smith.U.transpose().to_rows()
-    rows = []
+    keys = []
     for k in itertools.product(*(range(s) for s in factors)):
         scaled = [kj * (top // s) for kj, s in zip(k, factors)]
         t = [sum(a * b for a, b in zip(row, scaled)) % top for row in v]
-        rows.append(tuple(t[j] * c // top for j, c in cone._own_duals))
-    return list(zip(*rows))
+        keys.append(sum(t[j] * c // top << i * width for i, (j, c) in enumerate(own)))
+    return width, tuple(keys)
 
 
 def _lattice_point(cone: Cone, pairs: Sequence[int]) -> Vector:
@@ -281,50 +282,50 @@ def _packed_member(row: Sequence[int], width: int, keys: Iterable[int]) -> bool:
     return min(row, default=0) >= 0 and _dominates(key, keys, guard)
 
 
-def _unpacked(width: int, keys: Iterable[int], nfields: int) -> tuple[tuple[int, ...], ...]:
-    """The vectors packed at ``width`` in ``keys``: field i in bits [i w, (i + 1) w)."""
+def _unpacked(width: int, keys: Iterable[int], nfields: int) -> Iterator[tuple[int, ...]]:
+    """The vectors packed at ``width`` in ``keys``, lazily: field i in bits [i w, (i + 1) w)."""
     fields, mask = range(0, width * nfields, width), (1 << width) - 1
-    return tuple(tuple(key >> shift & mask for shift in fields) for key in keys)
+    return (tuple(key >> shift & mask for shift in fields) for key in keys)
 
 
 def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[int, tuple[int, ...]]:
-    """Field width w and packed keys, in key order, of the minimal
-    ``power``-fold sums of candidates whose nonnegative pairings with ray i
-    are ``columns[i]``: pairing i in bits [i w, (i + 1) w) of a key, w
-    holding ``power`` times the largest pairing plus a guard bit.  Pairings
-    are linear, so the key of a sum is the sum of the keys, and equal keys
-    are equal points.  A point is a semigroup translate of another exactly
-    when its pairings dominate the other's, and then its key is the larger:
-    in key order each key is tested only against those already kept (the
-    reduction of Bruns and Ichim), as domination is transitive and a
-    repeated key dominates its first copy; many sums coincide, so each is
-    tested once.  Keys sort by the last pairing first, so the test reads the
-    other fields alone.  With two rays a key is kept when its pairing 0 is
-    below every kept one.  With three, it is kept when one bisection finds
-    no point below it on the staircase of kept (pairing 0, pairing 1),
-    sorted by pairing 0 with pairing 1 falling, and it goes in after those
-    at most its pairing 0, in place of the points it covers there (Kung,
-    Luccio and Preparata, J. ACM 22, 1975).  With more, ``_dominates`` tests
-    a key against the kept ones, as ideal membership does.  All three tests
-    keep the same keys."""
+    """Width w, holding ``power`` times the largest pairing and a guard bit, and
+    ``_reduce``d keys of the ``power``-fold sums of candidates with pairings
+    ``columns[i]`` with ray i, in bits [i w, (i + 1) w): a sum's key sums keys."""
     width = (power * max(map(max, columns), default=0)).bit_length() + 1
     keys = [0] * len(columns[0]) if columns else []
     for column in reversed(columns):
         keys = [key << width | p for key, p in zip(keys, column)]
     combinations = itertools.combinations_with_replacement(keys, power)
     sums = set(map(sum, combinations)) if power > 1 else keys
+    return width, _reduce(width, sums, len(columns))
+
+
+def _reduce(width: int, keys: Iterable[int], nfields: int) -> tuple[int, ...]:
+    """The keys, in key order, of the minimal vectors packed at ``width`` in
+    ``keys``.  A point is a semigroup translate of another exactly when its
+    pairings dominate the other's, and then its key is the larger: in key
+    order each key is tested only against those kept (the reduction of
+    Bruns and Ichim), as domination is transitive and a repeated key
+    dominates its first copy.  Keys sort by the last field first, so the
+    test reads the other fields alone.  Of two, a key is kept when its field
+    0 is below every kept one; of three, when one bisection finds no point
+    below it on the staircase of kept (field 0, field 1), sorted by field 0
+    with field 1 falling, where it goes in after those at most its field 0,
+    in place of those it covers (Kung, Luccio and Preparata, J. ACM 22,
+    1975); of more, when ``_dominates`` finds none.  All keep the same keys."""
     mask = (1 << width) - 1
     kept: list[int] = []
-    if len(columns) == 2:
+    if nfields == 2:
         least = mask + 1
-        for key in sorted(sums):
+        for key in sorted(keys):
             if key & mask < least:
                 least = key & mask
                 kept.append(key)
-    elif len(columns) == 3:
+    elif nfields == 3:
         xs: list[int] = []
         ys: list[int] = []
-        for key in sorted(sums):
+        for key in sorted(keys):
             x, y = key & mask, key >> width & mask
             i = bisect_right(xs, x)
             if i and ys[i - 1] <= y:
@@ -335,11 +336,11 @@ def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[int, tu
             xs[i:j], ys[i:j] = [x], [y]
             kept.append(key)
     else:
-        guard = sum(1 << (shift + width - 1) for shift in range(0, width * len(columns), width))
-        for key in sorted(sums):
+        guard = sum(1 << (shift + width - 1) for shift in range(0, width * nfields, width))
+        for key in sorted(keys):
             if not _dominates(key, kept, guard):
                 kept.append(key)
-    return width, tuple(kept)
+    return tuple(kept)
 
 
 def hilbert_basis(cone: Cone) -> Cone:

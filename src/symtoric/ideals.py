@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums,
-                    _packed_member, _pairings, _point_pairings, _unpacked)
+                    _packed_member, _pairings, _point_pairings, _reduce, _unpacked)
 from .exact_linalg import DimensionError, _is_integer
 
 __all__ = [
@@ -75,7 +75,7 @@ class MonomialIdeal:
 
     def __getattr__(self, name: str) -> tuple[Vector, ...]:
         if name == "_vectors":
-            value = _unpacked(self._width, self._keys, len(self.context.rays))
+            value = tuple(_unpacked(self._width, self._keys, len(self.context.rays)))
         elif name == "generators":
             value = tuple(sorted(_lattice_point(self.context, row) for row in self._vectors))
         else:
@@ -142,21 +142,30 @@ def _check_count(name: str, value: int) -> None:
 
 
 def _valuation_ideal(cone: Cone, bounds: dict[int, int]) -> MonomialIdeal:
-    """The valuation ideal {m in the semigroup : <m, ray_i> >= bounds[i]},
+    """The valuation ideal {m in the semigroup : <m, ray_i> >= bounds[i] >= 0},
     holding the packed pairing keys of its minimal generators in key order.
 
     Every semigroup element is a parallelotope point y plus a nonnegative
     combination of the dual rays, and one of them alone pairs with ray i,
     to the class order c_i > y_i of ``Cone._own_duals``.  So the minimal
-    generators are the minimal ones among the |det W| points y raised
-    along it, for each bounded ray i, to the least pairing
-    b_i + (y_i - b_i) mod c_i >= b_i: their pairing columns are reduced."""
-    columns = list(cone._columns)
+    generators are the minimal points y raised along it to the least
+    pairing b_i + (y_i - b_i) mod c_i = y_i + c_i [y_i < r_i] + k_i c_i, for
+    b_i = k_i c_i + r_i: keys are raised by c_i where y_i < r_i and reduced,
+    and only the kept ones translated by k_i c_i, which keeps key order, and
+    packed anew."""
+    width, keys = cone._packed
+    mask = (1 << width) - 1
     for i, bound in bounds.items():
-        if bound > 0:
-            c = cone._own_duals[i][1]
-            columns[i] = [bound + (p - bound) % c for p in columns[i]]
-    return _library_ideal(cone, _minimal_sums(columns, 1))
+        c, shift = cone._own_duals[i][1], i * width
+        if r := bound % c:
+            keys = [key + (c << shift) if key >> shift & mask < r else key for key in keys]
+    kept = _reduce(width, keys, len(cone.rays))
+    lifts = [bounds.get(i, 0) // c * c for i, (_, c) in enumerate(cone._own_duals)]
+    if any(lifts):
+        columns = [[(key >> i * width & mask) + k for key in kept] for i, k in enumerate(lifts)]
+        width = max(map(max, columns)).bit_length() + 1
+        kept = [sum(p << i * width for i, p in enumerate(row)) for row in zip(*columns)]
+    return _library_ideal(cone, (width, tuple(kept)))
 
 
 def ray_prime(cone: Cone, ray_index: int) -> MonomialIdeal:

@@ -1,8 +1,8 @@
 """Earlier lattice searches of the library, kept as independent oracles.
 
 The library now builds Hilbert basis candidates and valuation-ideal
-generators from one enumeration of the dual parallelotope's pairing
-columns, minimalizes packed pairing keys in increasing order, and solves
+generators from one enumeration of the dual parallelotope, packed once
+as pairing keys, minimalizes packed keys in increasing order, and solves
 a valuation ideal's points, and an ordinary power's on first read, from
 their pairing vectors.  The algorithms it replaced search
 differently, so agreeing with them is evidence rather than a restatement:

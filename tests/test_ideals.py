@@ -186,27 +186,37 @@ class TestSymbolicPower:
                 assert joint.generators == meet.generators, (name, power)
 
     def test_non_principal_powers_keep_the_reduced_pairs(self, a2_data, monkeypatch):
-        # the class has order 3: the powers below and past it are each one
-        # reduction at their own bounds, whose width and kept keys the ideal
-        # holds as they came, and nothing else
+        # the class has order 3, and the dual ray of ray 0 pairs with it to
+        # c_0 = 3: each power below and past it is one reduction of the
+        # cone's parallelotope keys (0, 0), (1, 1), (2, 2), at the cone's
+        # width, with field 0 raised by c_0 where it is below the power mod
+        # c_0.  Below c_0 the ideal holds the kept keys as reduced; past it,
+        # their vectors translated by c_0 along ray 0, packed at their width
         built = []
-        reduce = ideals._minimal_sums
+        reduce = ideals._reduce
 
-        def recorded(columns, power):
-            built.append(reduce(columns, power))
-            return built[-1]
+        def recorded(width, keys, nfields):
+            built.append((width, reduce(width, keys, nfields)))
+            return built[-1][1]
 
-        monkeypatch.setattr(ideals, "_minimal_sums", recorded)
-        for power in (2, 4):
+        monkeypatch.setattr(ideals, "_reduce", recorded)
+        cases = {2: (((3, 0), (2, 2)), ((3, 0), (2, 2))),
+                 4: (((3, 0), (1, 1)), ((6, 0), (4, 1)))}
+        for power, (reduced, translated) in cases.items():
             built.clear()
             sym = symbolic_power(single_prime(a2_data, 0), power)
             ((width, keys),) = built
+            assert width == a2_data._packed[0] == (2 * 3).bit_length() + 1, power
+            assert unpack_keys(width, keys, 2) == reduced, power
             assert vars(sym).keys() == PACKED, power
-            assert sym._keys is keys and sym._width == width, power
+            if power < 3:
+                assert sym._keys is keys and sym._width == width
+            else:
+                assert sym._width == max(map(max, translated)).bit_length() + 1
             # unpacked in key order, they are the solved generators' pairings
             rows = sym._vectors
-            assert rows == unpack_keys(width, keys, 2), power
-            assert len(rows) == len(sym.generators) > 1, power
+            assert rows == unpack_keys(sym._width, sym._keys, 2) == translated, power
+            assert list(sym._keys) == sorted(sym._keys), power
             solved = tuple(_pairings(g, a2_data) for g in sym.generators)
             assert sorted(rows) == sorted(solved), power
         # an ideal built from the generators, in any order, or replaced,
@@ -880,7 +890,7 @@ class TestUnsupportedCone:
                 lambda: in_semigroup((0, 0, 1), cone),
                 lambda: semigroup_member((0, 0, 1), cone),
             ] + [lambda name=name: getattr(cone, name)
-                 for name in ("dual_rays", "_columns", "hilbert_basis", "pairing_table")]
+                 for name in ("dual_rays", "_packed", "hilbert_basis", "pairing_table")]
             for read in readers:
                 with pytest.raises(UnsupportedConeError, match="^dualization needs a simplicial "
                                    "full-dimensional cone$"):
@@ -913,4 +923,4 @@ class TestParallelotopeOnRead:
         assert is_principal(power)
         assert ideal_member(power.generators[0], power)
         assert not ideal_member((0, 0, 0), power)
-        assert "_columns" not in vars(data)
+        assert "_packed" not in vars(data)

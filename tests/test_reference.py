@@ -42,6 +42,7 @@ from symtoric.cones import (
     _minimal_sums,
     _packed_member,
     _pairings,
+    _unpacked,
     dot,
     dual_cone,
     hilbert_basis,
@@ -81,7 +82,7 @@ def small_cones(draw):
     assume(abs(determinant(cone.ray_matrix())) <= 30)
     assume(abs(determinant(IntegerMatrix.from_rows(dual_cone(cone).rays))) <= 30)
     assume(box_scan_size(cone) <= 20000)
-    return hilbert_basis(cone)
+    return cone
 
 
 @settings(deadline=None)
@@ -139,7 +140,7 @@ def test_ray_prime_matches_basis_filter_on_zoo(name, data):
 @settings(deadline=None)
 @given(small_cones())
 def test_hilbert_basis_matches_box_scan(cone):
-    assert cone.hilbert_basis == box_scan_hilbert_basis(cone)
+    assert hilbert_basis(cone).hilbert_basis == box_scan_hilbert_basis(cone)
     dual = IntegerMatrix.from_rows(cone.dual_rays)
     parallelotope = point_parallelotope(cone)
     points = [p for _, p in parallelotope]
@@ -154,11 +155,16 @@ def test_hilbert_basis_matches_box_scan(cone):
 @settings(deadline=None)
 @given(small_cones(), st.data())
 def test_pairing_columns_match_the_point_parallelotope(cone, draw):
-    """The rows of the pairing columns are the pairing vectors of the
-    formed points, |det W| of them; one solve matrix gives the period the
-    lcm over the Smith factors gives, and solves each row to its point."""
+    """The cone's packed keys unpack to the pairing vectors of the formed
+    points, |det W| of them, each field i below c_i at a width holding
+    2 max c_i and a guard bit; one solve matrix gives the period the lcm
+    over the Smith factors gives, and solves each row to its point."""
     expected = point_parallelotope(cone)
-    rows = list(zip(*cone._columns))
+    width, keys = cone._packed
+    periods = [c for _, c in cone._own_duals]
+    assert width == (2 * max(periods)).bit_length() + 1
+    rows = tuple(_unpacked(width, keys, len(cone.rays)))
+    assert all(0 <= p < c for row in rows for p, c in zip(row, periods))
     assert len(rows) == abs(determinant(IntegerMatrix.from_rows(cone.dual_rays)))
     assert sorted(rows) == sorted(pairs for pairs, _ in expected)
     assert sorted((pairs, _lattice_point(cone, pairs)) for pairs in rows) == sorted(expected)
@@ -170,16 +176,23 @@ def test_pairing_columns_match_the_point_parallelotope(cone, draw):
 @settings(deadline=None)
 @given(small_cones(), st.data())
 def test_minimal_generators_match_closure(data, draw):
-    """Bounds on any set of rays, up to every ray, each up to three times
-    the pairing c_i of its ray with its dual ray, so candidates are raised
-    by up to three periods."""
+    """Bounds on any set of rays, up to every ray, each from 0 to three times
+    the pairing c_i of its ray with its dual ray, exact multiples of c_i
+    among them, so candidates are raised by up to three periods; the kept
+    keys come in key order."""
     rays = data.rays
     chosen = draw.draw(
         st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=len(rays), unique=True)
     )
     periods = [max(dot(w, ray) for w in data.dual_rays) for ray in rays]
-    bounds = {ray: draw.draw(st.integers(1, 3 * periods[ray])) for ray in chosen}
-    rows = _valuation_ideal(data, bounds)._vectors
+    bounds = {
+        ray: draw.draw(st.one_of(st.integers(0, 3 * periods[ray]),
+                                 st.sampled_from([k * periods[ray] for k in range(4)])))
+        for ray in chosen
+    }
+    ideal = _valuation_ideal(data, bounds)
+    assert list(ideal._keys) == sorted(ideal._keys)
+    rows = ideal._vectors
     expected = closure_minimal_generators(data, bounds)
     assert sorted(rows) == sorted(_pairings(g, data) for g in expected)
     assert tuple(sorted(_lattice_point(data, row) for row in rows)) == expected
@@ -427,20 +440,35 @@ def test_ordinary_power_guard_bits(value, power):
     assert ordinary_power(MonomialIdeal(data, gens), power).generators == expected
 
 
+# the dual rays pair with the rays of this cone of determinant -3 to c_i = 3
+GUARD_4D = [(-2, -2, -1, 2), (-1, -1, -1, -1), (0, 1, 0, 0), (1, 0, 0, 0)]
+
+
 @pytest.mark.parametrize(
     "rays, bounds, pairings",
     [
         ([(1, 0), (1, 2)], {0: 6, 1: 1}, ((6, 2), (7, 1))),
         ([(1, 0), (1, 3)], {0: 13}, ((13, 1), (15, 0))),
+        (GUARD_4D, {1: 2, 3: 1}, ((0, 2, 0, 2), (0, 2, 1, 1), (0, 4, 0, 1), (1, 2, 0, 1))),
+        (GUARD_4D, {0: 2, 3: 2}, ((2, 0, 0, 4), (2, 0, 1, 3), (2, 0, 2, 2), (2, 1, 0, 2),
+                                  (3, 0, 0, 3), (3, 0, 1, 2), (4, 0, 0, 2))),
     ],
 )
 def test_valuation_ideal_guard_bits(rays, bounds, pairings):
     """A kept generator raised along a dual ray to a pairing of 2^(w-1) - 1,
-    the largest value its field holds below the guard bit, as no candidate
-    pairs higher: the parallelotope points pairing to (0, 0) and (1, 1)
-    are raised to (6, 2) and (7, 1); on the second cone those and (2, 2)
-    are raised to (15, 0), (13, 1) and (14, 2)."""
-    data = hilbert_basis(make_cone(rays, 2))
+    the largest value the ideal's field holds below the guard bit, as no
+    candidate pairs higher: the parallelotope points pairing to (0, 0) and
+    (1, 1) are raised to (6, 2) and (7, 1); on the second cone those and
+    (2, 2) are raised to (15, 0), (13, 1) and (14, 2).  On the 4D cone the
+    cone's keys are packed at the width of 2 c_i = 6 and a guard bit, 4
+    bits, and a bound of 2 = c_i - 1 raises a kept field to 2 c_i - 2 = 4,
+    the most a raise gives, which the reduction's guard-bit test reads: at
+    the width of c_i and a guard bit it would set the guard bit, and
+    dominated keys would be kept."""
+    data = make_cone(rays, len(rays))
+    if len(rays) == 4:
+        assert {c for _, c in data._own_duals} == {3} and data._packed[0] == 4
+        assert max(map(max, pairings)) == 4
     expected = closure_minimal_generators(data, bounds)
     assert sorted(_valuation_ideal(data, bounds)._vectors) == sorted(pairings)
     assert sorted(_pairings(g, data) for g in expected) == sorted(pairings)
