@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import (
@@ -163,15 +164,17 @@ def make_cone(rays: Iterable[Sequence[int]], ambient_dim: int) -> Cone:
     ``_lineality_rays`` decides from the Smith forms of the (rank + 1)-ray
     subsets; the error names the least such ray.
     """
+    if not _is_integer(ambient_dim):
+        raise TypeError(f"ambient dimension must be an integer, got {ambient_dim!r}")
     if ambient_dim < 1:
         raise ValueError("ambient dimension must be at least 1")
     prim = []
     for k, ray in enumerate(rays):
         vec = tuple(ray)
         if len(vec) != ambient_dim:
-            raise DimensionError(
-                f"ray {k} has length {len(vec)}, expected {ambient_dim}"
-            )
+            raise DimensionError(f"ray {k} has length {len(vec)}, expected {ambient_dim}")
+        if not all(map(_is_integer, vec)):
+            raise TypeError(f"ray {k} has a non-integer coordinate")
         if not any(vec):
             raise ValueError(f"ray {k} is the zero vector")
         prim.append(primitive(vec))
@@ -240,12 +243,12 @@ def _parallelotope(cone: Cone) -> tuple[int, tuple[int, ...]]:
     t = frac(V S^-1 k), integers mod s_n once scaled by s_n.  Of the dual
     rays only w_j of ``_own_duals`` pairs with ray i, to c_i, so W t pairs
     with ray i to t_j c_i / s_n < c_i, an exact division, and no point is
-    formed.  w holds 2 max c_i and a guard bit: room to raise a field by c_i.
+    formed.  w, ``_pack``'s width for 2 max c_i, has room to raise a field by c_i.
     """
     dual, own = cone._dual, cone._own_duals
     factors = dual.smith.invariant_factors
     top = factors[-1]
-    width = (2 * max(c for _, c in own)).bit_length() + 1
+    width = _pack([[c for _, c in own]], 2)[0]
     v = dual.smith.U.transpose().to_rows()
     keys = []
     for k in itertools.product(*(range(s) for s in factors)):
@@ -288,17 +291,47 @@ def _unpacked(width: int, keys: Iterable[int], nfields: int) -> Iterator[tuple[i
     return (tuple(key >> shift & mask for shift in fields) for key in keys)
 
 
-def _minimal_sums(columns: Sequence[Sequence[int]], power: int) -> tuple[int, tuple[int, ...]]:
-    """Width w, holding ``power`` times the largest pairing and a guard bit, and
-    ``_reduce``d keys of the ``power``-fold sums of candidates with pairings
-    ``columns[i]`` with ray i, in bits [i w, (i + 1) w): a sum's key sums keys."""
-    width = (power * max(map(max, columns), default=0)).bit_length() + 1
+def _pack(rows: Iterable[Iterable[int]], scale: int = 1) -> tuple[int, tuple[int, ...]]:
+    """Width w, holding ``scale`` times the largest entry and a guard bit, and the keys
+    of ``rows``, packed a column at a time: field i, bits [i w, (i + 1) w), is entry i."""
+    columns = list(zip(*rows))
+    width = (scale * max(map(max, columns), default=0)).bit_length() + 1
     keys = [0] * len(columns[0]) if columns else []
     for column in reversed(columns):
         keys = [key << width | p for key, p in zip(keys, column)]
+    return width, tuple(keys)
+
+
+def _minimal_sums(rows: Sequence[Sequence[int]], power: int) -> tuple[int, tuple[int, ...]]:
+    """Width w, holding ``power`` times the largest pairing, and ``_reduce``d keys of
+    the ``power``-fold sums of candidates with pairing rows ``rows``: keys sum."""
+    width, keys = _pack(rows, power)
     combinations = itertools.combinations_with_replacement(keys, power)
     sums = set(map(sum, combinations)) if power > 1 else keys
-    return width, _reduce(width, sums, len(columns))
+    return width, _reduce(width, sums, len(rows[0]) if rows else 0)
+
+
+def _valuation_keys(cone: Cone, divisor: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Width and keys, in key order, of the minimal generators of the valuation
+    ideal {m in the semigroup : <m, ray_i> >= divisor[i] = b_i >= 0}.
+
+    Every semigroup element is a parallelotope point y plus a nonnegative
+    combination of the dual rays, of which only w_j of ``Cone._own_duals``
+    pairs with ray i, to c_i > y_i.  So the minimal generators are the
+    minimal y raised along it to the least pairing b_i + (y_i - b_i) mod c_i
+    = y_i + c_i [y_i < r_i] + k_i c_i, b_i = k_i c_i + r_i: keys are raised by
+    c_i where y_i < r_i and reduced, and the kept ones translated by k_i c_i,
+    which keeps key order, and packed."""
+    width, keys = cone._packed
+    mask = (1 << width) - 1
+    for i, (b, (_, c)) in enumerate(zip(divisor, cone._own_duals)):
+        if r := b % c:
+            shift = i * width
+            keys = [key + (c << shift) if key >> shift & mask < r else key for key in keys]
+    kept = _reduce(width, keys, len(cone.rays))
+    lifts = [b // c * c for b, (_, c) in zip(divisor, cone._own_duals)]
+    rows = (map(add, row, lifts) for row in _unpacked(width, kept, len(lifts)))
+    return _pack(rows) if any(lifts) else (width, kept)
 
 
 def _reduce(width: int, keys: Iterable[int], nfields: int) -> tuple[int, ...]:

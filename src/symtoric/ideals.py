@@ -10,11 +10,10 @@ powers are generated by sums of generators; comparing the two detects
 whether a multiplier D puts every D*a-th symbolic power inside the a-th
 ordinary power.
 
-One reduction on packed pairing keys minimalizes valuation ideals,
-ordinary powers and a caller's generators; every ideal holds its cone and
-the keys it kept, nothing else, and membership tests packed rows against
-them.  Vectors are unpacked and points solved on read: a sweep unpacks
-only its symbolic powers' vectors, and solves witnesses.
+Every ideal holds its cone and the packed pairing keys that ``cones``
+reduced its candidates to, nothing else, and never reads inside a key.
+Vectors are unpacked and points solved on read: a sweep unpacks only its
+symbolic powers' vectors, and solves witnesses.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums,
-                    _packed_member, _pairings, _point_pairings, _reduce, _unpacked)
+from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums, _pack,
+                    _packed_member, _pairings, _point_pairings, _unpacked, _valuation_keys)
 from .exact_linalg import DimensionError, _is_integer
 
 __all__ = [
@@ -69,7 +68,7 @@ class MonomialIdeal:
         vectors = [_pairings(g, self.context) for g in self.generators]
         if bad := [g for g, row in zip(self.generators, vectors) if min(row) < 0]:
             raise ValueError(f"generator {tuple(bad[0])!r} lies outside the dual semigroup")
-        width, keys = _minimal_sums(list(zip(*vectors)), 1)
+        width, keys = _minimal_sums(vectors, 1)
         vars(self).update(_width=width, _keys=keys)
         del vars(self)["generators"]  # solved again, minimal and sorted, on read
 
@@ -141,33 +140,6 @@ def _check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _valuation_ideal(cone: Cone, bounds: dict[int, int]) -> MonomialIdeal:
-    """The valuation ideal {m in the semigroup : <m, ray_i> >= bounds[i] >= 0},
-    holding the packed pairing keys of its minimal generators in key order.
-
-    Every semigroup element is a parallelotope point y plus a nonnegative
-    combination of the dual rays, and one of them alone pairs with ray i,
-    to the class order c_i > y_i of ``Cone._own_duals``.  So the minimal
-    generators are the minimal points y raised along it to the least
-    pairing b_i + (y_i - b_i) mod c_i = y_i + c_i [y_i < r_i] + k_i c_i, for
-    b_i = k_i c_i + r_i: keys are raised by c_i where y_i < r_i and reduced,
-    and only the kept ones translated by k_i c_i, which keeps key order, and
-    packed anew."""
-    width, keys = cone._packed
-    mask = (1 << width) - 1
-    for i, bound in bounds.items():
-        c, shift = cone._own_duals[i][1], i * width
-        if r := bound % c:
-            keys = [key + (c << shift) if key >> shift & mask < r else key for key in keys]
-    kept = _reduce(width, keys, len(cone.rays))
-    lifts = [bounds.get(i, 0) // c * c for i, (_, c) in enumerate(cone._own_duals)]
-    if any(lifts):
-        columns = [[(key >> i * width & mask) + k for key in kept] for i, k in enumerate(lifts)]
-        width = max(map(max, columns)).bit_length() + 1
-        kept = [sum(p << i * width for i, p in enumerate(row)) for row in zip(*columns)]
-    return _library_ideal(cone, (width, tuple(kept)))
-
-
 def ray_prime(cone: Cone, ray_index: int) -> MonomialIdeal:
     """Prime of the divisor on one ray: monomials with positive pairing
     there, the first symbolic power of that ray's valuation ideal."""
@@ -185,10 +157,9 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     vector E b; any other is reduced at its bounds, as an intersection is.
     """
     _check_count("symbolic power", power)
-    if power % q._period[0]:
-        return _valuation_ideal(q.context, {ray: power * mult for ray, mult in q.components})
-    columns = [(power * c,) for c in divisor_class(q)]  # of the one vector E b
-    return _library_ideal(q.context, _minimal_sums(columns, 1))
+    divisor = tuple(power * c for c in divisor_class(q))  # E b
+    packed = _pack([divisor]) if power % q._period[0] == 0 else _valuation_keys(q.context, divisor)
+    return _library_ideal(q.context, packed)
 
 
 def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
@@ -196,8 +167,7 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
     by ``cones._minimal_sums`` from the generators' pairing vectors, and
     built from the vectors it keeps."""
     _check_count("ordinary power", power)
-    columns = list(zip(*ideal._vectors))
-    return _library_ideal(ideal.context, _minimal_sums(columns, power))
+    return _library_ideal(ideal.context, _minimal_sums(ideal._vectors, power))
 
 
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
@@ -223,15 +193,13 @@ def intersect_valuation_ideals(ideals: Sequence[PureHeightOneIdeal]) -> Monomial
     if any(q.context != cone for q in ideals):
         raise ValueError("ideals live in different semigroups")
     merged = [max(mults) for mults in zip(*map(divisor_class, ideals))]
-    return _valuation_ideal(cone, dict(enumerate(merged)))
+    return _library_ideal(cone, _valuation_keys(cone, merged))
 
 
 def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:
     """Ray-coefficient vector of the divisor underlying q."""
-    coeffs = [0] * len(q.context.rays)
-    for ray, mult in q.components:
-        coeffs[ray] = mult
-    return tuple(coeffs)
+    mults = dict(q.components)
+    return tuple(mults.get(ray, 0) for ray in range(len(q.context.rays)))
 
 
 @dataclass(frozen=True)
@@ -274,8 +242,7 @@ def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Ite
         ordinary = ordinary_power(base, a)
         packed = ordinary._width, ordinary._keys
         failing = [row for row in sym._vectors if not _packed_member(row, *packed)]
-        witness = min((_lattice_point(q.context, row) for row in failing), default=None)
-        yield LevelCheck(a, witness)
+        yield LevelCheck(a, min((_lattice_point(q.context, row) for row in failing), default=None))
 
 
 def verify_containment(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> ContainmentReport:

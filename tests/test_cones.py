@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,29 @@ class TestMakeCone:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError, match="ray 0"):
             make_cone([(1, 0, 0)], 2)
+
+    @pytest.mark.parametrize(
+        "rays, index",
+        [([(True, 0), (0, 1)], 0), ([(1, 0), (0, 1.5)], 1), ([(1, 0), (0.0, 0.0)], 1)],
+        ids=["bool", "float", "zero-float"],
+    )
+    def test_non_integer_ray_coordinate_rejected(self, rays, index):
+        # a bool would pass as 1 once made primitive, and a float reach math.gcd
+        with pytest.raises(TypeError, match=f"^ray {index} has a non-integer coordinate$"):
+            make_cone(rays, 2)
+
+    def test_int_enum_ray_coordinates_accepted(self):
+        class Step(IntEnum):
+            ONE = 1
+            TWO = 2
+
+        assert make_cone([(Step.ONE, 0), (Step.ONE, Step.TWO)], 2) == make_cone([(1, 0), (1, 2)], 2)
+
+    @pytest.mark.parametrize("rays, dim", [([(1, 0), (0, 1)], 2.0), ([(1,)], True)])
+    def test_non_integer_ambient_dimension_rejected(self, rays, dim):
+        message = f"ambient dimension must be an integer, got {dim!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            make_cone(rays, dim)
 
     def test_square_base_cone_flags(self):
         cone = make_cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)

@@ -193,13 +193,13 @@ class TestSymbolicPower:
         # c_0.  Below c_0 the ideal holds the kept keys as reduced; past it,
         # their vectors translated by c_0 along ray 0, packed at their width
         built = []
-        reduce = ideals._reduce
+        reduce = cones._reduce
 
         def recorded(width, keys, nfields):
             built.append((width, reduce(width, keys, nfields)))
             return built[-1][1]
 
-        monkeypatch.setattr(ideals, "_reduce", recorded)
+        monkeypatch.setattr(cones, "_reduce", recorded)
         cases = {2: (((3, 0), (2, 2)), ((3, 0), (2, 2))),
                  4: (((3, 0), (1, 1)), ((6, 0), (4, 1)))}
         for power, (reduced, translated) in cases.items():
@@ -688,7 +688,7 @@ class TestEmptyCandidates:
         return make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3)
 
     def test_valuation_ideal_of_no_bounds_is_the_unit_ideal(self, det61_data):
-        unit = ideals._valuation_ideal(det61_data, {})
+        unit = ideals._library_ideal(det61_data, cones._valuation_keys(det61_data, (0, 0, 0)))
         assert unit.generators == ((0, 0, 0),)
         assert unit._vectors == ((0, 0, 0),)
         assert vars(unit).keys() == PACKED | {"_vectors", "generators"}

@@ -76,6 +76,29 @@ def test_smith_witnesses_stay_below_the_ideal_layer():
     assert found == []
 
 
+def test_packed_keys_stay_inside_cones():
+    """The packed pairing-key format is known to ``cones`` alone: ``ideals``
+    shifts and masks no key (no ``<<``, ``>>``, ``&`` or ``|`` outside a type
+    annotation, where ``X | None`` is a union), reads neither ``Cone._packed``
+    nor ``Cone._own_duals``, and imports no ``_reduce``."""
+    tree = ast.parse((Path(symtoric.__file__).parent / "ideals.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            node.returns = None
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            node.annotation = ast.Constant(None)
+    bit_ops = (ast.LShift, ast.RShift, ast.BitAnd, ast.BitOr)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, bit_ops):
+            found.append(f"ideals.py:{node.lineno} {type(node.op).__name__}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("_packed", "_own_duals"):
+            found.append(f"ideals.py:{node.lineno} {node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"ideals.py:{node.lineno} {a.name}" for a in node.names if a.name == "_reduce"]
+    assert found == []
+
+
 def test_ideals_import_nothing_from_class_group():
     """The ideal layer reads a divisor's period from ``cones``, not from a
     class-group presentation."""
