@@ -17,7 +17,8 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .cones import Cone, UnsupportedConeError
-from .exact_linalg import DimensionError, IntegerMatrix, SmithDecomposition, determinant
+from .exact_linalg import (DimensionError, IntegerMatrix, SmithDecomposition, _is_integer,
+                           determinant)
 
 __all__ = [
     "DivisorClass",
@@ -117,6 +118,8 @@ def _canonical_parts(
     transform = group.smith.U
     if len(divisor) != transform.cols:
         raise DimensionError(f"divisor has {len(divisor)} coefficients, expected {transform.cols}")
+    if not all(map(_is_integer, divisor)):
+        raise TypeError(f"divisor {tuple(divisor)!r} has a non-integer coefficient")
     factors = group.smith.invariant_factors
     image = transform.apply(tuple(divisor))
     # a factor of 1 kills its coordinate; those past the factors are free

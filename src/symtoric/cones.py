@@ -266,23 +266,17 @@ def _lattice_point(cone: Cone, pairs: Sequence[int]) -> Vector:
     return point
 
 
-def _dominates(key: int, kept: Iterable[int], guard: int) -> bool:
-    """Whether packed ``key`` has every field at least that of a key in ``kept``: with each
-    field's top bit (``guard``) set first, none borrows, and a field keeps it unless below zero."""
-    high = key | guard
-    for low in kept:
-        if (high - low) & guard == guard:
-            return True
-    return False
-
-
 def _packed_member(row: Sequence[int], width: int, keys: Iterable[int]) -> bool:
     """Whether ``row`` dominates a vector packed at ``width`` in ``keys``: no field may be
-    negative, and each is packed clamped to 2^(w-1) - 1, which no stored field exceeds."""
+    negative; each is clamped to 2^(w-1) - 1, which no stored field exceeds, so none borrows."""
     top = (1 << width - 1) - 1
-    key = sum(min(p, top) << i * width for i, p in enumerate(row))
     guard = sum(top + 1 << i * width for i in range(len(row)))
-    return min(row, default=0) >= 0 and _dominates(key, keys, guard)
+    high = sum(min(p, top) << i * width for i, p in enumerate(row)) | guard
+    if min(row, default=0) >= 0:
+        for low in keys:
+            if (high - low) & guard == guard:
+                return True
+    return False
 
 
 def _unpacked(width: int, keys: Iterable[int], nfields: int) -> Iterator[tuple[int, ...]]:
@@ -321,12 +315,17 @@ def _valuation_keys(cone: Cone, divisor: Sequence[int]) -> tuple[int, tuple[int,
     minimal y raised along it to the least pairing b_i + (y_i - b_i) mod c_i
     = y_i + c_i [y_i < r_i] + k_i c_i, b_i = k_i c_i + r_i: keys are raised by
     c_i where y_i < r_i and reduced, and the kept ones translated by k_i c_i,
-    which keeps key order, and packed."""
+    which keeps key order, and packed.  Each raised key is at least the raised
+    zero point, so with one r_i > 0 that key replaces every raised one."""
     width, keys = cone._packed
     mask = (1 << width) - 1
-    for i, (b, (_, c)) in enumerate(zip(divisor, cone._own_duals)):
-        if r := b % c:
-            shift = i * width
+    own = enumerate(zip(divisor, cone._own_duals))
+    raises = [(i * width, r, c) for i, (b, (_, c)) in own if (r := b % c)]
+    if len(raises) == 1:
+        ((shift, r, c),) = raises
+        keys = [key for key in keys if key >> shift & mask >= r] + [c << shift]
+    else:
+        for shift, r, c in raises:
             keys = [key + (c << shift) if key >> shift & mask < r else key for key in keys]
     kept = _reduce(width, keys, len(cone.rays))
     lifts = [b // c * c for b, (_, c) in zip(divisor, cone._own_duals)]
@@ -346,7 +345,10 @@ def _reduce(width: int, keys: Iterable[int], nfields: int) -> tuple[int, ...]:
     below it on the staircase of kept (field 0, field 1), sorted by field 0
     with field 1 falling, where it goes in after those at most its field 0,
     in place of those it covers (Kung, Luccio and Preparata, J. ACM 22,
-    1975); of more, when ``_dominates`` finds none.  All keep the same keys."""
+    1975); otherwise, when one test finds none: the key, each field's top bit
+    set, copied to every block of ``block`` (a kept key and a spare bit),
+    minus it keeps a block's top bits, borrowing from none, exactly when it
+    dominates that key (Lamport, CACM 18, 1975).  All keep the same keys."""
     mask = (1 << width) - 1
     kept: list[int] = []
     if nfields == 2:
@@ -370,8 +372,12 @@ def _reduce(width: int, keys: Iterable[int], nfields: int) -> tuple[int, ...]:
             kept.append(key)
     else:
         guard = sum(1 << (shift + width - 1) for shift in range(0, width * nfields, width))
+        block = ones = guards = tops = shift = 0
         for key in sorted(keys):
-            if not _dominates(key, kept, guard):
+            if not (tops - ((((key | guard) * ones - block) & guards) ^ guards)) & tops:
+                block, ones = block | key << shift, ones | 1 << shift
+                guards, tops = guards | guard << shift, tops | 1 << shift + width * nfields
+                shift += width * nfields + 1
                 kept.append(key)
     return tuple(kept)
 

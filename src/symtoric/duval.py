@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .class_group import AbelianGroupPresentation, class_group_of, group_exponent
 from .cones import make_cone
+from .exact_linalg import _is_integer
 
 __all__ = ["OutOfCatalogError", "DuValRecord", "lookup", "cross_check_an"]
 
@@ -48,6 +49,8 @@ def lookup(family: str, n: int) -> DuValRecord:
 
     Valid pairs: A_n with n >= 1, D_n with n >= 4, E_6, E_7, E_8.
     """
+    if not _is_integer(n):
+        raise TypeError(f"du Val index must be an integer, got {n!r}")
     if family == "A" and n >= 1:
         group = AbelianGroupPresentation((n + 1,), 0)
         equation = f"xz - y^{n + 1}"
@@ -76,6 +79,8 @@ def cross_check_an(n: int) -> bool:
     The A_n singularity is the affine toric surface of the plane cone on
     (1, 0) and (1, n+1), whose class group must be cyclic of order n+1.
     """
+    if not _is_integer(n):
+        raise TypeError(f"du Val index must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"A_n needs n >= 1, got {n}")
     cone = make_cone([(1, 0), (1, n + 1)], 2)

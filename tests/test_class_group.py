@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,15 @@ class TestClassOf:
         group = class_group_of(make_cone([(1, 0), (1, 2)], 2))
         with pytest.raises(DimensionError):
             class_of((1, 0, 0), group)
+
+    @pytest.mark.parametrize("divisor", [(0.5, 0), (True, 0), (0, 1.0)])
+    def test_non_integer_coefficient_rejected(self, divisor):
+        """A float or bool coefficient is no divisor: before, (0.5, 0) had the
+        class (2.5,) and (True, 0) the order 3 on Z/3."""
+        group = class_group_of(make_cone([(1, 0), (1, 3)], 2))
+        for read in (class_of, order_of_class):
+            with pytest.raises(TypeError, match=rf"divisor {re.escape(repr(divisor))} has a non"):
+                read(divisor, group)
 
     @given(
         st.sampled_from(["a1", "a2", "skew5", "klein4", "cyclic4", "parity2"]),

@@ -334,9 +334,9 @@ class TestVerifyCommand:
 
     def test_four_ray_sweep_report(self, capsys, tmp_path, monkeypatch):
         """The whole report on e1, e2, e3, (1, 1, 1, 3), as pinned in
-        ``tests/data``: on four rays the ordinary powers are reduced, and
-        each level tested, by the one guard-bit loop; D = 1 fails at
-        a = 2, 3 and 4."""
+        ``tests/data``: on four rays the ordinary powers are reduced by the
+        block test and each level tested by the guard-bit loop; D = 1 fails
+        at a = 2, 3 and 4."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "verify_4ray.cone").write_text("dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 1 1 3\n")
         code, out, err = run_cli(
@@ -355,6 +355,22 @@ class TestVerifyCommand:
                                  "2", "--D", "2", "--amax", "4")
         assert code == 2 and err == ""
         assert out == (DATA / "verify_2ray.txt").read_text()
+
+    @pytest.mark.parametrize("pin, rays", [
+        ("verify_det11_ray2.txt", ["--ray", "2", "--D", "2"]),
+        ("verify_det11_rays03.txt", ["--ray", "0", "--ray", "3", "--b", "1,2", "--D", "1"]),
+    ])
+    def test_det11_valuation_reports(self, capsys, tmp_path, monkeypatch, pin, rays):
+        """The whole reports, as pinned in ``tests/data``, on the benchmark's
+        4D det-11 cone: the ray-2 prime, whose symbolic powers keep the
+        cone's keys with field 2 at least the residue, fails at D = 2 from
+        a = 2; the ideal of the ray-0 and ray-3 primes, raised on both
+        rays, fails at D = 1 from a = 2."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "det11.cone").write_text(DET11_TEXT)
+        code, out, err = run_cli(capsys, "verify", "det11.cone", *rays, "--amax", "3")
+        assert code == 2 and err == ""
+        assert out == (DATA / pin).read_text()
 
 
 class TestSharpnessCommand:

@@ -77,6 +77,13 @@ class TestLookup:
             with pytest.raises(OutOfCatalogError):
                 lookup(family, n)
 
+    @pytest.mark.parametrize("family, n", [("A", True), ("E", 6.0), ("D", 4.5), ("A", "3")])
+    def test_non_integer_index_rejected(self, family, n):
+        """Before, lookup("A", True) returned a record of index True and
+        lookup("E", 6.0) one of index 6.0."""
+        with pytest.raises(TypeError, match="index must be an integer"):
+            lookup(family, n)
+
     def test_out_of_catalog_is_value_error(self):
         with pytest.raises(ValueError):
             lookup("D", 2)
@@ -90,6 +97,13 @@ class TestCrossCheck:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             cross_check_an(0)
+
+    @pytest.mark.parametrize("n", [2.5, True, 3.0])
+    def test_rejects_non_integer_index(self, n):
+        """Before, 2.5 reached make_cone as a ray coordinate and True
+        checked A_1."""
+        with pytest.raises(TypeError, match="index must be an integer"):
+            cross_check_an(n)
 
 
 def cokernel(rows: list[list[int]]) -> AbelianGroupPresentation:

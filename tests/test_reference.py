@@ -323,24 +323,33 @@ def test_minimalize_matches_quadratic(data, draw):
 
 @st.composite
 def pairing_rows(draw):
-    """Pairing rows of 1-60 candidates on two or three rays.  Rows are
-    drawn from a smaller pool, so keys repeat, and entries are 0, small,
-    or up to 10^3."""
-    n = draw(st.integers(2, 3))
+    """Pairing rows of 1-60 candidates on one to five rays.  Rows are drawn
+    from a smaller pool, so keys repeat, and entries are 0, small, or up
+    to 10^3."""
+    n = draw(st.integers(1, 5))
     entry = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 10**3))
     pool = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=60))
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=500)
 @given(pairing_rows(), st.integers(1, 3))
 # on two and on three rays: a repeated key, and a key above a kept one
 # with the same pairing 0
 @example([(1, 0), (1, 1), (1, 0)], 1)
 @example([(1, 0, 0), (1, 1, 0), (1, 0, 0)], 1)
+# on one, four and five rays: a repeated key; fields at 2^(w-1) - 1 = 7
+# beside 0; keys incomparable but for the last one, which dominates only
+# the last kept key
+@example([(3,), (3,), (1,)], 1)
+@example([(2, 0, 1, 3), (2, 0, 1, 3)], 1)
+@example([(7, 0, 0, 0, 7), (0, 7, 7, 0, 7), (7, 7, 7, 7, 7), (7, 0, 7, 0, 7)], 1)
+@example([(5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 5, 1)], 1)
+@example([(5, 0, 0, 0, 0), (0, 5, 0, 0, 0), (0, 0, 5, 0, 0), (0, 0, 0, 5, 0), (1, 0, 0, 5, 0)], 1)
 def test_minimal_sums_sweep_matches_guard_bit_loop(rows, power):
-    """The running minimum on two rays and the bisected staircase on three
-    keep the vectors the guard-bit loop keeps, in the same key order."""
+    """The running minimum on two rays, the bisected staircase on three and
+    the block test of a key against all the kept keys on one and on four or
+    more keep the vectors the guard-bit loop keeps, in the same key order."""
     assert _minimal_sums(rows, power) == guard_bit_minimal_sums(list(zip(*rows)), power)
 
 
@@ -472,6 +481,26 @@ def test_valuation_ideal_guard_bits(rays, bounds, pairings):
     divisor = [bounds.get(ray, 0) for ray in range(len(rays))]
     assert sorted(unpack_keys(*_valuation_keys(data, divisor), len(rays))) == sorted(pairings)
     assert sorted(_pairings(g, data) for g in expected) == sorted(pairings)
+
+
+@pytest.mark.parametrize("rays", [[(1, 0), (1, 3)], [(1, 0, 0), (0, 1, 0), (3, 5, 13)], GUARD_4D])
+def test_one_residue_valuation_keys_match_closure(rays):
+    """A bound of c_i - 1 on one ray i, the residue that keeps the fewest
+    keys unraised, alone and with a multiple of c_j on a second ray j: the
+    keys with field i at least c_i - 1 and the raised zero point reduce to
+    the closure's generators, in key order."""
+    data = make_cone(rays, len(rays))
+    periods = [c for _, c in data._own_duals]
+    cases = [{i: periods[i] - 1} for i in range(len(rays))]
+    cases += [{i: periods[i] - 1, j: k * periods[j]}
+              for i, j in itertools.permutations(range(len(rays)), 2) for k in (1, 2)]
+    for bounds in cases:
+        divisor = [bounds.get(ray, 0) for ray in range(len(rays))]
+        width, keys = _valuation_keys(data, divisor)
+        assert list(keys) == sorted(keys), bounds
+        expected = closure_minimal_generators(data, bounds)
+        rows = sorted(unpack_keys(width, keys, len(rays)))
+        assert rows == sorted(_pairings(g, data) for g in expected), bounds
 
 
 @st.composite
