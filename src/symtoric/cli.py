@@ -98,7 +98,7 @@ def _parse_cone_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
 def _parse_cone_json(text: str) -> tuple[int, list[tuple[int, ...]]]:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "dim" not in payload or "rays" not in payload:
         raise CliError("JSON cone needs 'dim' and 'rays' keys")

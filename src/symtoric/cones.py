@@ -400,30 +400,19 @@ def semigroup_member(point: Sequence[int], cone: Cone) -> tuple[int, ...] | None
 
     Returns a coefficient tuple aligned with ``cone.hilbert_basis`` such
     that the weighted sum reproduces the point, or None when the point is
-    outside the semigroup.  Depth-first search over basis elements in
-    lexicographic order, each count tried from its largest value down;
-    pairings against every ray stay nonnegative at each step, which bounds
-    the search.  An explicit stack keeps deep bases off the call stack.
+    outside the semigroup.  One pass in basis order takes each element as
+    often as the rest's pairings allow.  It never dead-ends: once element i
+    is taken, none of elements 0..i fits in the rest, which pairs
+    nonnegatively and so, the semigroup being saturated, is a sum of basis
+    elements that each fit in it; so the rest ends at zero.
     """
     vec = tuple(point)
     if not in_semigroup(vec, cone):
         return None
-    table = cone.pairing_table
-    counts = [0] * len(table)
-    # rests[i]: what is left to cover before basis element i is counted
-    rests = [_pairings(vec, cone)]
-    while any(rests[-1]):
-        idx = len(rests) - 1
-        if idx < len(table):
-            counts[idx] = min(r // p for r, p in zip(rests[idx], table[idx]) if p > 0)
-        else:
-            # dead end: lower the deepest count that is still positive
-            rests.pop()
-            while rests and not counts[len(rests) - 1]:
-                rests.pop()
-            if not rests:
-                raise RuntimeError("point passed the facet test but no decomposition was found")
-            idx = len(rests) - 1
-            counts[idx] -= 1
-        rests.append(tuple(r - counts[idx] * p for r, p in zip(rests[idx], table[idx])))
+    rest, counts = _pairings(vec, cone), []
+    for row in cone.pairing_table:
+        counts.append(min(r // p for r, p in zip(rest, row) if p > 0))
+        rest = tuple(r - counts[-1] * p for r, p in zip(rest, row))
+    if any(rest):
+        raise RuntimeError("point passed the facet test but no decomposition was found")
     return tuple(counts)

@@ -23,8 +23,15 @@ differently, so agreeing with them is evidence rather than a restatement:
 * ``guard_bit_minimal_sums`` tests each packed key, in key order, against
   every key already kept, with one guard-bit subtraction per pair, where
   the library sweeps the keys of two and three rays with a running
-  minimum and a bisected staircase and keeps this loop for more rays;
-  ``unpack_keys`` reads the pairing vectors back out of its keys;
+  minimum and a bisected staircase, and tests a key of one or of four or
+  more rays against all kept keys at once, copied into one block; the
+  library's guard-bit test now lives on only in ``_packed_member``, one
+  vector against an ideal's keys; ``unpack_keys`` reads the pairing
+  vectors back out of its keys;
+* ``depth_first_member`` decomposes a point over the Hilbert basis by a
+  depth-first search that backtracks from dead ends, and counts them,
+  where the library takes each basis element, in order, as often as it
+  fits, in one pass that never dead-ends in a saturated semigroup;
 * ``difference_member`` asks whether the point minus some generator lies
   in the dual semigroup, recomputing every pairing, and
   ``tuple_in_ideal`` whether a pairing vector dominates one of the
@@ -77,7 +84,7 @@ from operator import ge
 from typing import Sequence
 
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
-from symtoric.cones import Cone, Vector, dot, primitive
+from symtoric.cones import Cone, Vector, _pairings, dot, in_semigroup, primitive
 from symtoric.exact_linalg import IntegerMatrix, SmithDecomposition, adjugate, determinant
 from symtoric.ideals import MonomialIdeal
 
@@ -342,6 +349,40 @@ def closure_minimal_generators(data: Cone, bounds: dict[int, int]) -> tuple[Vect
             seen.add(extended)
             frontier.append((extended, pairing))
     return quadratic_minimalize(members, data)
+
+
+def depth_first_member(point: Sequence[int], cone: Cone) -> tuple[tuple[int, ...] | None, int]:
+    """``semigroup_member`` by its former search, and the dead ends it met.
+
+    Depth-first search over basis elements in lexicographic order, each
+    count tried from its largest value down; pairings against every ray
+    stay nonnegative at each step, which bounds the search.  An explicit
+    stack keeps deep bases off the call stack.
+    """
+    vec = tuple(point)
+    if not in_semigroup(vec, cone):
+        return None, 0
+    table = cone.pairing_table
+    counts = [0] * len(table)
+    dead_ends = 0
+    # rests[i]: what is left to cover before basis element i is counted
+    rests = [_pairings(vec, cone)]
+    while any(rests[-1]):
+        idx = len(rests) - 1
+        if idx < len(table):
+            counts[idx] = min(r // p for r, p in zip(rests[idx], table[idx]) if p > 0)
+        else:
+            # dead end: lower the deepest count that is still positive
+            dead_ends += 1
+            rests.pop()
+            while rests and not counts[len(rests) - 1]:
+                rests.pop()
+            if not rests:
+                raise RuntimeError("point passed the facet test but no decomposition was found")
+            idx = len(rests) - 1
+            counts[idx] -= 1
+        rests.append(tuple(r - counts[idx] * p for r, p in zip(rests[idx], table[idx])))
+    return tuple(counts), dead_ends
 
 
 def search_order_of_class(divisor: Sequence[int], group: AbelianGroupPresentation) -> int | None:

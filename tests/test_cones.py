@@ -95,6 +95,10 @@ class TestMakeCone:
         with pytest.raises(NotStronglyConvexError, match=f"^{re.escape(message)}$"):
             make_cone([*CUBE_RAYS, (0, 0, 0, -1)], 4)
 
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^ambient dimension must be at least 1$"):
+            make_cone([(1, 0), (0, 1)], 0)
+
     def test_zero_ray_rejected(self):
         with pytest.raises(ValueError, match="ray 1"):
             make_cone([(1, 0), (0, 0)], 2)

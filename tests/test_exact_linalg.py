@@ -48,6 +48,8 @@ class TestIntegerMatrix:
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
             IntegerMatrix(2, 2, (1, 2, 3))
+        with pytest.raises(DimensionError, match="^negative shape -1x2$"):
+            IntegerMatrix(-1, 2, ())
         with pytest.raises(DimensionError):
             IntegerMatrix.from_rows([[1, 2], [3]])
 
@@ -64,6 +66,10 @@ class TestIntegerMatrix:
         assert a.apply((1, 1)) == (3, 7)
         with pytest.raises(DimensionError):
             a.apply((1, 1, 1))
+        with pytest.raises(DimensionError, match="^cannot multiply 2x2 by 3x1$"):
+            a @ mat([[1], [2], [3]])
+        with pytest.raises(TypeError):
+            a @ [[1, 0], [0, 1]]
 
     def test_transpose_roundtrip(self):
         a = mat([[1, 2, 3], [4, 5, 6]])

@@ -1,0 +1,68 @@
+"""Hostile input: every request answers, or fails fast through the CLI's
+one ``error:`` line.
+
+Each row runs ``python -m symtoric`` on one input file in a subprocess,
+under a wall-clock timeout and an address-space limit that is set in the
+child alone.  A rejected input exits 1 with nothing on stdout and exactly
+one stderr line, which starts ``error: ``; a traceback never reaches the
+user.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 60
+ADDRESS_SPACE = 2 << 30
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run_cli(tmp_path: Path, content: bytes, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    return subprocess.run(
+        [sys.executable, "-m", "symtoric", *argv, str(path)],
+        capture_output=True,
+        text=True,
+        # the package need not be installed: run it from this checkout
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=TIMEOUT_S,
+        preexec_fn=_limit_address_space,
+    )
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        # json.loads recurses once per bracket
+        (b"[" * 100_000, ("cone", "--json", "info")),
+        (b"", ("cone", "info")),
+        (b"# a comment and nothing else\n\n", ("cone", "info")),
+        (b"dim x\n1 0\n", ("cone", "info")),
+        (b'{"dim": 2}', ("cone", "--json", "info")),
+        (b"dim 2\n\xff\xfe 1 0\n", ("cone", "info")),
+    ],
+    ids=["nested-json", "empty", "comment-only", "dim-x", "json-without-rays", "not-utf8"],
+)
+def test_rejected_with_one_error_line(tmp_path, content, argv):
+    proc = run_cli(tmp_path, content, argv)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (1, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and proc.stderr == line + "\n"
+
+
+def test_bom_before_json_is_read(tmp_path):
+    proc = run_cli(tmp_path, b'\xef\xbb\xbf{"dim": 2, "rays": [[1, 2], [1, 0]]}', ("cone", "--json", "info"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[2:5] == ["dim 2", "1 0", "1 2"]

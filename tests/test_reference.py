@@ -20,6 +20,7 @@ from reference import (
     chain_hilbert_basis,
     closure_minimal_generators,
     combination_ordinary_power,
+    depth_first_member,
     difference_member,
     fourier_motzkin_contains,
     guard_bit_minimal_sums,
@@ -50,6 +51,7 @@ from symtoric.cones import (
     in_semigroup,
     make_cone,
     primitive,
+    semigroup_member,
 )
 from symtoric.exact_linalg import IntegerMatrix, determinant, smith_normal_form
 from symtoric.ideals import (
@@ -259,6 +261,45 @@ DOUBLE_HALF = hilbert_basis(build_cone("klein4"))
 DET11_4D = hilbert_basis(
     make_cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)], 4)
 )
+# basis (1, 0), (1, 1), ..., (1, 300): every element but the last is
+# passed over by a point that only the last one fits
+LONG_BASIS = hilbert_basis(make_cone([(0, 1), (300, -1)], 2))
+# on the zoo cones a pass in reverse basis order takes the same counts;
+# on the det-11 cone it does not, at (2, 2, 3, -1) for one
+DECOMPOSED = {**dict(all_semigroups()), "det11": DET11_4D}
+
+
+@st.composite
+def zoo_points(draw):
+    """A zoo cone or the det-11 cone, a point of the box around twice
+    its dual parallelotope, widened by one below to reach non-members, and
+    the index of one of its basis elements."""
+    cone = DECOMPOSED[draw(st.sampled_from(sorted(DECOMPOSED)))]
+    corners = [
+        [sum(k * w[i] for k, w in zip(ks, cone.dual_rays)) for i in range(cone.ambient_dim)]
+        for ks in itertools.product((0, 2), repeat=len(cone.dual_rays))
+    ]
+    box = [st.integers(min(c) - 1, max(c)) for c in zip(*corners)]
+    return cone, draw(st.tuples(*box)), draw(st.integers(0, len(cone.hilbert_basis) - 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(zoo_points())
+@example((LONG_BASIS, (2, 600), 150))
+@example((DET11_4D, (2, 2, 3, -1), 9))
+def test_one_pass_decomposition_matches_depth_first_search(drawn):
+    """The library's one pass takes the counts of the depth-first search's
+    first branch, on which the search meets no dead end.  Basis element k
+    is irreducible, so a pass over a table without it leaves the element
+    itself as a remainder, which raises."""
+    cone, point, k = drawn
+    counts, dead_ends = depth_first_member(point, cone)
+    assert semigroup_member(point, cone) == counts
+    assert dead_ends == 0
+    fresh = make_cone(cone.rays, cone.ambient_dim)
+    vars(fresh)["pairing_table"] = cone.pairing_table[:k] + cone.pairing_table[k + 1 :]
+    with pytest.raises(RuntimeError, match="^point passed the facet test but no decomposition was found$"):
+        semigroup_member(cone.hilbert_basis[k], fresh)
 
 
 @pytest.mark.parametrize(
