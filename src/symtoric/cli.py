@@ -122,6 +122,8 @@ def _load_cone(path: str, as_json: bool) -> Cone:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CliError(f"cannot read {path}: not UTF-8 text") from None
     dim, rays = _parse_cone_json(text) if as_json else _parse_cone_text(text)
     return make_cone(rays, dim)
 

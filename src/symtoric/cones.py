@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import (
@@ -51,7 +51,7 @@ class UnsupportedConeError(ValueError):
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _pairings(point: Sequence[int], cone: Cone) -> tuple[int, ...]:
@@ -253,7 +253,7 @@ def _parallelotope(cone: Cone) -> tuple[int, tuple[int, ...]]:
     keys = []
     for k in itertools.product(*(range(s) for s in factors)):
         scaled = [kj * (top // s) for kj, s in zip(k, factors)]
-        t = [sum(a * b for a, b in zip(row, scaled)) % top for row in v]
+        t = [sum(map(mul, row, scaled)) % top for row in v]
         keys.append(sum(t[j] * c // top << i * width for i, (j, c) in enumerate(own)))
     return width, tuple(keys)
 

@@ -80,11 +80,8 @@ class IntegerMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        columns = zip(*map(self.row, range(self.rows)))
+        return IntegerMatrix(self.cols, self.rows, tuple(x for column in columns for x in column))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -97,12 +94,9 @@ class IntegerMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            left = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(left[k] * other.at(k, j) for k in range(self.cols)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
+        columns = [other.column(j) for j in range(other.cols)]
+        out = tuple(sum(map(mul, self.row(i), c)) for i in range(self.rows) for c in columns)
+        return IntegerMatrix(self.rows, other.cols, out)
 
 
 @dataclass(frozen=True)

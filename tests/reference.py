@@ -60,6 +60,12 @@ differently, so agreeing with them is evidence rather than a restatement:
   combination of rays by eliminating the coefficients one at a time,
   where the library finds the rays whose negation lies in the cone from
   the one-signed dependencies of its (rank + 1)-ray subsets;
+* ``generator_dot``, ``per_term_matmul`` and ``per_term_transpose`` form
+  each term of an inner product in a Python generator and read a matrix
+  entry by entry through ``at``, where the library computes every inner
+  product, a ray pairing or an entry of a matrix product, as one
+  ``sum(map(mul, a, b))`` and transposes with ``zip``; the oracles here
+  pair with ``generator_dot``, not with the library's ``dot``;
 * ``mirrored_smith_normal_form`` keeps S, U and V as three lists of rows
   and repeats each row operation on U and each column operation on V,
   where the library eliminates once on the block matrix [[M, I], [I, 0]].
@@ -84,9 +90,29 @@ from operator import ge
 from typing import Sequence
 
 from symtoric.class_group import AbelianGroupPresentation, _canonical_parts
-from symtoric.cones import Cone, Vector, _pairings, dot, in_semigroup, primitive
+from symtoric.cones import Cone, Vector, in_semigroup, primitive
 from symtoric.exact_linalg import IntegerMatrix, SmithDecomposition, adjugate, determinant
 from symtoric.ideals import MonomialIdeal
+
+
+def generator_dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def per_term_matmul(left: IntegerMatrix, right: IntegerMatrix) -> IntegerMatrix:
+    """The product of factors of matching shapes, each entry a generator over
+    ``right.at(k, j)`` term by term."""
+    out = []
+    for i in range(left.rows):
+        row = left.row(i)
+        for j in range(right.cols):
+            out.append(sum(row[k] * right.at(k, j) for k in range(left.cols)))
+    return IntegerMatrix(left.rows, right.cols, tuple(out))
+
+
+def per_term_transpose(m: IntegerMatrix) -> IntegerMatrix:
+    entries = tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows))
+    return IntegerMatrix(m.cols, m.rows, entries)
 
 
 def adjugate_dual_rays(cone: Cone) -> tuple[Vector, ...]:
@@ -123,7 +149,7 @@ def point_parallelotope(cone: Cone) -> tuple[tuple[tuple[int, ...], Vector], ...
         scaled = [kj * (top // s) for kj, s in zip(k, factors)]
         t = [sum(a * b for a, b in zip(row, scaled)) % top for row in v]
         point = tuple(sum(w[i] * tj for w, tj in zip(duals, t)) // top for i in range(n))
-        points.append((tuple(dot(point, ray) for ray in cone.rays), point))
+        points.append((tuple(generator_dot(point, ray) for ray in cone.rays), point))
     return tuple(points)
 
 
@@ -181,7 +207,7 @@ def box_scan_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
             if g == h:
                 continue
             diff = tuple(a - b for a, b in zip(h, g))
-            if all(dot(diff, ray) >= 0 for ray in rays):
+            if all(generator_dot(diff, ray) >= 0 for ray in rays):
                 return True
         return False
 
@@ -210,7 +236,7 @@ def quadratic_minimalize(points: Sequence[Vector], data: Cone) -> tuple[Vector, 
     by p's componentwise.
     """
     unique = sorted(set(points))
-    pairs = {p: tuple(dot(p, ray) for ray in data.rays) for p in unique}
+    pairs = {p: tuple(generator_dot(p, ray) for ray in data.rays) for p in unique}
     kept = []
     for p in unique:
         pp = pairs[p]
@@ -261,7 +287,7 @@ def difference_member(point: Sequence[int], data: Cone, generators: Sequence[Vec
     is a semigroup translate of a generator, so its difference with that
     generator pairs nonnegatively with every ray."""
     return any(
-        all(dot([a - b for a, b in zip(point, g)], ray) >= 0 for ray in data.rays)
+        all(generator_dot([a - b for a, b in zip(point, g)], ray) >= 0 for ray in data.rays)
         for g in generators
     )
 
@@ -366,7 +392,7 @@ def depth_first_member(point: Sequence[int], cone: Cone) -> tuple[tuple[int, ...
     counts = [0] * len(table)
     dead_ends = 0
     # rests[i]: what is left to cover before basis element i is counted
-    rests = [_pairings(vec, cone)]
+    rests = [tuple(generator_dot(vec, ray) for ray in cone.rays)]
     while any(rests[-1]):
         idx = len(rests) - 1
         if idx < len(table):
@@ -455,7 +481,7 @@ def _dual_rays_2d(cone: Cone) -> tuple[Vector, Vector]:
     duals = []
     for v, other in ((v1, v2), (v2, v1)):
         normal = (-v[1], v[0])
-        duals.append(normal if dot(normal, other) > 0 else (v[1], -v[0]))
+        duals.append(normal if generator_dot(normal, other) > 0 else (v[1], -v[0]))
     return duals[0], duals[1]
 
 
@@ -490,7 +516,8 @@ def hull_hilbert_basis(cone: Cone) -> tuple[Vector, ...]:
             step = (p[0] - vertex[0], p[1] - vertex[1])
             turn = sign * _cross(edge, step)
             # the origin lies on the positive side of every bounded edge
-            if turn > 0 or (turn == 0 and dot(step, step) > dot(edge, edge) and dot(step, edge) > 0):
+            longer = generator_dot(step, step) > generator_dot(edge, edge)
+            if turn > 0 or (turn == 0 and longer and generator_dot(step, edge) > 0):
                 nxt = p
         dx, dy = nxt[0] - vertex[0], nxt[1] - vertex[1]
         g = gcd(dx, dy)

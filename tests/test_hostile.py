@@ -42,24 +42,27 @@ def run_cli(tmp_path: Path, content: bytes, argv: tuple[str, ...]) -> subprocess
 
 
 @pytest.mark.parametrize(
-    "content, argv",
+    "content, argv, names_file",
     [
         # json.loads recurses once per bracket
-        (b"[" * 100_000, ("cone", "--json", "info")),
-        (b"", ("cone", "info")),
-        (b"# a comment and nothing else\n\n", ("cone", "info")),
-        (b"dim x\n1 0\n", ("cone", "info")),
-        (b'{"dim": 2}', ("cone", "--json", "info")),
-        (b"dim 2\n\xff\xfe 1 0\n", ("cone", "info")),
+        (b"[" * 100_000, ("cone", "--json", "info"), False),
+        (b"", ("cone", "info"), False),
+        (b"# a comment and nothing else\n\n", ("cone", "info"), False),
+        (b"dim x\n1 0\n", ("cone", "info"), False),
+        (b'{"dim": 2}', ("cone", "--json", "info"), False),
+        # a file that cannot be decoded is named, like one that cannot be opened
+        (b"dim 2\n\xff\xfe 1 0\n", ("cone", "info"), True),
     ],
     ids=["nested-json", "empty", "comment-only", "dim-x", "json-without-rays", "not-utf8"],
 )
-def test_rejected_with_one_error_line(tmp_path, content, argv):
+def test_rejected_with_one_error_line(tmp_path, content, argv, names_file):
     proc = run_cli(tmp_path, content, argv)
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout) == (1, "")
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and proc.stderr == line + "\n"
+    if names_file:
+        assert str(tmp_path / "input") in line
 
 
 def test_bom_before_json_is_read(tmp_path):

@@ -23,10 +23,13 @@ from reference import (
     depth_first_member,
     difference_member,
     fourier_motzkin_contains,
+    generator_dot,
     guard_bit_minimal_sums,
     hull_hilbert_basis,
     lcm_divisor_period,
     mirrored_smith_normal_form,
+    per_term_matmul,
+    per_term_transpose,
     point_parallelotope,
     quadratic_minimalize,
     reference_sweep,
@@ -569,6 +572,40 @@ def smith_inputs(draw):
 def test_smith_form_matches_mirrored(m):
     """The same U, S, V and invariant factors as the three-list elimination."""
     assert smith_normal_form(m) == mirrored_smith_normal_form(m)
+
+
+@st.composite
+def matrix_products(draw):
+    """Factors r x k and k x c with r, k, c in [0, 5]: 0 x k and k x 0 shapes are
+    drawn, and entries of either sign, some near 10^40."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    size = draw(st.sampled_from([1, 9, 10**40]))
+
+    def matrix(rows, cols):
+        entries = st.lists(st.integers(-size, size), min_size=rows * cols, max_size=rows * cols)
+        return IntegerMatrix(rows, cols, tuple(draw(entries)))
+
+    return matrix(r, k), matrix(k, c)
+
+
+@settings(deadline=None, max_examples=300)
+@given(matrix_products())
+@example((IntegerMatrix(0, 3, ()), IntegerMatrix(3, 2, (1, -2, 3, -4, 5, -6))))
+@example((IntegerMatrix(2, 3, (1, -2, 3, -4, 5, -6)), IntegerMatrix(3, 0, ())))
+# an empty inner dimension: every entry of the 3 x 2 product is the empty sum 0
+@example((IntegerMatrix(3, 0, ()), IntegerMatrix(0, 2, ())))
+@example((IntegerMatrix(0, 0, ()), IntegerMatrix(0, 0, ())))
+@example((IntegerMatrix(1, 2, (10**40, -(10**40) + 1)), IntegerMatrix(2, 1, (10**40 - 1, 10**40))))
+def test_inner_products_match_per_term_sums(factors):
+    """``dot``, ``@`` and ``transpose`` as the per-term generators and ``at`` reads."""
+    left, right = factors
+    assert left @ right == per_term_matmul(left, right)
+    assert left.transpose() == per_term_transpose(left)
+    assert right.transpose() == per_term_transpose(right)
+    for i in range(left.rows):
+        for j in range(right.cols):
+            row, column = left.row(i), right.column(j)
+            assert dot(row, column) == generator_dot(row, column)
 
 
 @settings(deadline=None)
