@@ -162,7 +162,8 @@ def make_cone(rays: Iterable[Sequence[int]], ambient_dim: int) -> Cone:
     contains a line through the origin is rejected: that happens exactly
     when the negation of one of its rays lies in the cone, which
     ``_lineality_rays`` decides from the Smith forms of the (rank + 1)-ray
-    subsets; the error names the least such ray.
+    subsets, of which independent rays have none; the error names the least
+    such ray.
     """
     if not _is_integer(ambient_dim):
         raise TypeError(f"ambient dimension must be an integer, got {ambient_dim!r}")
@@ -181,14 +182,9 @@ def make_cone(rays: Iterable[Sequence[int]], ambient_dim: int) -> Cone:
     unique = sorted(set(prim))
     snf = smith_normal_form(IntegerMatrix.from_rows(unique))
     rank = sum(1 for f in snf.invariant_factors if f)
-    simplicial = rank == len(unique)
-    if not simplicial:
-        # linearly independent rays always span a pointed cone; only the
-        # dependent case can hold a line
-        lines = _lineality_rays(unique, rank)
-        if lines:
-            raise NotStronglyConvexError(f"cone contains the line through {min(lines)}")
-    return Cone(ambient_dim, tuple(unique), simplicial, rank == ambient_dim, snf)
+    if lines := _lineality_rays(unique, rank):
+        raise NotStronglyConvexError(f"cone contains the line through {min(lines)}")
+    return Cone(ambient_dim, tuple(unique), rank == len(unique), rank == ambient_dim, snf)
 
 
 def _lineality_rays(rays: Sequence[Vector], rank: int) -> set[Vector]:
@@ -199,7 +195,8 @@ def _lineality_rays(rays: Sequence[Vector], rank: int) -> set[Vector]:
     sum of one-signed circuits (Rockafellar 1969), and each circuit extends
     to rank + 1 rays of full rank, whose only dependency it is: row ``rank``
     of U in their Smith form U A V = S, since row ``rank`` of S is zero.
-    So C(len(rays), rank + 1) small Smith forms decide every ray.
+    So C(len(rays), rank + 1) small Smith forms decide every ray: none when
+    the rays are independent, as they then span a pointed cone.
     """
     lines: set[Vector] = set()
     for subset in itertools.combinations(rays, rank + 1):
@@ -406,10 +403,10 @@ def semigroup_member(point: Sequence[int], cone: Cone) -> tuple[int, ...] | None
     nonnegatively and so, the semigroup being saturated, is a sum of basis
     elements that each fit in it; so the rest ends at zero.
     """
-    vec = tuple(point)
-    if not in_semigroup(vec, cone):
+    cone._dual  # rejects a cone that is not simplicial and full
+    rest, counts = _point_pairings(tuple(point), cone), []
+    if min(rest) < 0:
         return None
-    rest, counts = _pairings(vec, cone), []
     for row in cone.pairing_table:
         counts.append(min(r // p for r, p in zip(rest, row) if p > 0))
         rest = tuple(r - counts[-1] * p for r, p in zip(rest, row))

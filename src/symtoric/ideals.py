@@ -154,7 +154,7 @@ def symbolic_power(q: PureHeightOneIdeal, power: int) -> MonomialIdeal:
     argument behind the uniform multiplier.  Here m is the order of q's
     divisor class and f = chi^u, u of ``q._period``, pairs to m b, b the
     multiplicities on the rays.  So a power that m divides holds the one
-    vector E b; any other is reduced at its bounds, as an intersection is.
+    vector E b; any other is reduced at its bounds by ``_valuation_keys``.
     """
     _check_count("symbolic power", power)
     divisor = tuple(power * c for c in divisor_class(q))  # E b
@@ -185,7 +185,7 @@ def intersect_valuation_ideals(ideals: Sequence[PureHeightOneIdeal]) -> Monomial
 
     q^(E) is the first symbolic power of the divisor E b, and a valuation
     ideal is fixed by its divisor: the intersection is the first symbolic
-    power of the componentwise largest multiplicities.
+    power of the componentwise largest multiplicities, and is built as one.
     """
     if not ideals:
         raise ValueError("nothing to intersect")
@@ -193,7 +193,8 @@ def intersect_valuation_ideals(ideals: Sequence[PureHeightOneIdeal]) -> Monomial
     if any(q.context != cone for q in ideals):
         raise ValueError("ideals live in different semigroups")
     merged = [max(mults) for mults in zip(*map(divisor_class, ideals))]
-    return _library_ideal(cone, _valuation_keys(cone, merged))
+    components = [(ray, b) for ray, b in enumerate(merged) if b]
+    return symbolic_power(PureHeightOneIdeal(cone, components), 1)
 
 
 def divisor_class(q: PureHeightOneIdeal) -> tuple[int, ...]:

@@ -69,3 +69,23 @@ def test_bom_before_json_is_read(tmp_path):
     proc = run_cli(tmp_path, b'\xef\xbb\xbf{"dim": 2, "rays": [[1, 2], [1, 0]]}', ("cone", "--json", "info"))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[2:5] == ["dim 2", "1 0", "1 2"]
+
+
+# the smooth cone of dimension 30, one identity ray per coordinate
+SMOOTH_30 = "dim 30\n" + "".join(" ".join("01"[i == j] for j in range(30)) + "\n" for i in range(30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classgroup",),
+        ("multiplier",),
+        ("cone", "hilbert"),
+        ("verify", "--ray", "0", "--D", "1", "--amax", "3"),
+    ],
+    ids=["classgroup", "multiplier", "cone-hilbert", "verify"],
+)
+def test_dimension_30_answers(tmp_path, argv):
+    proc = run_cli(tmp_path, SMOOTH_30.encode(), argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"command: {' '.join(argv)} {tmp_path / 'input'}\n")

@@ -909,13 +909,16 @@ class TestUnsupportedCone:
 
 
 class TestParallelotopeOnRead:
-    def test_principal_power_enumerates_no_point(self, monkeypatch):
-        # e1, e2, (3, 5, 61): a context, a principal symbolic power of a ray
-        # prime, and its readers never enumerate the 3721-point parallelotope
+    @pytest.fixture(autouse=True)
+    def no_parallelotope(self, monkeypatch):
         def unexpected(*args):
             pytest.fail("the parallelotope was enumerated")
 
         monkeypatch.setattr(cones, "_parallelotope", unexpected)
+
+    def test_principal_power_enumerates_no_point(self):
+        # e1, e2, (3, 5, 61): a context, a principal symbolic power of a ray
+        # prime, and its readers never enumerate the 3721-point parallelotope
         data = make_cone([(1, 0, 0), (0, 1, 0), (3, 5, 61)], 3)
         q = single_prime(data, 2)
         m = q._period[0]
@@ -923,4 +926,20 @@ class TestParallelotopeOnRead:
         assert is_principal(power)
         assert ideal_member(power.generators[0], power)
         assert not ideal_member((0, 0, 0), power)
+        assert "_packed" not in vars(data)
+
+    @pytest.mark.parametrize(
+        "rays, factors, generator",
+        [
+            ([(0, 1), (200003, -7)], [((0, 200003),), ((0, 5),)], (7, 200003)),
+            ([(1, 0, 0), (0, 1, 0), (3, 5, 61)], [((2, 61),), ((2, 1),)], (0, 0, 1)),
+        ],
+        ids=["det200003", "det61"],
+    )
+    def test_principal_intersection_enumerates_no_point(self, rays, factors, generator):
+        # a merged divisor whose class is trivial is the period's one vector:
+        # the intersection enumerates neither the 200003 nor the 3721 points
+        data = make_cone(rays, len(rays))
+        meet = intersect_valuation_ideals([PureHeightOneIdeal(data, comps) for comps in factors])
+        assert meet.generators == (generator,)
         assert "_packed" not in vars(data)

@@ -236,25 +236,31 @@ def scaled_divisor(q, power):
     return PureHeightOneIdeal(q.context, tuple((ray, power * mult) for ray, mult in q.components))
 
 
-@settings(deadline=None)
-@given(small_cones(), st.data())
-def test_intersection_is_the_first_power_of_the_largest_divisor(data, draw):
-    """The intersection of two divisors' first symbolic powers is the first
-    symbolic power of their componentwise maximum, and each of its
-    generators lies in each factor's first symbolic power."""
+@st.composite
+def divisor_pairs(draw):
+    """A small cone and the components of two divisors on it."""
+    data = draw(small_cones())
     nrays = len(data.rays)
-    divisors = []
-    for _ in range(2):
-        rays = draw.draw(st.lists(st.integers(0, nrays - 1), min_size=1, max_size=nrays,
-                                  unique=True))
-        comps = tuple((ray, draw.draw(st.integers(1, 4))) for ray in rays)
-        divisors.append(PureHeightOneIdeal(data, comps))
+    rays = st.lists(st.integers(0, nrays - 1), min_size=1, max_size=nrays, unique=True)
+    return data, *(tuple((ray, draw(st.integers(1, 4))) for ray in draw(rays)) for _ in range(2))
+
+
+@settings(deadline=None)
+@given(divisor_pairs())
+# on the A_1 cone neither ray prime is principal, but their sum is
+@example((make_cone([(1, 0), (1, 2)], 2), ((0, 1),), ((1, 1),)))
+def test_intersection_is_the_first_power_of_the_largest_divisor(drawn):
+    """The intersection of two divisors' first symbolic powers has the closure
+    search's generators for their componentwise maximum, and each of its
+    generators lies in each factor's first symbolic power."""
+    data, *components = drawn
+    divisors = [PureHeightOneIdeal(data, comps) for comps in components]
     largest = {}
     for q in divisors:
         for ray, mult in q.components:
             largest[ray] = max(mult, largest.get(ray, 0))
     meet = intersect_valuation_ideals(divisors)
-    assert meet == symbolic_power(PureHeightOneIdeal(data, tuple(largest.items())), 1)
+    assert meet.generators == closure_minimal_generators(data, largest)
     for g in meet.generators:
         for q in divisors:
             assert ideal_member(g, symbolic_power(q, 1)), (g, q)
