@@ -22,9 +22,9 @@ differently, so agreeing with them is evidence rather than a restatement:
 * ``quadratic_minimalize`` tests every candidate against every other;
 * ``guard_bit_minimal_sums`` tests each packed key, in key order, against
   every key already kept, with one guard-bit subtraction per pair, where
-  the library sweeps the keys of two and three rays with a running
-  minimum and a bisected staircase, and tests a key of one or of four or
-  more rays against all kept keys at once, copied into one block; the
+  the library sweeps the keys of one and two rays with a running
+  minimum and of three with a bisected staircase, and tests a key of
+  four or more rays against all kept keys at once, copied into one block; the
   library's guard-bit test now lives on only in ``_packed_member``, one
   vector against an ideal's keys; ``unpack_keys`` reads the pairing
   vectors back out of its keys;

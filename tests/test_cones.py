@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone_zoo import CONE_FIXTURES, CUBE_RAYS, all_cones, an_cone, splits_of
+from symtoric import cones
 from symtoric.class_group import class_group_of
 from symtoric.cones import (
     NotStronglyConvexError,
     UnsupportedConeError,
+    WorkLimitExceeded,
     dot,
     dual_cone,
     hilbert_basis,
@@ -250,6 +252,28 @@ class TestHilbertBasis:
                     for i in range(2)
                 )
                 assert rebuilt == pt, (name, pt)
+
+
+class TestWorkLimit:
+    # the benchmark's 4D det-11 cone: 11^3 = 1331 dual parallelotope points
+    RAYS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)]
+
+    def test_parallelotope_at_the_limit_is_enumerated(self, monkeypatch):
+        packed = make_cone(self.RAYS, 4)._packed
+        monkeypatch.setattr(cones, "_MAX_PARALLELOTOPE", 1331)
+        assert make_cone(self.RAYS, 4)._packed == packed and len(packed[1]) == 1331
+
+    def test_over_the_limit_raises_before_enumerating(self, monkeypatch):
+        def unexpected(*args):
+            pytest.fail("the parallelotope was enumerated")
+
+        cone = make_cone(self.RAYS, 4)
+        monkeypatch.setattr(cones, "_MAX_PARALLELOTOPE", 1330)
+        monkeypatch.setattr(cones.itertools, "product", unexpected)
+        message = r"parallelotope has at least 2\^10 points, over the limit of 1330"
+        with pytest.raises(WorkLimitExceeded, match=message):
+            cone.hilbert_basis
+        assert issubclass(WorkLimitExceeded, ValueError)
 
 
 class TestSemigroupMember:

@@ -89,3 +89,41 @@ def test_dimension_30_answers(tmp_path, argv):
     proc = run_cli(tmp_path, SMOOTH_30.encode(), argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith(f"command: {' '.join(argv)} {tmp_path / 'input'}\n")
+
+
+# the smooth cone's rays e1..e29 and (1, ..., 1, 2): determinant 2, and 2^29 dual
+# parallelotope points
+DET2_30 = SMOOTH_30.rsplit("\n", 2)[0] + "\n" + "1 " * 29 + "2\n"
+# a ray entry of 4300 digits, the most that int() reads by default
+DIGITS_4300 = "dim 2\n0 1\n" + "9" * 4300 + " -7\n"
+# determinant 10^9 + 7: a parallelotope of that many points would not fit in memory
+DET_1E9 = "dim 2\n0 1\n1000000007 -7\n"
+VERIFY_1 = ("verify", "--ray", "0", "--D", "1", "--amax", "1")
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        (DET2_30, ("cone", "hilbert")),
+        (DET2_30, ("verify", "--ray", "0", "--D", "1", "--amax", "3")),
+        (DIGITS_4300, VERIFY_1),
+        (DIGITS_4300, ("cone", "hilbert")),
+        (DET_1E9, VERIFY_1),
+    ],
+    ids=["det2-30-hilbert", "det2-30-verify", "digits-4300-verify", "digits-4300-hilbert",
+         "det-1e9-verify"],
+)
+def test_parallelotope_over_the_work_limit_fails_fast(tmp_path, content, argv):
+    proc = run_cli(tmp_path, content.encode(), argv)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (1, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "parallelotope" in line
+
+
+@pytest.mark.parametrize("content", [DET2_30, DET_1E9], ids=["det2-30", "det-1e9"])
+@pytest.mark.parametrize("command", ["classgroup", "multiplier"])
+def test_no_enumeration_answers_over_the_work_limit(tmp_path, content, command):
+    proc = run_cli(tmp_path, content.encode(), (command,))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"command: {command} {tmp_path / 'input'}\n")

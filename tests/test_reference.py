@@ -384,22 +384,31 @@ def pairing_rows(draw):
 
 @settings(deadline=None, max_examples=500)
 @given(pairing_rows(), st.integers(1, 3))
-# on two and on three rays: a repeated key, and a key above a kept one
-# with the same pairing 0
+# on one, two and three rays: a repeated key, and a key above a kept one
+# with the same pairing 0; on one, a repeated least key
+@example([(3,), (3,), (1,)], 1)
+@example([(0,), (2,), (0,)], 1)
 @example([(1, 0), (1, 1), (1, 0)], 1)
 @example([(1, 0, 0), (1, 1, 0), (1, 0, 0)], 1)
-# on one, four and five rays: a repeated key; fields at 2^(w-1) - 1 = 7
+# on two rays: a key below every kept pairing 0 is kept, and a later key
+# dominates both kept ones; on three, a key covers a kept step, and a
+# later key lies above the covering step alone; a key above a kept one in
+# the last pairing alone
+@example([(3, 2), (1, 2), (2, 1)], 1)
+@example([(5, 5, 0), (1, 1, 1), (6, 3, 2)], 1)
+@example([(1, 0, 0), (1, 0, 1)], 1)
+# on four and five rays: a repeated key; fields at 2^(w-1) - 1 = 7
 # beside 0; keys incomparable but for the last one, which dominates only
 # the last kept key
-@example([(3,), (3,), (1,)], 1)
 @example([(2, 0, 1, 3), (2, 0, 1, 3)], 1)
 @example([(7, 0, 0, 0, 7), (0, 7, 7, 0, 7), (7, 7, 7, 7, 7), (7, 0, 7, 0, 7)], 1)
 @example([(5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 5, 1)], 1)
 @example([(5, 0, 0, 0, 0), (0, 5, 0, 0, 0), (0, 0, 5, 0, 0), (0, 0, 0, 5, 0), (1, 0, 0, 5, 0)], 1)
 def test_minimal_sums_sweep_matches_guard_bit_loop(rows, power):
-    """The running minimum on two rays, the bisected staircase on three and
-    the block test of a key against all the kept keys on one and on four or
-    more keep the vectors the guard-bit loop keeps, in the same key order."""
+    """Three rules, the running minimum on one and two rays, the bisected
+    staircase on three and the block test of a key against all the kept
+    keys on four or more, keep the vectors the guard-bit loop keeps, in
+    the same key order."""
     assert _minimal_sums(rows, power) == guard_bit_minimal_sums(list(zip(*rows)), power)
 
 
