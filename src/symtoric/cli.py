@@ -80,16 +80,19 @@ def _parse_cone_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
         parts = line.split()
         if dim is None:
             if len(parts) != 2 or parts[0] != "dim":
-                raise CliError(f"line {lineno}: expected 'dim N' header, got {line!r}")
+                raise CliError(f"line {lineno}: expected 'dim N' header, got {line!r:.200}")
             try:
                 dim = int(parts[1])
             except ValueError:
-                raise CliError(f"line {lineno}: dimension {parts[1]!r} is not an integer") from None
+                raise CliError(f"line {lineno}: dimension {parts[1]!r:.200} is not an integer") from None
             continue
         try:
             rays.append(tuple(int(tok) for tok in parts))
         except ValueError:
-            raise CliError(f"line {lineno}: ray {line!r} is not an integer vector") from None
+            big = max(parts, key=len).lstrip("+-")
+            if big.isdecimal() and len(big) > getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0:
+                raise CliError(f"line {lineno}: ray entry of {len(big)} digits is too long") from None
+            raise CliError(f"line {lineno}: ray {line!r:.200} is not an integer vector") from None
     if dim is None:
         raise CliError("missing 'dim N' header")
     return dim, rays

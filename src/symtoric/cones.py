@@ -44,6 +44,8 @@ Vector = tuple[int, ...]
 
 # most dual parallelotope points enumerated: 2^22 take 9 s, 340 MiB (Xeon, Python 3.11)
 _MAX_PARALLELOTOPE = 1 << 22
+# most parallelotope points a Hilbert basis tests pairwise: 4093 take 4-6 s (Xeon, Python 3.11)
+_MAX_HILBERT = 1 << 12
 
 
 class NotStronglyConvexError(ValueError):
@@ -143,6 +145,8 @@ class Cone:
         rays and those points, solved from their pairing rows; a candidate
         is dropped when subtracting another leaves a semigroup element.
         """
+        if prod(self._dual.smith.invariant_factors) > _MAX_HILBERT:
+            raise WorkLimitExceeded(f"a Hilbert basis reads at most {_MAX_HILBERT} parallelotope points")
         rays, rows = self.rays, _unpacked(*self._packed, len(self.rays))
         candidates = set(self.dual_rays) | {_lattice_point(self, r) for r in rows if any(r)}
 
@@ -244,25 +248,22 @@ def _parallelotope(cone: Cone) -> tuple[int, tuple[int, ...]]:
     W, whose columns are the dual rays, is the transpose of the dual cone's
     ray matrix, whose Smith form U' W^T V' = S gives U W V = S, V = U'^T.
     The points are one per coset of W Z^n, and Z^n / W Z^n is the sum of
-    the Z/s_i: k over prod [0, s_i) gives their W-coordinates
-    t = frac(V S^-1 k), integers mod s_n once scaled by s_n; more than
-    ``_MAX_PARALLELOTOPE`` points raise WorkLimitExceeded first.  Of the dual
-    rays only w_j of ``_own_duals`` pairs with ray i, to c_i, so W t pairs
-    with ray i to t_j c_i / s_n < c_i, an exact division, and no point is
-    formed.  w, ``_pack``'s width for 2 max c_i, has room to raise a field by c_i."""
+    the Z/s_i: k over the box of multiples of s_n / s_i below s_n gives their
+    W-coordinates scaled by s_n, t = V k mod s_n; more than ``_MAX_PARALLELOTOPE``
+    points raise WorkLimitExceeded first.  Of the dual rays only w_j of
+    ``_own_duals`` pairs with ray i, to c_i, so W t / s_n pairs with ray i to
+    t_j c_i / s_n < c_i, an exact division: field i reads row j of V alone, and
+    no point is formed.  w, ``_pack``'s width for 2 max c_i, has room to raise it by c_i."""
     dual, own = cone._dual, cone._own_duals
     factors = dual.smith.invariant_factors
     if (count := prod(factors)) > _MAX_PARALLELOTOPE:
         raise WorkLimitExceeded(f"the dual parallelotope has at least 2^{count.bit_length() - 1}"
                                 f" points, over the limit of {_MAX_PARALLELOTOPE}")
-    top = factors[-1]
+    top, v = factors[-1], dual.smith.U.transpose().to_rows()
     width = _pack([[c for _, c in own]], 2)[0]
-    v = dual.smith.U.transpose().to_rows()
-    keys = []
-    for k in itertools.product(*(range(s) for s in factors)):
-        scaled = [kj * (top // s) for kj, s in zip(k, factors)]
-        t = [sum(map(mul, row, scaled)) % top for row in v]
-        keys.append(sum(t[j] * c // top << i * width for i, (j, c) in enumerate(own)))
+    fields = [(v[j], c, i * width) for i, (j, c) in enumerate(own)]
+    box = itertools.product(*(range(0, top, top // s) for s in factors))
+    keys = (sum(dot(row, k) % top * c // top << shift for row, c, shift in fields) for k in box)
     return width, tuple(keys)
 
 

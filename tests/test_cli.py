@@ -452,13 +452,32 @@ class TestErrorPaths:
         path = tmp_path / "bad.cone"
         path.write_text("1 0\n1 2\n")
         err = self.check_error(capsys, "classgroup", str(path))
-        assert "line 1" in err
+        assert err == "error: line 1: expected 'dim N' header, got '1 0'\n"
 
     def test_non_integer_ray(self, capsys, tmp_path):
         path = tmp_path / "bad.cone"
         path.write_text("dim 2\n1 x\n")
         err = self.check_error(capsys, "classgroup", str(path))
-        assert "line 2" in err
+        assert err == "error: line 2: ray '1 x' is not an integer vector\n"
+
+    def test_bad_ray_without_a_digit_limit(self, capsys, tmp_path, monkeypatch):
+        # before Python 3.10.7 int() reads any number of digits, and sys cannot say so
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        path = tmp_path / "bad.cone"
+        path.write_text("dim 2\n12 x\n")
+        err = self.check_error(capsys, "classgroup", str(path))
+        assert err == "error: line 2: ray '12 x' is not an integer vector\n"
+
+    @pytest.mark.parametrize(
+        "text, echoed",
+        [("x" * 5000, "x" * 150), ("dim " + "9" * 5000, "9" * 150), ("dim 2\n1 x" + "9" * 5000, "1 x99")],
+        ids=["header", "dimension", "ray"],
+    )
+    def test_long_line_is_echoed_in_part(self, capsys, tmp_path, text, echoed):
+        path = tmp_path / "bad.cone"
+        path.write_text(text + "\n")
+        err = self.check_error(capsys, "classgroup", str(path))
+        assert len(err) < 300 and echoed in err
 
     def test_zero_ray_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.cone"

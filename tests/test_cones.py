@@ -275,6 +275,18 @@ class TestWorkLimit:
             cone.hilbert_basis
         assert issubclass(WorkLimitExceeded, ValueError)
 
+    def test_hilbert_basis_over_its_limit_raises_before_enumerating(self, monkeypatch):
+        def unexpected(*args):
+            pytest.fail("the parallelotope was enumerated")
+
+        basis = make_cone(self.RAYS, 4).hilbert_basis
+        monkeypatch.setattr(cones, "_MAX_HILBERT", 1331)
+        assert make_cone(self.RAYS, 4).hilbert_basis == basis
+        monkeypatch.setattr(cones, "_MAX_HILBERT", 1330)
+        monkeypatch.setattr(cones, "_parallelotope", unexpected)
+        with pytest.raises(WorkLimitExceeded, match="Hilbert basis reads at most 1330 parallelotope"):
+            make_cone(self.RAYS, 4).hilbert_basis
+
 
 class TestSemigroupMember:
     def test_examples(self):

@@ -27,7 +27,8 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run_cli(tmp_path: Path, content: bytes, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
+def run_cli(tmp_path: Path, content: bytes, argv: tuple[str, ...],
+            timeout: float = TIMEOUT_S) -> subprocess.CompletedProcess:
     path = tmp_path / "input"
     path.write_bytes(content)
     return subprocess.run(
@@ -36,7 +37,7 @@ def run_cli(tmp_path: Path, content: bytes, argv: tuple[str, ...]) -> subprocess
         text=True,
         # the package need not be installed: run it from this checkout
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        timeout=TIMEOUT_S,
+        timeout=timeout,
         preexec_fn=_limit_address_space,
     )
 
@@ -119,6 +120,40 @@ def test_parallelotope_over_the_work_limit_fails_fast(tmp_path, content, argv):
     assert (proc.returncode, proc.stdout) == (1, "")
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and "parallelotope" in line
+
+
+# parallelotopes of 20011 and 400^2 points: the Hilbert basis's pairwise test
+# would run for minutes, so it is refused first
+DET_20011 = "dim 2\n0 1\n20011 -7\n"
+DET_400 = "dim 3\n1 0 0\n0 1 0\n7 11 400\n"
+
+
+@pytest.mark.parametrize("content", [DET_20011, DET_400], ids=["det-20011", "det-400"])
+def test_hilbert_basis_over_its_work_limit_fails_fast(tmp_path, content):
+    proc = run_cli(tmp_path, content.encode(), ("cone", "hilbert"), timeout=5)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (1, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "Hilbert basis" in line
+
+
+# a ray entry of 4301 digits, one more than int() reads by default
+NINES_4301 = "9" * 4301
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        (f"dim 2\n0 1\n{NINES_4301} -7\n", ("cone", "info")),
+        (f'{{"dim": 2, "rays": [[0, 1], [{NINES_4301}, -7]]}}', ("cone", "--json", "info")),
+    ],
+    ids=["text", "json"],
+)
+def test_entry_over_the_digit_limit_gets_a_short_error(tmp_path, content, argv):
+    proc = run_cli(tmp_path, content.encode(), argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "digits" in line and len(line) < 200
 
 
 @pytest.mark.parametrize("content", [DET2_30, DET_1E9], ids=["det2-30", "det-1e9"])
