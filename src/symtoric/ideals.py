@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums, _pack,
-                    _packed_member, _pairings, _point_pairings, _unpacked, _valuation_keys)
+from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums, _outside,
+                    _pack, _pairings, _point_pairings, _unpacked, _valuation_keys)
 from .exact_linalg import DimensionError, _is_integer
 
 __all__ = [
@@ -173,7 +173,7 @@ def ordinary_power(ideal: MonomialIdeal, power: int) -> MonomialIdeal:
 def ideal_member(point: Sequence[int], ideal: MonomialIdeal) -> bool:
     """Membership: the point's ray pairings dominate some generator's
     componentwise, tested on the ideal's packed keys."""
-    return _packed_member(_point_pairings(point, ideal.context), ideal._width, ideal._keys)
+    return not any(_outside([_point_pairings(point, ideal.context)], ideal._width, ideal._keys))
 
 
 def is_principal(ideal: MonomialIdeal) -> bool:
@@ -231,18 +231,16 @@ def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Ite
     """Verdicts for symbolic_power(q, D*a) inside ordinary_power(q, a), a = 1..max_level.
 
     Generator containment suffices: every other member is a semigroup
-    translate of a generator and ordinary powers absorb translation.  The
-    symbolic power's vectors are tested against the ordinary power's, and
-    only the failing ones are solved: the lex-least of their points is the
-    level's witness."""
+    translate of a generator and ordinary powers absorb translation.  One
+    pass tests the symbolic power's vectors against the ordinary power's,
+    and only the failing ones are solved: the lex-least of their points is
+    the level's witness."""
     _check_count("multiplier", multiplier)
     _check_count("max level", max_level)
     base = symbolic_power(q, 1)
     for a in range(1, max_level + 1):
-        sym = symbolic_power(q, multiplier * a)
-        ordinary = ordinary_power(base, a)
-        packed = ordinary._width, ordinary._keys
-        failing = [row for row in sym._vectors if not _packed_member(row, *packed)]
+        sym, ordinary = symbolic_power(q, multiplier * a), ordinary_power(base, a)
+        failing = _outside(sym._vectors, ordinary._width, ordinary._keys)
         yield LevelCheck(a, min((_lattice_point(q.context, row) for row in failing), default=None))
 
 

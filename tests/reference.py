@@ -25,8 +25,9 @@ differently, so agreeing with them is evidence rather than a restatement:
   the library sweeps the keys of one and two rays with a running
   minimum and of three with a bisected staircase, and tests a key of
   four or more rays against all kept keys at once, copied into one block; the
-  library's guard-bit test now lives on only in ``_packed_member``, one
-  vector against an ideal's keys; ``unpack_keys`` reads the pairing
+  library's guard-bit test now lives on only in ``_outside``, which sets
+  up its clamp and guard once and tests every row of a level, or one
+  point's, against an ideal's keys; ``unpack_keys`` reads the pairing
   vectors back out of its keys;
 * ``depth_first_member`` decomposes a point over the Hilbert basis by a
   depth-first search that backtracks from dead ends, and counts them,

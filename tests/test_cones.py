@@ -25,6 +25,8 @@ from symtoric.cones import (
     semigroup_member,
 )
 from symtoric.exact_linalg import DimensionError
+from symtoric.ideals import (PureHeightOneIdeal, find_sharpness_witness, ordinary_power, ray_prime,
+                             verify_containment)
 
 
 class TestPrimitive:
@@ -286,6 +288,35 @@ class TestWorkLimit:
         monkeypatch.setattr(cones, "_parallelotope", unexpected)
         with pytest.raises(WorkLimitExceeded, match="Hilbert basis reads at most 1330 parallelotope"):
             make_cone(self.RAYS, 4).hilbert_basis
+
+    def test_ordinary_power_at_the_sums_limit_is_formed(self, monkeypatch):
+        # ray 2's prime has 16 generators, so its cube forms C(18, 3) = 816 sums
+        prime = ray_prime(make_cone(self.RAYS, 4), 2)
+        cube = ordinary_power(prime, 3)
+        monkeypatch.setattr(cones, "_MAX_SUMS", 816)
+        assert len(prime._keys) == 16
+        at_limit = ordinary_power(prime, 3)
+        assert (at_limit._width, at_limit._keys) == (cube._width, cube._keys)
+
+    def test_sums_over_the_limit_raise_before_forming_any(self, monkeypatch):
+        def unexpected(*args):
+            pytest.fail("the sums were formed")
+
+        prime = ray_prime(make_cone(self.RAYS, 4), 2)
+        monkeypatch.setattr(cones, "_MAX_SUMS", 815)
+        monkeypatch.setattr(cones.itertools, "combinations_with_replacement", unexpected)
+        message = r"the 3-fold sums of 16 generators number at least 2\^9, over the limit of 815"
+        with pytest.raises(WorkLimitExceeded, match=message):
+            ordinary_power(prime, 3)
+
+    def test_sharpness_stops_at_its_first_failing_level(self, monkeypatch):
+        # D = 2 on ray 2 fails at a = 2, with 136 sums, and at a = 3, with 816
+        q = PureHeightOneIdeal(make_cone(self.RAYS, 4), ((2, 1),))
+        found = find_sharpness_witness(q, 2, 3)
+        monkeypatch.setattr(cones, "_MAX_SUMS", 136)
+        assert find_sharpness_witness(q, 2, 3) == found and found[0] == 2
+        with pytest.raises(WorkLimitExceeded, match="3-fold sums"):
+            verify_containment(q, 2, 3)
 
 
 class TestSemigroupMember:

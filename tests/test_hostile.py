@@ -137,6 +137,20 @@ def test_hilbert_basis_over_its_work_limit_fails_fast(tmp_path, content):
     assert line.startswith("error: ") and "Hilbert basis" in line
 
 
+# ray 0's prime on e1, e2, (3, 5, 61) has 21 generators: level 14 would form
+# C(34, 14), about 1.4 * 10^9 sums, and level 9, C(29, 9) > 2^23, is the first over the limit
+DET_61 = "dim 3\n1 0 0\n0 1 0\n3 5 61\n"
+
+
+def test_ordinary_power_over_the_sums_limit_fails_fast(tmp_path):
+    argv = ("verify", "--ray", "0", "--D", "61", "--amax", "14")
+    proc = run_cli(tmp_path, DET_61.encode(), argv, timeout=10)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (1, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "sums" in line
+
+
 # a ray entry of 4301 digits, one more than int() reads by default
 NINES_4301 = "9" * 4301
 

@@ -40,11 +40,12 @@ from reference import (
 from symtoric.class_group import class_group_of, class_of, order_of_class
 from symtoric.cones import (
     NotStronglyConvexError,
+    WorkLimitExceeded,
     _divisor_period,
     _lattice_point,
     _lineality_rays,
     _minimal_sums,
-    _packed_member,
+    _outside,
     _pairings,
     _unpacked,
     _valuation_keys,
@@ -56,7 +57,7 @@ from symtoric.cones import (
     primitive,
     semigroup_member,
 )
-from symtoric.exact_linalg import IntegerMatrix, determinant, smith_normal_form
+from symtoric.exact_linalg import IntegerMatrix, adjugate, determinant, smith_normal_form
 from symtoric.ideals import (
     MonomialIdeal,
     PureHeightOneIdeal,
@@ -754,27 +755,40 @@ def packed_library_ideals(draw):
     return ordinary_power(prime, power)
 
 
+# a field of a tested row, (a, b, c) -> a p + b 2^(w-1) + c: p is the field of a
+# stored vector, and 2^(w-1) the guard bit above the clamp 2^(w-1) - 1
+ROW_FIELDS = st.tuples(st.integers(0, 1), st.sampled_from([-1, 0, 1, 2]),
+                       st.sampled_from([-2, -1, 0, 1, 2, 10**12]))
+# a negative field, fields at the clamp, at the guard bit and at 10^12, a stored vector
+EDGE_ROWS = [[(0, 0, -1)], [(1, 0, 0), (0, 0, -1)], [(0, 1, -1)], [(1, 0, 0), (0, 1, -1)],
+             [(0, 1, 0)], [(1, 0, 0), (0, 1, 0)], [(0, 0, 10**12)], [(1, 0, 1), (0, 0, 10**12)],
+             [(1, 0, 0)]]
+
+
 @settings(deadline=None, max_examples=200)
-@given(packed_library_ideals(), st.data())
-def test_packed_membership_matches_tuple_domination(ideal, draw):
-    """Membership packed at the ideal's width w agrees with the tuple test
-    on rows near a stored vector, at and past the clamp 2^(w-1) - 1 of a
-    field, all zero, and with a negative field."""
-    assert vars(ideal).keys() == {"context", "_width", "_keys"}
+@given(packed_library_ideals(), st.integers(min_value=0),
+       st.lists(st.lists(ROW_FIELDS, min_size=1, max_size=5), max_size=8))
+@example(ray_prime(make_cone([(0, 1), (5, -2)], 2), 0), 1, EDGE_ROWS)
+@example(ordinary_power(ray_prime(make_cone([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3), 2), 2), 0, EDGE_ROWS)
+@example(ray_prime(make_cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)], 4), 3), 5,
+         EDGE_ROWS)
+def test_packed_membership_matches_tuple_domination(ideal, pick, specs):
+    """One filter over all the rows keeps, in order, those that dominate no
+    stored vector, as the tuple test and the filter on each row alone say:
+    rows near a stored vector, at and past the clamp 2^(w-1) - 1 of a field
+    at width w, all zero, and with a negative field.  A row's field specs
+    repeat across its fields."""
+    # an explicit example's printed form has read its generators already
+    assert vars(ideal).keys() - {"_vectors", "generators"} == {"context", "_width", "_keys"}
     n, cap = len(ideal.context.rays), 1 << (ideal._width - 1)
-    vectors = ideal._vectors
-    near = draw.draw(st.sampled_from(vectors)) if vectors else (0,) * n
-    field = st.sampled_from([0, 1, cap - 1, cap, cap + 1, 2 * cap, 10**12, -1, -cap])
-    rows = [
-        (0,) * n,
-        (cap - 1,) * n,
-        (cap,) * n,
-        tuple(draw.draw(st.one_of(st.integers(p - 2, p + 2), field)) for p in near),
-        tuple(draw.draw(field) for _ in range(n)),
-        tuple(draw.draw(st.integers(-1, 2 * cap + 1)) for _ in range(n)),
-    ]
-    for row in rows:
-        assert _packed_member(row, ideal._width, ideal._keys) == tuple_in_ideal(row, ideal), row
+    near = ideal._vectors[pick % len(ideal._vectors)]
+    rows = [(0,) * n, (cap - 1,) * n, (cap,) * n]
+    for spec in specs:
+        fields = itertools.islice(itertools.cycle(spec), n)
+        rows.append(tuple(a * p + b * cap + c for p, (a, b, c) in zip(near, fields)))
+    outside = list(_outside(rows, ideal._width, ideal._keys))
+    assert outside == [row for row in rows if not tuple_in_ideal(row, ideal)]
+    assert outside == [row for row in rows if list(_outside([row], ideal._width, ideal._keys))]
     # a lattice point's membership reads the same packed test
     point = _lattice_point(ideal.context, near)
     for w in (0,) * n, *ideal.context.dual_rays:
@@ -805,7 +819,7 @@ def test_caller_ideal_membership_matches_tuple_domination(cone, draw):
         assert member == any(all(map(ge, row, low)) for low in listed), point
         assert member == tuple_in_ideal(row, ideal) == difference_member(point, cone, gens), point
     big = tuple(10**9 for _ in range(n))
-    assert _packed_member(big, ideal._width, ideal._keys) == bool(gens)
+    assert list(_outside([big], ideal._width, ideal._keys)) == ([] if gens else [big])
 
 
 @settings(deadline=None)
@@ -838,3 +852,84 @@ def test_caller_ideal_reduces_to_the_library_ideal(data, draw):
     points |= set(draw.draw(st.lists(coords, max_size=6)))
     for point in sorted(points):
         assert ideal_member(point, ideal) == difference_member(point, data, listed), point
+
+
+@st.composite
+def unimodular(draw, n):
+    """An n x n integer matrix of determinant +-1: a product of up to six
+    elementary row operations on the identity, then a row swap."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(st.integers(-3, 3))
+        if i != j:
+            g[i] = [a + k * b for a, b in zip(g[i], g[j])]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    g[i], g[j] = g[j], g[i]
+    return g
+
+
+def _hilbert_or_limit(cone):
+    try:
+        return cone.hilbert_basis
+    except WorkLimitExceeded:
+        return None
+
+
+@st.composite
+def automorphism_cases(draw):
+    """A small cone, a unimodular g, an ideal of one or two ray primes, a
+    multiplier and a level count."""
+    cone = draw(small_cones())
+    n = cone.ambient_dim
+    chosen = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    components = tuple((ray, draw(st.integers(1, 2))) for ray in chosen)
+    return cone, draw(unimodular(n)), components, draw(st.integers(1, 3)), 3
+
+
+@settings(deadline=None, max_examples=60)
+@given(automorphism_cases())
+@example((make_cone([(0, 1), (6007, -7)], 2), [[1, 3], [0, 1]], ((0, 1),), 2, 2))
+@example((make_cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)], 4),
+          [[0, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 3, -1, 1]], ((0, 1), (3, 2)), 1, 3))
+def test_answers_are_invariant_under_lattice_automorphisms(case):
+    """On g.sigma, g in GL_n(Z), the class group, the Hilbert basis mapped by
+    g^(-T), the pairing vectors of symbolic and ordinary powers up to
+    ``make_cone``'s ray permutation and a short sweep's verdicts are those of
+    sigma, and each witness of sigma, mapped by g^(-T), fails in g.sigma."""
+    cone, g, components, multiplier, levels = case
+    n = cone.ambient_dim
+    inverse_t = adjugate(IntegerMatrix.from_rows(g)).transpose().to_rows()
+    sign = determinant(IntegerMatrix.from_rows(g))
+    assert sign in (1, -1)
+    moved = [tuple(dot(row, ray) for row in g) for ray in cone.rays]
+    image = make_cone(moved, n)
+    perm = [image.rays.index(ray) for ray in moved]
+
+    def dual_map(u):
+        return tuple(sign * dot(row, u) for row in inverse_t)
+
+    def permuted(vectors):
+        # field j of the image's vector is field i of sigma's, where perm[i] = j
+        order = sorted(range(len(perm)), key=perm.__getitem__)
+        return sorted(tuple(v[i] for i in order) for v in vectors)
+
+    assert class_group_of(image).invariant_factors == class_group_of(cone).invariant_factors
+    basis = _hilbert_or_limit(cone)
+    assert (basis is None) == (_hilbert_or_limit(image) is None)
+    if basis is not None:
+        assert sorted(map(dual_map, basis)) == list(image.hilbert_basis)
+    q = PureHeightOneIdeal(cone, components)
+    q_image = PureHeightOneIdeal(image, tuple((perm[ray], b) for ray, b in components))
+    for power in (1, 2, multiplier * levels):
+        assert permuted(symbolic_power(q, power)._vectors) == sorted(symbolic_power(q_image, power)._vectors)
+    base, base_image = symbolic_power(q, 1), symbolic_power(q_image, 1)
+    assert permuted(ordinary_power(base, 2)._vectors) == sorted(ordinary_power(base_image, 2)._vectors)
+    report = verify_containment(q, multiplier, levels)
+    report_image = verify_containment(q_image, multiplier, levels)
+    assert [c.passed for c in report.levels] == [c.passed for c in report_image.levels]
+    for check in report.levels:
+        if not check.passed:
+            witness = dual_map(check.witness)
+            assert ideal_member(witness, symbolic_power(q_image, multiplier * check.level))
+            assert not ideal_member(witness, ordinary_power(base_image, check.level))
