@@ -280,7 +280,7 @@ def _lattice_point(cone: Cone, pairs: Sequence[int]) -> Vector:
 def _outside(rows: Sequence[Sequence[int]], width: int, keys: Sequence[int]) -> Iterator[Sequence[int]]:
     """The ``rows``, in order and lazily, that dominate no vector packed at ``width`` in ``keys``:
     none with a negative field; one clamp, 2^(w-1) - 1 >= every stored field, serves all."""
-    top, shifts = (1 << width - 1) - 1, range(0, width * len(rows[0]) if rows else 0, width)
+    top, shifts = (1 << width - 1) - 1, range(0, width * len(rows[0]), width)
     guard = sum(top + 1 << shift for shift in shifts)
     for row in rows:
         high = sum(min(p, top) << shift for p, shift in zip(row, shifts)) | guard
