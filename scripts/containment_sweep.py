@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 
 from symtoric.class_group import class_group_of, det_multiplier, group_exponent
-from symtoric.cones import make_cone
+from symtoric.cones import WorkLimitExceeded, make_cone
 from symtoric.ideals import (
     PureHeightOneIdeal,
     find_sharpness_witness,
@@ -78,7 +78,11 @@ def main() -> int:
     except ValueError:
         print(f"error: a_max must be an integer >= 1, got {sys.argv[1]!r}", file=sys.stderr)
         return 1
-    return sweep(a_max)
+    try:
+        return sweep(a_max)
+    except WorkLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

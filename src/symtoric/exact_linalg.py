@@ -123,12 +123,10 @@ def determinant(m: IntegerMatrix) -> int:
     if m.rows != m.cols:
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    if n == 0:
-        return 1
     a = m.to_rows()
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k]:
@@ -141,9 +139,8 @@ def determinant(m: IntegerMatrix) -> int:
             for j in range(k + 1, n):
                 # exact division: Bareiss guarantees prev divides the product
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * prev
 
 
 def adjugate(m: IntegerMatrix) -> IntegerMatrix:
@@ -151,10 +148,6 @@ def adjugate(m: IntegerMatrix) -> IntegerMatrix:
     if m.rows != m.cols:
         raise DimensionError(f"adjugate needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    if n == 0:
-        return m
-    if n == 1:
-        return IntegerMatrix.from_rows([[1]])
     rows = m.to_rows()
     out = [[0] * n for _ in range(n)]
     for i in range(n):

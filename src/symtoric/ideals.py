@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Iterator, Sequence
 
-from .cones import (Cone, Vector, _divisor_period, _lattice_point, _minimal_sums, _outside,
-                    _pack, _pairings, _point_pairings, _unpacked, _valuation_keys)
+from .cones import (Cone, Vector, WorkLimitExceeded, _divisor_period, _lattice_point, _minimal_sums,
+                    _outside, _pack, _pairings, _point_pairings, _unpacked, _valuation_keys)
 from .exact_linalg import DimensionError, _is_integer
 
 __all__ = [
@@ -41,6 +42,10 @@ __all__ = [
     "verify_containment",
     "find_sharpness_witness",
 ]
+
+# most key additions a sweep's ordinary powers make, a C(g + a - 1, a) at level a of g
+# generators: A_1 through level 1024 makes 3.6 * 10^8 in 3.6-3.9 s (Xeon, Python 3.11)
+_MAX_SWEEP = 2**29
 
 
 @dataclass(frozen=True)
@@ -234,11 +239,15 @@ def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Ite
     translate of a generator and ordinary powers absorb translation.  One
     pass tests the symbolic power's vectors against the ordinary power's,
     and only the failing ones are solved: the lex-least of their points is
-    the level's witness."""
+    the level's witness.  Each level first adds its ordinary power's key
+    additions to the sweep's; past ``_MAX_SWEEP`` it raises WorkLimitExceeded."""
     _check_count("multiplier", multiplier)
     _check_count("max level", max_level)
-    base = symbolic_power(q, 1)
+    base, work = symbolic_power(q, 1), 0
     for a in range(1, max_level + 1):
+        if (work := work + a * comb(len(base._keys) + a - 1, a)) > _MAX_SWEEP:
+            raise WorkLimitExceeded(f"the sweep through level {a} makes at least 2^{work.bit_length() - 1}"
+                                    f" key additions, over the limit of {_MAX_SWEEP}")
         sym, ordinary = symbolic_power(q, multiplier * a), ordinary_power(base, a)
         failing = _outside(sym._vectors, ordinary._width, ordinary._keys)
         yield LevelCheck(a, min((_lattice_point(q.context, row) for row in failing), default=None))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone_zoo import CONE_FIXTURES, CUBE_RAYS, all_cones, an_cone, splits_of
-from symtoric import cones
+from symtoric import cones, ideals
 from symtoric.class_group import class_group_of
 from symtoric.cones import (
     NotStronglyConvexError,
@@ -317,6 +317,39 @@ class TestWorkLimit:
         assert find_sharpness_witness(q, 2, 3) == found and found[0] == 2
         with pytest.raises(WorkLimitExceeded, match="3-fold sums"):
             verify_containment(q, 2, 3)
+
+    def test_line_test_over_the_circuit_limit_raises_before_any_smith_form(self, monkeypatch):
+        # six rays of the moment curve in 4D: C(6, 5) = 6 circuits of five rays
+        def unexpected(*args):
+            pytest.fail("a circuit was read")
+
+        rays = [(1, i, i * i, i**3) for i in range(1, 7)]
+        cone = make_cone(rays, 4)
+        monkeypatch.setattr(cones, "_MAX_CIRCUITS", 6)
+        assert make_cone(rays, 4) == cone and not cone.is_simplicial
+        monkeypatch.setattr(cones, "_MAX_CIRCUITS", 5)
+        monkeypatch.setattr(cones.itertools, "combinations", unexpected)
+        message = r"the line test reads at least 2\^2 circuits of 6 rays, over the limit of 5"
+        with pytest.raises(WorkLimitExceeded, match=message):
+            make_cone(rays, 4)
+
+    def test_sweep_over_its_limit_raises_before_building_the_level(self, monkeypatch):
+        # ray 0's prime on A_1 has 2 generators: level a makes a (a + 1) key
+        # additions, 2, 8, 20 through levels 1, 2, 3
+        q = PureHeightOneIdeal(make_cone([(1, 0), (1, 2)], 2), ((0, 1),))
+        report = verify_containment(q, 2, 3)
+        monkeypatch.setattr(ideals, "_MAX_SWEEP", 20)
+        assert verify_containment(q, 2, 3) == report and report.passed
+        built = []
+        monkeypatch.setattr(ideals, "_MAX_SWEEP", 19)
+        monkeypatch.setattr(ideals, "ordinary_power", lambda base, a: built.append(a) or ordinary_power(base, a))
+        message = r"the sweep through level 3 makes at least 2\^4 key additions, over the limit of 19"
+        with pytest.raises(WorkLimitExceeded, match=message):
+            verify_containment(q, 2, 3)
+        assert built == [1, 2]
+        # D = 1 fails at a = 2, within the sweep's first 8 additions
+        monkeypatch.setattr(ideals, "_MAX_SWEEP", 8)
+        assert find_sharpness_witness(q, 1, 10**9) == (2, (2, -1))
 
 
 class TestSemigroupMember:

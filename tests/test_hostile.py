@@ -176,3 +176,35 @@ def test_no_enumeration_answers_over_the_work_limit(tmp_path, content, command):
     proc = run_cli(tmp_path, content.encode(), (command,))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith(f"command: {command} {tmp_path / 'input'}\n")
+
+
+# 40 rays (1, i, i^2, i^3) of the moment curve in 4D: the line test would
+# Smith-form C(40, 5) = 658 008 five-ray subsets before any handler starts
+RAYS_40 = "dim 4\n" + "".join(f"1 {i} {i * i} {i**3}\n" for i in range(1, 41))
+A_1 = "dim 2\n1 0\n1 2\n"
+
+
+@pytest.mark.parametrize(
+    "content, argv, timeout, names",
+    [
+        (RAYS_40, ("cone", "info"), 5, "circuits"),
+        (RAYS_40, ("classgroup",), 5, "circuits"),
+        # every level passes, and level a makes a (a + 1) key additions: the
+        # sweep's total passes 2^29 at level 1172
+        (A_1, ("verify", "--ray", "0", "--D", "2", "--amax", "1000000000"), 10, "sweep"),
+    ],
+    ids=["rays40-cone-info", "rays40-classgroup", "a1-verify"],
+)
+def test_circuits_or_sweep_over_the_work_limit_fail_fast(tmp_path, content, argv, timeout, names):
+    proc = run_cli(tmp_path, content.encode(), argv, timeout=timeout)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (1, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and names in line
+
+
+def test_sharpness_answers_below_the_sweep_limit(tmp_path):
+    argv = ("sharpness", "--ray", "0", "--D", "1", "--amax", "1000000000")
+    proc = run_cli(tmp_path, A_1.encode(), argv, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "witness: a = 2, monomial (2, -1)"

@@ -3,9 +3,14 @@ against independent descriptions of its answers."""
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
 import itertools
+import tempfile
 from math import comb
 from operator import add, ge
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,6 +42,7 @@ from reference import (
     tuple_in_ideal,
     unpack_keys,
 )
+from symtoric import cli
 from symtoric.class_group import class_group_of, class_of, order_of_class
 from symtoric.cones import (
     NotStronglyConvexError,
@@ -887,27 +893,46 @@ def automorphism_cases(draw):
     return cone, draw(unimodular(n)), components, draw(st.integers(1, 3)), 3
 
 
+def _automorphism_image(cone, g):
+    """g.sigma's rays in sigma's ray order, the cone ``make_cone`` builds of
+    them, the index there of each ray of sigma, and g^(-T) on characters."""
+    inverse_t = adjugate(IntegerMatrix.from_rows(g)).transpose().to_rows()
+    sign = determinant(IntegerMatrix.from_rows(g))
+    assert sign in (1, -1)
+    moved = [tuple(dot(row, ray) for row in g) for ray in cone.rays]
+    image = make_cone(moved, cone.ambient_dim)
+
+    def dual_map(u):
+        return tuple(sign * dot(row, u) for row in inverse_t)
+
+    return moved, image, [image.rays.index(ray) for ray in moved], dual_map
+
+
+def _assert_witness_fails(witness, q_image, multiplier, level):
+    """A witness of sigma at this level, mapped to g.sigma, fails there."""
+    base = symbolic_power(q_image, 1)
+    assert ideal_member(witness, symbolic_power(q_image, multiplier * level))
+    assert not ideal_member(witness, ordinary_power(base, level))
+
+
+AUTOMORPHISM_EXAMPLES = [
+    (make_cone([(0, 1), (6007, -7)], 2), [[1, 3], [0, 1]], ((0, 1),), 2, 2),
+    (make_cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)], 4),
+     [[0, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 3, -1, 1]], ((0, 1), (3, 2)), 1, 3),
+]
+
+
 @settings(deadline=None, max_examples=60)
 @given(automorphism_cases())
-@example((make_cone([(0, 1), (6007, -7)], 2), [[1, 3], [0, 1]], ((0, 1),), 2, 2))
-@example((make_cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)], 4),
-          [[0, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 3, -1, 1]], ((0, 1), (3, 2)), 1, 3))
+@example(AUTOMORPHISM_EXAMPLES[0])
+@example(AUTOMORPHISM_EXAMPLES[1])
 def test_answers_are_invariant_under_lattice_automorphisms(case):
     """On g.sigma, g in GL_n(Z), the class group, the Hilbert basis mapped by
     g^(-T), the pairing vectors of symbolic and ordinary powers up to
     ``make_cone``'s ray permutation and a short sweep's verdicts are those of
     sigma, and each witness of sigma, mapped by g^(-T), fails in g.sigma."""
     cone, g, components, multiplier, levels = case
-    n = cone.ambient_dim
-    inverse_t = adjugate(IntegerMatrix.from_rows(g)).transpose().to_rows()
-    sign = determinant(IntegerMatrix.from_rows(g))
-    assert sign in (1, -1)
-    moved = [tuple(dot(row, ray) for row in g) for ray in cone.rays]
-    image = make_cone(moved, n)
-    perm = [image.rays.index(ray) for ray in moved]
-
-    def dual_map(u):
-        return tuple(sign * dot(row, u) for row in inverse_t)
+    _, image, perm, dual_map = _automorphism_image(cone, g)
 
     def permuted(vectors):
         # field j of the image's vector is field i of sigma's, where perm[i] = j
@@ -930,6 +955,48 @@ def test_answers_are_invariant_under_lattice_automorphisms(case):
     assert [c.passed for c in report.levels] == [c.passed for c in report_image.levels]
     for check in report.levels:
         if not check.passed:
-            witness = dual_map(check.witness)
-            assert ideal_member(witness, symbolic_power(q_image, multiplier * check.level))
-            assert not ideal_member(witness, ordinary_power(base_image, check.level))
+            _assert_witness_fails(dual_map(check.witness), q_image, multiplier, check.level)
+
+
+def _cli_report(path, *argv):
+    """``cli.main``'s exit status and its stdout lines after ``command:`` and ``input:``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main([*argv, str(path)])
+    assert err.getvalue() == ""
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("command: ") and lines[1].startswith("input: sha256:")
+    return status, lines[2:]
+
+
+@settings(deadline=None, max_examples=30)
+@given(automorphism_cases())
+@example(AUTOMORPHISM_EXAMPLES[1])
+def test_cli_reports_are_invariant_under_lattice_automorphisms(case):
+    """``classgroup`` and ``multiplier`` print the same reports on cone files
+    of sigma and of g.sigma, and ``verify`` the same verdict at every level,
+    with ``--ray`` mapped through ``make_cone``'s ray order; each witness of
+    sigma, mapped by g^(-T), fails in g.sigma."""
+    cone, g, components, multiplier, levels = case
+    moved, image, perm, dual_map = _automorphism_image(cone, g)
+    q_image = PureHeightOneIdeal(image, tuple((perm[ray], b) for ray, b in components))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "sigma.cone", Path(tmp) / "image.cone"]
+        for path, rays in zip(paths, (cone.rays, moved)):
+            path.write_text(f"dim {cone.ambient_dim}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rays))
+        for command in ("classgroup", "multiplier"):
+            assert _cli_report(paths[0], command) == _cli_report(paths[1], command)
+        b = ",".join(str(mult) for _, mult in components)
+        sweep = ("--b", b, "--D", str(multiplier), "--amax", str(levels))
+        rays, rays_image = ([arg for ray, _ in components for arg in ("--ray", str(order[ray]))]
+                            for order in (range(len(perm)), perm))
+        status, lines = _cli_report(paths[0], "verify", *rays, *sweep)
+        status_image, lines_image = _cli_report(paths[1], "verify", *rays_image, *sweep)
+    # the ideal: line names the rays in each cone's own order
+    verdicts = [line.split(" witness ")[0] for line in lines[1:]]
+    assert (status, verdicts) == (status_image, [line.split(" witness ")[0] for line in lines_image[1:]])
+    assert len(verdicts) == levels + 3 and status == (0 if verdicts[-1] == "verdict: PASS" else 2)
+    for level, line in enumerate(lines[3:-1], 1):
+        if " FAIL witness " in line:
+            witness = ast.literal_eval(line.split(" witness ")[1])
+            _assert_witness_fails(dual_map(witness), q_image, multiplier, level)

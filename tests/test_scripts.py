@@ -53,6 +53,15 @@ def test_duval_table_report_unchanged():
     assert proc.stdout == expected
 
 
+def test_containment_sweep_over_the_sweep_limit_is_one_error_line():
+    """The half quotient's sweep at D = 2 passes the sweep's work limit at
+    level 1172, after the reports of the cones before it."""
+    proc = run_script("containment_sweep.py", "2000")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "sweep" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("name", ["containment_sweep.py", "duval_table.py"])
 @pytest.mark.parametrize("arg", ["0", "-2", "x", "1.5"])
 def test_bad_argument_is_one_error_line(name, arg):
