@@ -35,16 +35,17 @@ PANEL = [
 ]
 
 
-def sweep(a_max: int) -> int:
-    bad = 0
+def sweep(a_max: int) -> tuple[int, list[str]]:
+    """The exit status and the report's lines, built whole before any is printed."""
+    bad, lines = 0, []
     for label, dim, rays in PANEL:
         cone = make_cone(rays, dim)
         group = class_group_of(cone)
         d = det_multiplier(cone)
         d_min = group_exponent(group)
         factors = list(group.invariant_factors)
-        print(f"{label}: rays {rays}")
-        print(f"  class group factors {factors}, D = {d}, D_min = {d_min}")
+        lines.append(f"{label}: rays {rays}")
+        lines.append(f"  class group factors {factors}, D = {d}, D_min = {d_min}")
         for i in range(len(cone.rays)):
             q = PureHeightOneIdeal(cone, ((i, 1),))
             report = verify_containment(q, d, a_max)
@@ -61,13 +62,11 @@ def sweep(a_max: int) -> int:
                     probes.append(f"D = {candidate} breaks at a = {hit[0]}")
             if probes:
                 line += "; " + "; ".join(probes)
-            print(line)
-        print()
+            lines.append(line)
+        lines.append("")
     if bad:
-        print(f"{bad} containment sweeps failed")
-        return 1
-    print("all containments verified")
-    return 0
+        return 1, lines + [f"{bad} containment sweeps failed"]
+    return 0, lines + ["all containments verified"]
 
 
 def main() -> int:
@@ -79,10 +78,12 @@ def main() -> int:
         print(f"error: a_max must be an integer >= 1, got {sys.argv[1]!r}", file=sys.stderr)
         return 1
     try:
-        return sweep(a_max)
+        status, lines = sweep(a_max)
     except WorkLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(*lines, sep="\n")
+    return status
 
 
 if __name__ == "__main__":

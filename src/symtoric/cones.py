@@ -315,15 +315,18 @@ def _pack(rows: Iterable[Iterable[int]], scale: int = 1) -> tuple[int, tuple[int
 
 
 def _minimal_sums(rows: Sequence[Sequence[int]], power: int) -> tuple[int, tuple[int, ...]]:
-    """Width w, holding ``power`` times the largest pairing, and ``_reduce``d keys of
-    the ``power``-fold sums of candidates with pairing rows ``rows``: keys sum.  More than
-    ``_MAX_SUMS`` sums, C(g + power - 1, power) of g rows, raise WorkLimitExceeded first."""
+    """Width w, holding ``power`` times the largest pairing, and ``_reduce``d keys of the
+    ``power``-fold sums of candidates with pairing rows ``rows``: keys sum.  Rows of one pairing sum d
+    skip ``_reduce``: each sum's is power d, and a vector dominating another has the larger, so every
+    sum is minimal.  Over ``_MAX_SUMS`` sums, C(g + power - 1, power) of g rows, raise WorkLimitExceeded."""
     if (count := comb(len(rows) + power - 1, power)) > _MAX_SUMS:
         raise WorkLimitExceeded(f"the {power}-fold sums of {len(rows)} generators number at least"
                                 f" 2^{count.bit_length() - 1}, over the limit of {_MAX_SUMS}")
     width, keys = _pack(rows, power)
     sums = set(map(sum, itertools.combinations_with_replacement(keys, power)))
-    return width, _reduce(width, sums, len(rows[0]) if rows else 0)
+    if len(set(map(sum, rows))) <= 1:
+        return width, tuple(sorted(sums))
+    return width, _reduce(width, sums, len(rows[0]))
 
 
 def _valuation_keys(cone: Cone, divisor: Sequence[int]) -> tuple[int, tuple[int, ...]]:

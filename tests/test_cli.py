@@ -345,6 +345,18 @@ class TestVerifyCommand:
         assert code == 2 and err == ""
         assert out == (DATA / "verify_4ray.txt").read_text()
 
+    def test_one_degree_sweep_report(self, capsys, tmp_path, monkeypatch):
+        """The whole report on e1, e2, e3, (1, 1, 1, 2), as pinned in
+        ``tests/data``: every ray prime's generators pair to 2 in sum, so
+        the ordinary powers skip the reduction; D = 1 fails at a = 2 to 5."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one_degree.cone").write_text("dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 1 1 2\n")
+        code, out, err = run_cli(
+            capsys, "verify", "one_degree.cone", "--ray", "3", "--D", "1", "--amax", "5"
+        )
+        assert code == 2 and err == ""
+        assert out == (DATA / "verify_4d_one_degree.txt").read_text()
+
     def test_two_component_report(self, capsys, tmp_path, monkeypatch):
         """The whole report, as pinned in ``tests/data``, for the ideal of
         two ray primes on e1, e2, (3, 5, 13): D = 2 passes a = 1, 2 and

@@ -42,7 +42,7 @@ from reference import (
     tuple_in_ideal,
     unpack_keys,
 )
-from symtoric import cli
+from symtoric import cli, cones
 from symtoric.class_group import class_group_of, class_of, order_of_class
 from symtoric.cones import (
     NotStronglyConvexError,
@@ -398,8 +398,18 @@ def pairing_rows(draw):
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
 
 
+@st.composite
+def one_degree_rows(draw):
+    """Pairing rows of 1-60 candidates on one to five rays, each a
+    composition of one degree d into its entries; rows may repeat."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(0, 40))
+    cuts = st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1).map(sorted)
+    row = cuts.map(lambda c: tuple(b - a for a, b in zip([0, *c], [*c, d])))
+    return draw(st.lists(row, min_size=1, max_size=60))
+
+
 @settings(deadline=None, max_examples=500)
-@given(pairing_rows(), st.integers(1, 3))
+@given(st.one_of(pairing_rows(), one_degree_rows()), st.integers(1, 3))
 # on one, two and three rays: a repeated key, and a key above a kept one
 # with the same pairing 0; on one, a repeated least key
 @example([(3,), (3,), (1,)], 1)
@@ -420,12 +430,32 @@ def pairing_rows(draw):
 @example([(7, 0, 0, 0, 7), (0, 7, 7, 0, 7), (7, 7, 7, 7, 7), (7, 0, 7, 0, 7)], 1)
 @example([(5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 5, 1)], 1)
 @example([(5, 0, 0, 0, 0), (0, 5, 0, 0, 0), (0, 0, 5, 0, 0), (0, 0, 0, 5, 0), (1, 0, 0, 5, 0)], 1)
+# of two degrees, only (1, 0) is kept; of one largest entry, two degrees
+@example([(1, 0), (2, 0)], 1)
+@example([(2, 0), (2, 1)], 1)
 def test_minimal_sums_sweep_matches_guard_bit_loop(rows, power):
     """Three rules, the running minimum on one and two rays, the bisected
     staircase on three and the block test of a key against all the kept
     keys on four or more, keep the vectors the guard-bit loop keeps, in
-    the same key order."""
+    the same key order; so do the sorted sums of rows of one degree."""
     assert _minimal_sums(rows, power) == guard_bit_minimal_sums(list(zip(*rows)), power)
+
+
+def test_one_degree_sums_skip_the_reduction(monkeypatch):
+    """The ray-3 prime of e1, e2, e3, (1, 1, 1, 2) has four generators
+    whose pairings each sum to 2, so its squares' sums are all minimal and
+    come without ``_reduce``; rows of two degrees still reach it."""
+    def refuse(*args):
+        raise AssertionError("_reduce was called")
+
+    cone = make_cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)], 4)
+    rows = symbolic_power(PureHeightOneIdeal(cone, ((3, 1),)), 1)._vectors
+    assert len(rows) == 4 and {sum(row) for row in rows} == {2}
+    expected = guard_bit_minimal_sums(list(zip(*rows)), 2)
+    monkeypatch.setattr(cones, "_reduce", refuse)
+    assert _minimal_sums(rows, 2) == expected and len(expected[1]) == comb(4 + 1, 2)
+    with pytest.raises(AssertionError, match="_reduce"):
+        _minimal_sums([*rows, (0, 0, 0, 3)], 2)
 
 
 @settings(deadline=None)

@@ -55,9 +55,11 @@ def test_duval_table_report_unchanged():
 
 def test_containment_sweep_over_the_sweep_limit_is_one_error_line():
     """The half quotient's sweep at D = 2 passes the sweep's work limit at
-    level 1172, after the reports of the cones before it."""
+    level 1172, after the quadrant's sweep has finished; no part of the
+    report is printed."""
     proc = run_script("containment_sweep.py", "2000")
     assert proc.returncode == 1
+    assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "sweep" in proc.stderr and "Traceback" not in proc.stderr
 
