@@ -56,18 +56,36 @@ def _build_parser() -> _Parser:
         p.add_argument("file")
         p.add_argument("--json", action="store_true", dest="as_json")
     for p in (verify, sharp):
-        p.add_argument("--ray", action="append", type=int, required=True,
+        p.add_argument("--ray", action="append", type=_integer, required=True,
                        help="ray index; repeat to intersect several ray primes")
         p.add_argument("--b", default=None,
                        help="comma separated multiplicities, one per --ray (default all ones)")
-        p.add_argument("--D", type=int, required=True, dest="multiplier")
-        p.add_argument("--amax", type=int, required=True)
+        p.add_argument("--D", type=_integer, required=True, dest="multiplier")
+        p.add_argument("--amax", type=_integer, required=True)
 
     duval = sub.add_parser("duval", help="du Val catalog lookups and checks")
     duval.set_defaults(handler=_cmd_duval)
     duval.add_argument("family", help="A, D, E, or check-an")
-    duval.add_argument("n", type=int)
+    duval.add_argument("n", type=_integer)
     return parser
+
+
+def _long_digits(token: str) -> int:
+    """The digit count of a decimal token too long for int() to read, else 0."""
+    digits = token.lstrip("+-")
+    over = digits.isdecimal() and len(digits) > getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0
+    return len(digits) if over else 0
+
+
+def _integer(token: str) -> int:
+    """``int`` for an argument, whose error names one too long by its digit count
+    and echoes at most 200 characters of any other."""
+    try:
+        return int(token)
+    except ValueError:
+        if digits := _long_digits(token):
+            raise argparse.ArgumentTypeError(f"integer of {digits} digits is too long") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r:.200}") from None
 
 
 def _parse_cone_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
@@ -89,9 +107,8 @@ def _parse_cone_text(text: str) -> tuple[int, list[tuple[int, ...]]]:
         try:
             rays.append(tuple(int(tok) for tok in parts))
         except ValueError:
-            big = max(parts, key=len).lstrip("+-")
-            if big.isdecimal() and len(big) > getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0:
-                raise CliError(f"line {lineno}: ray entry of {len(big)} digits is too long") from None
+            if digits := _long_digits(max(parts, key=len)):
+                raise CliError(f"line {lineno}: ray entry of {digits} digits is too long") from None
             raise CliError(f"line {lineno}: ray {line!r:.200} is not an integer vector") from None
     if dim is None:
         raise CliError("missing 'dim N' header")
@@ -199,7 +216,9 @@ def _build_ideal(ns: argparse.Namespace, cone: Cone) -> PureHeightOneIdeal:
         try:
             mults = [int(tok) for tok in ns.b.split(",")]
         except ValueError:
-            raise CliError(f"--b {ns.b!r} is not a comma separated integer list") from None
+            if digits := _long_digits(max(ns.b.split(","), key=len)):
+                raise CliError(f"--b entry of {digits} digits is too long") from None
+            raise CliError(f"--b {ns.b!r:.200} is not a comma separated integer list") from None
         if len(mults) != len(rays):
             raise CliError(f"--b lists {len(mults)} multiplicities for {len(rays)} rays")
     # checked here rather than in the library so that the messages name

@@ -235,19 +235,18 @@ class ContainmentReport:
 def _level_checks(q: PureHeightOneIdeal, multiplier: int, max_level: int) -> Iterator[LevelCheck]:
     """Verdicts for symbolic_power(q, D*a) inside ordinary_power(q, a), a = 1..max_level.
 
-    Generator containment suffices: every other member is a semigroup
-    translate of a generator and ordinary powers absorb translation.  One
-    pass tests the symbolic power's vectors against the ordinary power's,
-    and only the failing ones are solved: the lex-least of their points is
-    the level's witness.  Each level first adds its ordinary power's key
-    additions to the sweep's; past ``_MAX_SWEEP`` it raises WorkLimitExceeded."""
+    Generator containment suffices: every other member is a semigroup translate of a
+    generator and ordinary powers absorb translation.  One pass tests the symbolic power's
+    vectors against the ordinary power's, and only the failing ones are solved: the
+    lex-least of their points is the level's witness.  First the sweep's key additions
+    through the level are checked against ``_MAX_SWEEP``."""
     _check_count("multiplier", multiplier)
     _check_count("max level", max_level)
     base, work = symbolic_power(q, 1), 0
     for a in range(1, max_level + 1):
-        if (work := work + a * comb(len(base._keys) + a - 1, a)) > _MAX_SWEEP:
-            raise WorkLimitExceeded(f"the sweep through level {a} makes at least 2^{work.bit_length() - 1}"
-                                    f" key additions, over the limit of {_MAX_SWEEP}")
+        work += a * comb(len(base._keys) + a - 1, a)
+        WorkLimitExceeded.check(work, _MAX_SWEEP,
+                                "the sweep through level {} makes {count} key additions", a)
         sym, ordinary = symbolic_power(q, multiplier * a), ordinary_power(base, a)
         failing = _outside(sym._vectors, ordinary._width, ordinary._keys)
         yield LevelCheck(a, min((_lattice_point(q.context, row) for row in failing), default=None))

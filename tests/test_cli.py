@@ -583,6 +583,16 @@ class TestErrorPaths:
             capsys, "verify", a1_file, "--ray", "0", "--b", "1,x", "--D", "1", "--amax", "1"
         )
         assert err == "error: --b '1,x' is not a comma separated integer list\n"
+        err = self.check_error(
+            capsys, "verify", a1_file, "--ray", "0", "--b", "1,x" + "9" * 5000, "--D", "1", "--amax", "1"
+        )
+        assert err.startswith("error: --b '1,x999") and len(err) < 300
+
+    def test_bad_integer_argument(self, capsys, a1_file):
+        err = self.check_error(capsys, "verify", a1_file, "--ray", "0", "--D", "x", "--amax", "1")
+        assert err == "error: argument --D: invalid int value: 'x'\n"
+        err = self.check_error(capsys, "duval", "A", "1x" + "9" * 5000)
+        assert err.startswith("error: argument n: invalid int value: '1x999") and len(err) < 300
 
     @pytest.mark.parametrize(
         "options, message",

@@ -286,7 +286,8 @@ class TestWorkLimit:
         assert make_cone(self.RAYS, 4).hilbert_basis == basis
         monkeypatch.setattr(cones, "_MAX_HILBERT", 1330)
         monkeypatch.setattr(cones, "_parallelotope", unexpected)
-        with pytest.raises(WorkLimitExceeded, match="Hilbert basis reads at most 1330 parallelotope"):
+        message = r"a Hilbert basis reads at least 2\^10 parallelotope points, over the limit of 1330"
+        with pytest.raises(WorkLimitExceeded, match=message):
             make_cone(self.RAYS, 4).hilbert_basis
 
     def test_ordinary_power_at_the_sums_limit_is_formed(self, monkeypatch):
@@ -332,6 +333,21 @@ class TestWorkLimit:
         message = r"the line test reads at least 2\^2 circuits of 6 rays, over the limit of 5"
         with pytest.raises(WorkLimitExceeded, match=message):
             make_cone(rays, 4)
+
+    def test_smith_form_over_its_limit_raises_before_forming_it(self, monkeypatch):
+        # A_1's rays, (2, 0) collapsing onto (1, 0): 2 (2 + 2) min(2, 2) = 16 block entries
+        def unexpected(*args):
+            pytest.fail("a Smith form was formed")
+
+        rays = [(1, 0), (2, 0), (1, 2)]
+        cone = make_cone(rays, 2)
+        monkeypatch.setattr(cones, "_MAX_SMITH", 16)
+        assert make_cone(rays, 2) == cone and cone.smith.invariant_factors == (1, 2)
+        monkeypatch.setattr(cones, "_MAX_SMITH", 15)
+        monkeypatch.setattr(cones, "smith_normal_form", unexpected)
+        message = r"the Smith form of 2 rays in dimension 2 touches at least 2\^4 entries, over the limit of 15"
+        with pytest.raises(WorkLimitExceeded, match=message):
+            make_cone(rays, 2)
 
     def test_sweep_over_its_limit_raises_before_building_the_level(self, monkeypatch):
         # ray 0's prime on A_1 has 2 generators: level a makes a (a + 1) key

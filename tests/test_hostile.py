@@ -27,12 +27,15 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run_cli(tmp_path: Path, content: bytes, argv: tuple[str, ...],
+def run_cli(tmp_path: Path, content: bytes | None, argv: tuple[str, ...],
             timeout: float = TIMEOUT_S) -> subprocess.CompletedProcess:
-    path = tmp_path / "input"
-    path.write_bytes(content)
+    """Run the CLI on ``argv``, followed by an input file of ``content`` unless it is None."""
+    if content is not None:
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        argv = (*argv, str(path))
     return subprocess.run(
-        [sys.executable, "-m", "symtoric", *argv, str(path)],
+        [sys.executable, "-m", "symtoric", *argv],
         capture_output=True,
         text=True,
         # the package need not be installed: run it from this checkout
@@ -151,8 +154,11 @@ def test_ordinary_power_over_the_sums_limit_fails_fast(tmp_path):
     assert line.startswith("error: ") and "sums" in line
 
 
-# a ray entry of 4301 digits, one more than int() reads by default
+# a ray entry of 4301 digits, one more than int() reads by default, and an
+# integer argument of 5000 digits
 NINES_4301 = "9" * 4301
+NINES_5000 = "9" * 5000
+A_1 = "dim 2\n1 0\n1 2\n"
 
 
 @pytest.mark.parametrize(
@@ -160,11 +166,15 @@ NINES_4301 = "9" * 4301
     [
         (f"dim 2\n0 1\n{NINES_4301} -7\n", ("cone", "info")),
         (f'{{"dim": 2, "rays": [[0, 1], [{NINES_4301}, -7]]}}', ("cone", "--json", "info")),
+        (A_1, ("verify", "--ray", "0", "--D", NINES_5000, "--amax", "2")),
+        (A_1, ("verify", "--ray", NINES_5000, "--D", "1", "--amax", "2")),
+        (A_1, ("verify", "--ray", "0", "--b", NINES_5000, "--D", "1", "--amax", "2")),
+        (None, ("duval", "A", NINES_5000)),
     ],
-    ids=["text", "json"],
+    ids=["text", "json", "D", "ray", "b", "duval"],
 )
 def test_entry_over_the_digit_limit_gets_a_short_error(tmp_path, content, argv):
-    proc = run_cli(tmp_path, content.encode(), argv)
+    proc = run_cli(tmp_path, content and content.encode(), argv)
     assert (proc.returncode, proc.stdout) == (1, "")
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and "digits" in line and len(line) < 200
@@ -181,7 +191,11 @@ def test_no_enumeration_answers_over_the_work_limit(tmp_path, content, command):
 # 40 rays (1, i, i^2, i^3) of the moment curve in 4D: the line test would
 # Smith-form C(40, 5) = 658 008 five-ray subsets before any handler starts
 RAYS_40 = "dim 4\n" + "".join(f"1 {i} {i * i} {i**3}\n" for i in range(1, 41))
-A_1 = "dim 2\n1 0\n1 2\n"
+# r rays in n dimensions make a Smith form of r (r + n) min(r, n) block entries: 8000
+# rays (1, i) in 2D and the smooth 600-dimensional cone are over 2^25, and the
+# first took 25 s and 1.1 GiB before the line test refused it
+RAYS_8000 = "dim 2\n" + "".join(f"1 {i}\n" for i in range(1, 8001))
+SMOOTH_600 = "dim 600\n" + "".join("0 " * i + "1" + " 0" * (599 - i) + "\n" for i in range(600))
 
 
 @pytest.mark.parametrize(
@@ -192,8 +206,10 @@ A_1 = "dim 2\n1 0\n1 2\n"
         # every level passes, and level a makes a (a + 1) key additions: the
         # sweep's total passes 2^29 at level 1172
         (A_1, ("verify", "--ray", "0", "--D", "2", "--amax", "1000000000"), 10, "sweep"),
+        (RAYS_8000, ("cone", "info"), 5, "Smith form"),
+        (SMOOTH_600, ("classgroup",), 5, "Smith form"),
     ],
-    ids=["rays40-cone-info", "rays40-classgroup", "a1-verify"],
+    ids=["rays40-cone-info", "rays40-classgroup", "a1-verify", "rays8000-cone-info", "smooth600-classgroup"],
 )
 def test_circuits_or_sweep_over_the_work_limit_fail_fast(tmp_path, content, argv, timeout, names):
     proc = run_cli(tmp_path, content.encode(), argv, timeout=timeout)
